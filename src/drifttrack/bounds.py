@@ -13,7 +13,7 @@ failure below 1e-4 per check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,22 +35,9 @@ __all__ = [
     "verify_A2_empirical",
     "TruncatedMomentReport",
     "lemma_truncated_moment_check",
-    "kahan_sum",
 ]
 
 SE_MARGIN = 4.0
-
-
-def kahan_sum(values) -> float:
-    """Compensated summation; order-stable aggregation for reductions."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,29 +75,109 @@ def parse_config_file(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
-def _get_float(raw: dict, key: str, default=None) -> Optional[float]:
-    if key not in raw:
-        if default is None:
-            return None
-        return float(default)
+def _list_of(parse: Callable) -> Callable:
+    return lambda text: tuple(parse(tok) for tok in text.split(",")
+                              if tok.strip())
+
+
+_INTS = _list_of(int)
+_FLOATS = _list_of(float)
+_NAMES = _list_of(str.strip)
+
+# Every key the harness reads: key -> (parser, default).  Integer keys
+# go through int(), never float, so 64-bit seeds stay exact.  A default
+# of None means the component that reads the key derives the value.
+CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
+    "experiment.horizons": (_INTS, (1000,)),
+    "experiment.replications": (int, 1),
+    "experiment.seed": (int, 1),
+    "experiment.burn_in_fraction": (float, 0.5),
+    "experiment.p": (float, 2.0),
+    "experiment.out": (str, None),
+    "experiment.statistic": (str, "window"),
+    "experiment.tolerance": (float, 0.1),
+    "experiment.theoretical_slope": (float, None),  # from schedule.kind
+    "path.kind": (str, "static"),
+    "path.value": (_FLOATS, None),     # d zeros
+    "path.c_theta": (float, None),     # per path kind
+    "path.c_rho": (float, 1.0),
+    "path.beta": (float, 1.0),
+    "path.start": (_FLOATS, None),     # the origin
+    "path.function": (str, "sine"),
+    "path.amplitude": (float, 0.5),
+    "model.kind": (str, "signal_noise"),
+    "model.d": (int, 1),
+    "model.noise.kind": (str, "normal"),
+    "model.noise.scale": (float, 1.0),
+    "model.x0": (float, 0.0),
+    "model.sigma": (float, 1.0),
+    "model.rho": (float, 0.9),
+    "model.intensity": (str, "constant"),
+    "model.intensity.a": (float, 1.0),
+    "model.intensity.b": (float, 0.0),
+    "gain.kind": (str, "signal_noise"),
+    "gain.alpha": (float, 0.5),
+    "gain.density_floor": (float, None),
+    "gain.density_cap": (float, None),
+    "gain.intensity_bound": (float, None),
+    "gain.sigma_diag": (_FLOATS, None),  # d ones
+    "gain.trunc": (float, None),         # per gain kind
+    "gain.lambda1": (float, None),
+    "gain.c_g": (float, None),
+    "gain.mu": (float, 1.0),
+    "schedule.kind": (str, "static"),
+    "schedule.c_gamma": (float, None),        # 4 / lambda1 of the gain
+    "schedule.lambda2_guard": (float, None),  # lambda2 of the gain
+    "schedule.cap": (float, math.inf),
+    "schedule.beta": (float, 1.0),
+    "schedule.gamma": (float, 0.1),
+    "tracking.initial": (_FLOATS, None),  # d zeros
+    "bounds.checkpoints": (int, 20),
+    "bounds.lambda1": (float, None),  # bounds.* fall back on the gain's
+    "bounds.lambda2": (float, None),
+    "bounds.c_g": (float, None),
+    "bounds.c_theta": (float, None),  # the path's, else measured
+    "verify.fixtures": (_NAMES, None),  # all built-in fixtures
+    "verify.required_failures": (_NAMES, ()),
+    "verify.samples": (int, 20_000),
+    "kalman.n": (int, None),          # the last horizon
+    "kalman.m0": (float, 0.0),
+    "kalman.var0": (float, 1.0),
+    "kalman.var_noise": (float, 1.0),
+    "kalman.deltas": (_FLOATS, ()),
+    "kalman.theta": (float, 0.0),
+    "kalman.tolerance": (float, 1e-12),
+}
+
+
+def _values(raw: dict[str, str]) -> dict[str, object]:
+    """Every declared key, parsed from raw or set to its default.
+
+    A key that CONFIG_KEYS does not declare is an error for every
+    subcommand, so a misspelled key cannot fall back on a default.
+    """
+    values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+    for key, text in raw.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_KEYS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad value {text!r} ({exc})") from exc
+    return values
+
+
+def _or(value, default):
+    """value, or default when the key was not set."""
+    return default if value is None else value
+
+
+def _pick(table: dict, key: str, values: dict):
+    """The table entry for the kind that key names."""
     try:
-        return float(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
-
-
-def _get_int(raw: dict, key: str, default=None) -> Optional[int]:
-    val = _get_float(raw, key, default)
-    return None if val is None else int(val)
-
-
-def _get_list(raw: dict, key: str, default=None) -> Optional[list[float]]:
-    if key not in raw:
-        return default
-    try:
-        return [float(tok) for tok in raw[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a comma list of numbers") from exc
+        return table[values[key]]
+    except KeyError:
+        raise ConfigError(f"unknown {key} {values[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,171 +204,129 @@ class ExperimentConfig:
 def experiment_config(kind: str, raw: dict[str, str],
                       overrides: Optional[dict] = None) -> ExperimentConfig:
     overrides = overrides or {}
-    horizons = _get_list(raw, "experiment.horizons", [1000.0])
-    reps = overrides.get("replications") \
-        or _get_int(raw, "experiment.replications", 1)
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _get_int(raw, "experiment.seed", 1)
+    v = _values(raw)
     return ExperimentConfig(
         kind=kind,
         raw=raw,
-        horizons=tuple(int(h) for h in horizons),
-        replications=int(reps),
-        seed=int(seed),
-        burn_in_fraction=_get_float(raw, "experiment.burn_in_fraction", 0.5),
-        p=_get_float(raw, "experiment.p", 2.0),
-        out=overrides.get("out") or raw.get("experiment.out"),
+        horizons=v["experiment.horizons"],
+        replications=_or(overrides.get("replications"),
+                         v["experiment.replications"]),
+        seed=_or(overrides.get("seed"), v["experiment.seed"]),
+        burn_in_fraction=v["experiment.burn_in_fraction"],
+        p=v["experiment.p"],
+        out=overrides.get("out") or v["experiment.out"],
         quiet=bool(overrides.get("quiet", False)),
     )
 
 
 # =====================================================================
-# Component builders
+# Component tables: {kind: constructor} for each config section
 # =====================================================================
 
-def _build_path(raw: dict, n: int, d: int) -> models_mod.ParameterPath:
-    kind = raw.get("path.kind", "static")
-    if kind == "static":
-        value = _get_list(raw, "path.value", [0.0] * d)
-        params = {"value": value}
-        if "path.c_theta" in raw:
-            params["c_theta"] = _get_float(raw, "path.c_theta")
-        return models_mod.make_parameter_path("static", **params)
-    if kind == "stabilizing":
-        return models_mod.make_parameter_path(
-            "stabilizing", dim=d,
-            c_rho=_get_float(raw, "path.c_rho", 1.0),
-            beta=_get_float(raw, "path.beta", 1.0),
-            c_theta=_get_float(raw, "path.c_theta", 1.0),
-            start=_get_list(raw, "path.start"))
-    if kind == "lipschitz":
-        func_name = raw.get("path.function", "sine")
-        amp = _get_float(raw, "path.amplitude", 0.5)
-        if func_name == "sine":
-            func = lambda t: amp * math.sin(2.0 * math.pi * t)
-            lip = 2.0 * math.pi * abs(amp)
-        elif func_name == "linear":
-            func = lambda t: amp * t
-            lip = abs(amp)
-        else:
-            raise ConfigError(f"unknown path.function {func_name!r}")
-        return models_mod.make_parameter_path(
-            "lipschitz", dim=d, func=func,
-            beta=_get_float(raw, "path.beta", 1.0),
-            c_theta=_get_float(raw, "path.c_theta", max(amp * amp, 1.0)),
-            lipschitz_l=lip, frequency=n)
-    raise ConfigError(f"unknown path.kind {kind!r}")
+# path.function -> amplitude -> (t in [0, 1] -> target)
+_PATH_FUNCTIONS = {
+    "sine": lambda amp: lambda t: amp * math.sin(2.0 * math.pi * t),
+    "linear": lambda amp: lambda t: amp * t,
+}
 
 
-def _build_model_and_gain(raw: dict, n: int):
-    model_kind = raw.get("model.kind", "signal_noise")
-    gain_kind = raw.get("gain.kind", "signal_noise")
-    d = _get_int(raw, "model.d", 1)
-    noise = models_mod.NoiseSpec(kind=raw.get("model.noise.kind", "normal"),
-                                 scale=_get_float(raw, "model.noise.scale", 1.0))
-    path = _build_path(raw, n, d)
-    if model_kind == "signal_noise":
-        model = models_mod.SignalNoiseModel(path=path, noise=noise)
-    elif model_kind == "arch1":
-        model = models_mod.Arch1Model(path=path, noise=noise,
-                                      x0=_get_float(raw, "model.x0", 0.0))
-    elif model_kind == "poisson":
-        model = _poisson_model(raw)
-    elif model_kind in ("ar1", "ard"):
-        d_eff = 1 if model_kind == "ar1" else d
-        model = models_mod.ArdBatchModel(
-            path=path, d=d_eff,
-            sigma=_get_float(raw, "model.sigma", 1.0),
-            rho=_get_float(raw, "model.rho", 0.9))
-    else:
-        raise ConfigError(f"unknown model.kind {model_kind!r}")
-
-    if gain_kind == "signal_noise":
-        gain = gains_mod.signal_noise_spec(d, noise_var=noise.variance or None)
-    elif gain_kind == "quantile":
-        gain = gains_mod.quantile_spec(
-            alpha=_get_float(raw, "gain.alpha", 0.5),
-            density_floor=_get_float(raw, "gain.density_floor"),
-            density_cap=_get_float(raw, "gain.density_cap"))
-    elif gain_kind == "poisson":
-        gain = gains_mod.poisson_spec(
-            intensity_bound=_get_float(raw, "gain.intensity_bound"))
-    elif gain_kind == "gaussian":
-        diag = _get_list(raw, "gain.sigma_diag", [1.0] * d)
-        gain = gains_mod.gaussian_known_cov_spec(np.diag(diag))
-    elif gain_kind == "arch1":
-        gain = gains_mod.arch1_spec(
-            trunc=_get_float(raw, "gain.trunc", 1.0),
-            lambda1=_get_float(raw, "gain.lambda1"),
-            c_g=_get_float(raw, "gain.c_g"))
-    elif gain_kind == "ar1_truncated":
-        gain = gains_mod.ar1_truncated_spec(
-            trunc=_get_float(raw, "gain.trunc", 1.5),
-            lambda1=_get_float(raw, "gain.lambda1"),
-            c_g=_get_float(raw, "gain.c_g"))
-    elif gain_kind == "ar1_normalized":
-        gain = gains_mod.ar1_normalized_spec(mu=_get_float(raw, "gain.mu", 1.0))
-    elif gain_kind == "ard_score":
-        gain = gains_mod.ard_score_spec(d, sigma=_get_float(raw, "model.sigma", 1.0))
-    else:
-        raise ConfigError(f"unknown gain.kind {gain_kind!r}")
-    return model, gain, d, path
+def _lipschitz_path(v: dict, n: int) -> models_mod.ParameterPath:
+    amp = v["path.amplitude"]
+    return models_mod.make_parameter_path(
+        "lipschitz", dim=v["model.d"],
+        func=_pick(_PATH_FUNCTIONS, "path.function", v)(amp),
+        beta=v["path.beta"],
+        c_theta=_or(v["path.c_theta"], max(amp * amp, 1.0)), frequency=n)
 
 
-def _poisson_model(raw: dict) -> models_mod.PoissonCountModel:
-    name = raw.get("model.intensity", "constant")
-    a = _get_float(raw, "model.intensity.a", 1.0)
-    b = _get_float(raw, "model.intensity.b", 0.0)
-    if name == "constant":
-        func = lambda t: a
-    elif name == "linear":
-        func = lambda t: a + b * t
-    elif name == "sine":
-        func = lambda t: a + b * math.sin(2.0 * math.pi * t)
-    else:
-        raise ConfigError(f"unknown model.intensity {name!r}")
-    return models_mod.PoissonCountModel(intensity=func)
+# path.kind -> (values, horizon) -> ParameterPath
+_PATHS = {
+    "static": lambda v, n: models_mod.make_parameter_path(
+        "static", value=_or(v["path.value"], (0.0,) * v["model.d"]),
+        c_theta=v["path.c_theta"]),
+    "stabilizing": lambda v, n: models_mod.make_parameter_path(
+        "stabilizing", dim=v["model.d"], c_rho=v["path.c_rho"],
+        beta=v["path.beta"], c_theta=_or(v["path.c_theta"], 1.0),
+        start=v["path.start"]),
+    "lipschitz": _lipschitz_path,
+}
+
+# model.intensity -> (a, b) -> (t -> Poisson intensity)
+_INTENSITIES = {
+    "constant": lambda a, b: lambda t: a,
+    "linear": lambda a, b: lambda t: a + b * t,
+    "sine": lambda a, b: lambda t: a + b * math.sin(2.0 * math.pi * t),
+}
 
 
-def _build_schedule(raw: dict, n: int, gain: gains_mod.GainSpec) -> StepSchedule:
-    kind = raw.get("schedule.kind", "static")
-    consts = gain.constants
-    lam1 = consts.lambda1 if consts else None
-    lam2 = consts.lambda2 if consts else None
-    c_gamma = _get_float(raw, "schedule.c_gamma")
-    if c_gamma is None:
-        c_gamma = default_c_gamma(lam1)
-    guard = _get_float(raw, "schedule.lambda2_guard")
-    if guard is None:
-        guard = lam2
-    cap = _get_float(raw, "schedule.cap", math.inf)
-    if kind == "static":
-        return StepSchedule(kind="static", c_gamma=c_gamma, cap=cap,
-                            lambda2_guard=guard)
-    if kind == "stabilizing":
-        return StepSchedule(kind="stabilizing", c_gamma=c_gamma,
-                            beta=_get_float(raw, "schedule.beta", 1.0),
-                            cap=cap, lambda2_guard=guard)
-    if kind == "lipschitz":
-        return StepSchedule(kind="lipschitz", c_gamma=c_gamma,
-                            beta=_get_float(raw, "schedule.beta", 1.0),
-                            horizon=n, cap=cap, lambda2_guard=guard)
-    if kind == "constant":
-        return StepSchedule(kind="constant",
-                            gamma=_get_float(raw, "schedule.gamma", 0.1),
-                            cap=cap, lambda2_guard=guard)
-    raise ConfigError(f"unknown schedule.kind {kind!r}")
+# model.kind -> (values, path, noise) -> simulator
+_MODELS = {
+    "signal_noise": lambda v, path, noise: models_mod.SignalNoiseModel(
+        path=path, noise=noise),
+    "arch1": lambda v, path, noise: models_mod.Arch1Model(
+        path=path, noise=noise, x0=v["model.x0"]),
+    "poisson": lambda v, path, noise: models_mod.PoissonCountModel(
+        intensity=_pick(_INTENSITIES, "model.intensity", v)(
+            v["model.intensity.a"], v["model.intensity.b"])),
+    "ar1": lambda v, path, noise: models_mod.ArdBatchModel(
+        path, 1, v["model.sigma"], v["model.rho"]),
+    "ard": lambda v, path, noise: models_mod.ArdBatchModel(
+        path, v["model.d"], v["model.sigma"], v["model.rho"]),
+}
+
+# gain.kind -> (values, noise) -> GainSpec
+_GAINS = {
+    "signal_noise": lambda v, noise: gains_mod.signal_noise_spec(
+        v["model.d"], noise_var=noise.variance or None),
+    "quantile": lambda v, noise: gains_mod.quantile_spec(
+        v["gain.alpha"], v["gain.density_floor"], v["gain.density_cap"]),
+    "poisson": lambda v, noise: gains_mod.poisson_spec(
+        intensity_bound=v["gain.intensity_bound"]),
+    "gaussian": lambda v, noise: gains_mod.gaussian_known_cov_spec(
+        np.diag(_or(v["gain.sigma_diag"], (1.0,) * v["model.d"]))),
+    "arch1": lambda v, noise: gains_mod.arch1_spec(
+        _or(v["gain.trunc"], 1.0), v["gain.lambda1"], v["gain.c_g"]),
+    "ar1_truncated": lambda v, noise: gains_mod.ar1_truncated_spec(
+        _or(v["gain.trunc"], 1.5), v["gain.lambda1"], v["gain.c_g"]),
+    "ar1_normalized": lambda v, noise: gains_mod.ar1_normalized_spec(
+        mu=v["gain.mu"]),
+    "ard_score": lambda v, noise: gains_mod.ard_score_spec(
+        v["model.d"], sigma=v["model.sigma"]),
+}
+
+# schedule.kind -> ((values, horizon) -> StepSchedule arguments beyond
+# c_gamma, cap and guard;  beta -> theoretical log n slope, or None)
+_SCHEDULES = {
+    "static": (lambda v, n: {}, lambda beta: -0.5),
+    "stabilizing": (lambda v, n: {"beta": v["schedule.beta"]},
+                    lambda beta: -beta / 3.0),
+    "lipschitz": (lambda v, n: {"beta": v["schedule.beta"], "horizon": n},
+                  lambda beta: -beta / (2.0 * beta + 1.0)),
+    "constant": (lambda v, n: {"gamma": v["schedule.gamma"]},
+                 lambda beta: None),
+}
 
 
 def build_components(raw: dict, n: int):
-    """(tracking config, model, gain) for one horizon."""
-    model, gain, d, path = _build_model_and_gain(raw, n)
-    schedule = _build_schedule(raw, n, gain)
-    initial = _get_list(raw, "tracking.initial", [0.0] * d)
-    config = TrackingConfig(dimension=d, horizon=n,
-                            initial_estimate=np.asarray(initial),
-                            schedule=schedule)
+    """(tracking config, model, gain, path) for one horizon."""
+    v = _values(raw)
+    d = v["model.d"]
+    noise = models_mod.NoiseSpec(kind=v["model.noise.kind"],
+                                 scale=v["model.noise.scale"])
+    path = _pick(_PATHS, "path.kind", v)(v, n)
+    model = _pick(_MODELS, "model.kind", v)(v, path, noise)
+    gain = _pick(_GAINS, "gain.kind", v)(v, noise)
+    schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
+    consts = gain.constants or gains_mod.GainConstants()
+    schedule = StepSchedule(
+        kind=v["schedule.kind"],
+        c_gamma=_or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1)),
+        cap=v["schedule.cap"],
+        lambda2_guard=_or(v["schedule.lambda2_guard"], consts.lambda2),
+        **schedule_args(v, n))
+    config = TrackingConfig(
+        dimension=d, horizon=n, schedule=schedule,
+        initial_estimate=_or(v["tracking.initial"], (0.0,) * d))
     return config, model, gain, path
 
 
@@ -328,14 +366,6 @@ def emit_csv(header: Sequence[str], rows, path: Optional[str]) -> str:
 
 RATE_HEADER = ["horizon", "replication", "final_error_l1", "final_error_l2",
                "final_error_lp", "p", "seed"]
-
-
-def _norms(err: np.ndarray, p: float) -> tuple[float, float, float]:
-    ae = np.abs(err)
-    l1 = float(np.sum(ae))
-    l2 = float(np.sqrt(np.sum(ae * ae)))
-    lp = float(np.max(ae)) if p == math.inf else float(np.sum(ae ** p) ** (1.0 / p))
-    return l1, l2, lp
 
 
 @dataclass(frozen=True)
@@ -380,17 +410,17 @@ def fit_rate(pairs) -> tuple[float, float]:
 
 
 def theoretical_slope_for(raw: dict) -> Optional[float]:
-    if "experiment.theoretical_slope" in raw:
-        return _get_float(raw, "experiment.theoretical_slope")
-    kind = raw.get("schedule.kind", "static")
-    if kind == "static":
-        return -0.5
-    if kind == "stabilizing":
-        return -_get_float(raw, "schedule.beta", 1.0) / 3.0
-    if kind == "lipschitz":
-        beta = _get_float(raw, "schedule.beta", 1.0)
-        return -beta / (2.0 * beta + 1.0)
-    return None
+    v = _values(raw)
+    slope = _pick(_SCHEDULES, "schedule.kind", v)[1](v["schedule.beta"])
+    return _or(v["experiment.theoretical_slope"], slope)
+
+
+def _norms(err: np.ndarray, p: float) -> tuple[float, float, float]:
+    ae = np.abs(err)
+    l1 = float(np.sum(ae))
+    l2 = float(np.sqrt(np.sum(ae * ae)))
+    lp = float(np.max(ae)) if p == math.inf else float(np.sum(ae ** p) ** (1.0 / p))
+    return l1, l2, lp
 
 
 def _window_norms(errors: np.ndarray, p: float, k0: int) -> tuple[float, float, float]:
@@ -406,6 +436,15 @@ def _window_norms(errors: np.ndarray, p: float, k0: int) -> tuple[float, float, 
     return l1, l2, lp
 
 
+def _replication(tracking: TrackingConfig, model, gain, seed: int, rep: int):
+    """run_tracking for one replication; a divergence names where it was."""
+    try:
+        return run_tracking(tracking, model, gain, seed)
+    except TrackingDiverged as exc:
+        raise TrackingDiverged(exc.step, f"horizon {tracking.horizon}, "
+                                         f"replication {rep}") from exc
+
+
 def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     """Monte-Carlo error-vs-horizon sweep with a log-corrected slope fit.
 
@@ -416,13 +455,12 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     only.  The CSV rows always carry the per-replication final errors.
     """
     raw = config.raw
+    v = _values(raw)
     reps = config.replications
-    statistic = raw.get("experiment.statistic", "window")
+    statistic = v["experiment.statistic"]
     if statistic not in ("window", "final"):
         raise ConfigError(f"unknown experiment.statistic: {statistic}")
-    rows = []
-    means = {"l1": [], "l2": [], "lp": []}
-    final_means = {"l1": [], "l2": [], "lp": []}
+    rows, means, final_means = [], [], []
     for h_idx, n in enumerate(config.horizons):
         tracking, model, gain, _path = build_components(raw, n)
         k0 = max(1, int(math.ceil(config.burn_in_fraction * n)))
@@ -430,31 +468,24 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         windows = np.empty((reps, 3))
         for rep in range(reps):
             rep_seed = config.seed ^ (h_idx * reps + rep)
-            try:
-                run = run_tracking(tracking, model, gain, rep_seed)
-            except TrackingDiverged as exc:
-                raise RuntimeError(
-                    f"replication diverged (n={n}, replication={rep}, "
-                    f"step={exc.step})") from exc
+            run = _replication(tracking, model, gain, rep_seed, rep)
             finals[rep] = _norms(run.final_error, config.p)
             windows[rep] = _window_norms(run.errors, config.p, k0)
             rows.append((n, rep, finals[rep, 0], finals[rep, 1],
                          finals[rep, 2], config.p, rep_seed))
         # exact sums: aggregate independent of replication order
         stat = windows if statistic == "window" else finals
-        for j, key in enumerate(("l1", "l2", "lp")):
-            means[key].append(math.fsum(stat[:, j]) / reps)
-            final_means[key].append(math.fsum(finals[:, j]) / reps)
-    slope, half = fit_rate(list(zip(config.horizons, means["l2"])))
+        means.append([math.fsum(col) / reps for col in stat.T])
+        final_means.append([math.fsum(col) / reps for col in finals.T])
+    mean_l1, mean_l2, mean_lp = zip(*means)
+    final_l1, final_l2, final_lp = zip(*final_means)
+    slope, half = fit_rate(list(zip(config.horizons, mean_l2)))
     theo = theoretical_slope_for(raw)
-    tol = _get_float(raw, "experiment.tolerance", 0.1)
+    tol = v["experiment.tolerance"]
     passed = theo is None or abs(slope - theo) <= tol
-    return RateReport(horizons=config.horizons,
-                      mean_l1=tuple(means["l1"]), mean_l2=tuple(means["l2"]),
-                      mean_lp=tuple(means["lp"]),
-                      final_mean_l1=tuple(final_means["l1"]),
-                      final_mean_l2=tuple(final_means["l2"]),
-                      final_mean_lp=tuple(final_means["lp"]),
+    return RateReport(horizons=config.horizons, mean_l1=mean_l1,
+                      mean_l2=mean_l2, mean_lp=mean_lp, final_mean_l1=final_l1,
+                      final_mean_l2=final_l2, final_mean_lp=final_lp,
                       p=config.p, statistic=statistic, slope=slope,
                       half_width=half, theoretical_slope=theo, tolerance=tol,
                       passed=passed, rows=rows)
@@ -492,12 +523,13 @@ def run_bound_check(config: ExperimentConfig,
     oscillation term uses the MC mean drift of the realized targets.
     """
     raw = config.raw
+    v = _values(raw)
     if n is None:
         n = config.horizons[-1]
     reps = config.replications
     tracking, model, gain, path = build_components(raw, n)
     k0 = int(config.burn_in_fraction * n)
-    n_checks = min(_get_int(raw, "bounds.checkpoints", 20), n - k0)
+    n_checks = min(v["bounds.checkpoints"], n - k0)
     slots = np.unique(np.linspace(k0 + 1, n, n_checks).astype(int))
     err_norms = np.empty((reps, slots.size))
     osc_sum = np.zeros(n - k0)          # sum over reps of ||theta_{i+1} - theta_{k0}||
@@ -505,7 +537,7 @@ def run_bound_check(config: ExperimentConfig,
     theta_sq_max = 0.0
     for rep in range(reps):
         rep_seed = config.seed ^ rep
-        run = run_tracking(tracking, model, gain, rep_seed)
+        run = _replication(tracking, model, gain, rep_seed, rep)
         err_norms[rep] = np.linalg.norm(run.errors[slots], axis=1)
         drift = run.targets[k0 + 1:] - run.targets[k0]
         osc_sum += np.linalg.norm(drift, axis=1)
@@ -514,21 +546,17 @@ def run_bound_check(config: ExperimentConfig,
                            float(np.max(np.sum(run.targets ** 2, axis=1))))
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants or gains_mod.GainConstants()
-    lam1 = _get_float(raw, "bounds.lambda1") or consts.lambda1
-    lam2 = _get_float(raw, "bounds.lambda2") or consts.lambda2
-    c_g = _get_float(raw, "bounds.c_g")
-    if c_g is None:
-        c_g = consts.c_g
+    lam1 = v["bounds.lambda1"] or consts.lambda1
+    lam2 = v["bounds.lambda2"] or consts.lambda2
+    c_g = _or(v["bounds.c_g"], consts.c_g)
     if lam1 is None or lam2 is None or c_g is None:
         raise ConfigError("bound check needs lambda1, lambda2 and c_g "
                           "(declared by the gain or set under bounds.*)")
-    c_theta = _get_float(raw, "bounds.c_theta")
-    if c_theta is None:
-        c_theta = getattr(path, "c_theta", None) or max(theta_sq_max, 1e-12)
-    c_theta = max(c_theta, 1e-12)
+    c_theta = max(_or(v["bounds.c_theta"], path.c_theta or theta_sq_max),
+                  1e-12)
     gammas = tracking.schedule.values_upto(n)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
-    emp, ses, rhs, flags = [], [], [], []
+    checks = []
     for j, slot in enumerate(slots):
         k = slot - 1  # the step that produced this slot
         inputs = bounds_mod.BoundInputs(
@@ -538,14 +566,12 @@ def run_bound_check(config: ExperimentConfig,
         bound = bounds_mod.theorem1_bound(inputs, osc)
         mean = math.fsum(err_norms[:, j]) / reps
         se = float(err_norms[:, j].std(ddof=1)) / math.sqrt(reps)
-        ok = mean <= bound + bounds_mod.SE_MARGIN * se
-        emp.append(mean)
-        ses.append(se)
-        rhs.append(bound)
-        flags.append(ok)
+        checks.append((mean, se, bound,
+                       mean <= bound + bounds_mod.SE_MARGIN * se))
+    emp, ses, rhs, flags = zip(*checks)
     return BoundTable(ks=tuple(int(s) for s in slots),
-                      empirical_mean=tuple(emp), empirical_se=tuple(ses),
-                      bound_rhs=tuple(rhs), flags=tuple(flags),
+                      empirical_mean=emp, empirical_se=ses,
+                      bound_rhs=rhs, flags=flags,
                       passed=all(flags), c_theta_bar_hat=c_theta_bar)
 
 
@@ -559,7 +585,6 @@ VERIFY_HEADER = ["probe_index", "r_hat", "r_se", "g_norm_ratio", "c_g_hat",
 
 @dataclass(frozen=True)
 class VerifyFixture:
-    name: str
     gain_eval: Callable
     sampler: Callable
     theta: np.ndarray
@@ -568,10 +593,6 @@ class VerifyFixture:
     lipschitz: Optional[float]
     c_g: Optional[float]
     expect_pass: bool = True
-
-
-def _sqrt_diag(diag):
-    return np.sqrt(np.asarray(diag, dtype=float))
 
 
 def builtin_fixtures() -> dict[str, VerifyFixture]:
@@ -585,7 +606,6 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
 
     theta = np.array([0.3])
     fx["signal_noise"] = VerifyFixture(
-        name="signal_noise",
         gain_eval=gains_mod.signal_noise_spec(1).evaluator,
         sampler=lambda rng, size: theta[0] + rng.normal(0.0, 1.0, size),
         theta=theta, probes=[[-0.7], [0.0], [0.8], [1.3]],
@@ -593,9 +613,8 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
 
     sigma_diag = np.array([2.0, 4.0])
     theta_g = np.array([0.5, -0.3])
-    root = _sqrt_diag(sigma_diag)
+    root = np.sqrt(sigma_diag)
     fx["gaussian"] = VerifyFixture(
-        name="gaussian",
         gain_eval=gains_mod.gaussian_known_cov_spec(np.diag(sigma_diag)).evaluator,
         sampler=lambda rng, size: theta_g + rng.normal(size=(size, 2)) * root,
         theta=theta_g,
@@ -604,7 +623,6 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
 
     theta_q = np.array([0.5])
     fx["quantile"] = VerifyFixture(
-        name="quantile",
         gain_eval=gains_mod.quantile_spec(0.5).evaluator,
         sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
         theta=theta_q, probes=[[0.2], [0.35], [0.65], [0.8]],
@@ -620,7 +638,6 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
         return np.column_stack([x_k, np.full(size, x_pin)])
 
     fx["arch1_truncated"] = VerifyFixture(
-        name="arch1_truncated",
         gain_eval=gains_mod.arch1_spec(trunc=1.0).evaluator,
         sampler=arch_sampler, theta=np.array([theta_a]),
         probes=[[0.0], [0.2], [0.8], [1.0]],
@@ -635,7 +652,6 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
         return np.column_stack([x_k, np.full(size, xr_pin)])
 
     fx["ar1_truncated"] = VerifyFixture(
-        name="ar1_truncated",
         gain_eval=gains_mod.ar1_truncated_spec(trunc=1.5).evaluator,
         sampler=ar1_sampler, theta=np.array([theta_r]),
         probes=[[-0.2], [0.1], [0.7], [0.9]],
@@ -655,8 +671,7 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
             est, rows[..., 0], rows[..., 1:], mu=1.0)
 
     fx["moulines_d2"] = VerifyFixture(
-        name="moulines_d2", gain_eval=moulines_eval,
-        sampler=moulines_sampler, theta=theta_m,
+        gain_eval=moulines_eval, sampler=moulines_sampler, theta=theta_m,
         probes=[list(theta_m + 0.4 * ortho), list(theta_m - 0.3 * ortho)],
         lambda1=0.2, lipschitz=None, c_g=None, expect_pass=False)
     return fx
@@ -670,45 +685,35 @@ class VerifyReport:
 
 
 def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
-    raw = config.raw
+    v = _values(config.raw)
     registry = builtin_fixtures()
-    names = [tok.strip() for tok in
-             raw.get("verify.fixtures", ",".join(registry)).split(",")
-             if tok.strip()]
-    required_failures = {tok.strip() for tok in
-                         raw.get("verify.required_failures", "").split(",")
-                         if tok.strip()}
-    n_samples = _get_int(raw, "verify.samples", 20_000)
+    n_samples = v["verify.samples"]
     rng = models_mod.make_rng(config.seed)
     rows = []
     results = []
-    all_ok = True
-    probe_counter = 0
-    for name in names:
+    for name in _or(v["verify.fixtures"], tuple(registry)):
         if name not in registry:
             raise ConfigError(f"unknown verify fixture {name!r}")
         fixture = registry[name]
-        expect_pass = fixture.expect_pass and name not in required_failures
+        expect_pass = fixture.expect_pass \
+            and name not in v["verify.required_failures"]
         report = bounds_mod.verify_A1_empirical(
             fixture.gain_eval, fixture.sampler, fixture.theta,
             fixture.probes, n_samples, rng,
             lambda1=fixture.lambda1, lipschitz=fixture.lipschitz)
         probe_rows = []
-        observed_pass = True
         for res in report.probes:
             a2 = bounds_mod.verify_A2_empirical(
                 fixture.gain_eval, fixture.sampler, res.probe, n_samples,
                 rng, c_g=fixture.c_g)
-            ok = res.passed and a2.passed
-            observed_pass = observed_pass and ok
-            row = (probe_counter, res.r_hat, res.r_se, res.g_norm_ratio,
-                   a2.second_moment, ok)
-            probe_rows.append(row)
-            rows.append(row)
-            probe_counter += 1
+            probe_rows.append((len(rows) + len(probe_rows), res.r_hat,
+                               res.r_se, res.g_norm_ratio, a2.second_moment,
+                               res.passed and a2.passed))
+        observed_pass = all(row[-1] for row in probe_rows)
         results.append((name, expect_pass, observed_pass, probe_rows))
-        all_ok = all_ok and (observed_pass == expect_pass)
-    return VerifyReport(fixture_results=results, passed=all_ok, rows=rows)
+        rows.extend(probe_rows)
+    passed = all(expect == observed for _, expect, observed, _ in results)
+    return VerifyReport(fixture_results=results, passed=passed, rows=rows)
 
 
 # =====================================================================
@@ -734,14 +739,12 @@ def run_kalman_compare(config: ExperimentConfig) -> KalmanCompareResult:
     both coincide with the running mean that counts the prior mean as a
     zeroth observation.
     """
-    raw = config.raw
-    n = _get_int(raw, "kalman.n", config.horizons[-1])
+    v = _values(config.raw)
+    n = _or(v["kalman.n"], config.horizons[-1])
     kconf = kalman_mod.KalmanConfig(
-        m0=_get_float(raw, "kalman.m0", 0.0),
-        var0=_get_float(raw, "kalman.var0", 1.0),
-        var_noise=_get_float(raw, "kalman.var_noise", 1.0),
-        deltas=tuple(_get_list(raw, "kalman.deltas", []) or []))
-    theta = _get_float(raw, "kalman.theta", 0.0)
+        m0=v["kalman.m0"], var0=v["kalman.var0"],
+        var_noise=v["kalman.var_noise"], deltas=v["kalman.deltas"])
+    theta = v["kalman.theta"]
     rng = models_mod.make_rng(config.seed)
     obs = theta + rng.normal(0.0, math.sqrt(kconf.var_noise), size=n)
     kalman_est, mse = kalman_mod.kalman_filter_run(kconf, obs)
@@ -760,14 +763,11 @@ def run_kalman_compare(config: ExperimentConfig) -> KalmanCompareResult:
     rows = [(k, kalman_est[k], tracker_est[k], running[k],
              mse[k - 1] if k >= 1 else kconf.var_noise * kconf.var0 / kconf.var_noise,
              diff[k]) for k in range(n + 1)]
-    tol = _get_float(raw, "kalman.tolerance", 1e-12)
+    tol = v["kalman.tolerance"]
     passed = float(diff.max()) <= tol and float(mean_diff.max()) <= tol
     return KalmanCompareResult(max_abs_diff=float(diff.max()),
                                max_mean_diff=float(mean_diff.max()),
                                passed=passed, rows=rows)
-
-
-RUN_HEADER_PREFIX = ["k"]
 
 
 def run_single(config: ExperimentConfig):
@@ -838,11 +838,7 @@ def _cmd_kalman(config: ExperimentConfig) -> int:
 
 
 def _cmd_run(config: ExperimentConfig) -> int:
-    try:
-        header, rows, passed = run_single(config)
-    except TrackingDiverged as exc:
-        print(f"diverged at step {exc.step}", file=sys.stderr)
-        return 1
+    header, rows, passed = run_single(config)
     text = emit_csv(header, rows, config.out)
     if config.out is None:
         sys.stdout.write(text)
@@ -880,6 +876,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except TrackingDiverged as exc:
+        print(f"diverged at {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -59,26 +59,18 @@ class GainConstants:
     lambda1: Optional[float] = None   # lower eigenvalue of M
     lambda2: Optional[float] = None   # upper eigenvalue of M
     c_g: Optional[float] = None       # centered second-moment bound
-    g_bar: Optional[float] = None     # hard norm bound on the gain
-    lipschitz: Optional[float] = None  # ||mean gain|| <= L ||error||
 
 
 @dataclass(frozen=True)
 class GainSpec:
-    """A gain evaluator with metadata for the tracking engine.
+    """A gain evaluator with its declared constants.
 
-    evaluator(estimate, observation_row) -> direction; history_depth
-    records how much past the observation rows embed; queries_per_step
-    is the oracle budget for derivative-free gains (2d for coordinate
-    differences, 2 for random directions).
+    evaluator(estimate, observation_row) -> direction.
     """
 
     evaluator: Callable
     dim: int
     constants: Optional[GainConstants] = None
-    history_depth: int = 0
-    queries_per_step: int = 1
-    name: str = ""
 
 
 # =====================================================================
@@ -297,36 +289,32 @@ def modifier_predictable_rescale(g, s: float, kappa: float):
 # =====================================================================
 
 def signal_noise_spec(d: int = 1, noise_var: float | None = None) -> GainSpec:
-    consts = GainConstants(lambda1=1.0, lambda2=1.0, lipschitz=1.0,
+    consts = GainConstants(lambda1=1.0, lambda2=1.0,
                            c_g=noise_var * d if noise_var is not None else None)
     return GainSpec(evaluator=lambda est, row: row - est, dim=d,
-                    constants=consts, name="signal_noise")
+                    constants=consts)
 
 
 def quantile_spec(alpha: float, density_floor: float | None = None,
                   density_cap: float | None = None) -> GainSpec:
     """Quantile gain; declared constants come from density bounds."""
     consts = GainConstants(lambda1=density_floor, lambda2=density_cap,
-                           lipschitz=density_cap,
-                           c_g=1.0, g_bar=max(alpha, 1.0 - alpha))
+                           c_g=1.0)
 
     def evaluator(est, row):
         x = row[..., 0] if getattr(row, "ndim", 0) else row
         return gain_quantile(est, x, alpha)
 
-    return GainSpec(evaluator=evaluator, dim=1, constants=consts,
-                    name="quantile")
+    return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
-    consts = GainConstants(lambda1=1.0, lambda2=1.0, lipschitz=1.0,
-                           c_g=intensity_bound)
+    consts = GainConstants(lambda1=1.0, lambda2=1.0, c_g=intensity_bound)
 
     def evaluator(est, row):
         return gain_poisson(est, row[..., 0], row[..., 1])
 
-    return GainSpec(evaluator=evaluator, dim=1, constants=consts,
-                    history_depth=1, name="poisson")
+    return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec:
@@ -337,57 +325,48 @@ def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec
         raise ValueError("covariance not positive definite")
     chol = cho_factor(sigma)
     consts = GainConstants(lambda1=1.0 / float(eigs[-1]),
-                           lambda2=1.0 / float(eigs[0]),
-                           lipschitz=1.0 / float(eigs[0]),
-                           c_g=noise_trace)
+                           lambda2=1.0 / float(eigs[0]), c_g=noise_trace)
 
     def evaluator(est, row):
         return cho_solve(chol, np.atleast_1d(row - est).T).T
 
-    return GainSpec(evaluator=evaluator, dim=d, constants=consts,
-                    name="gaussian_known_cov")
+    return GainSpec(evaluator=evaluator, dim=d, constants=consts)
 
 
 def arch1_spec(trunc: float, lambda1: float | None = None,
                c_g: float | None = None) -> GainSpec:
-    consts = GainConstants(lambda1=lambda1, lambda2=trunc,
-                           lipschitz=trunc, c_g=c_g)
+    consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
         return gain_arch1(est, row[..., 0], row[..., 1], trunc)
 
-    return GainSpec(evaluator=evaluator, dim=1, constants=consts,
-                    history_depth=1, name="arch1")
+    return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ar1_normalized_spec(mu: float) -> GainSpec:
-    consts = GainConstants(lambda2=1.0 / mu, lipschitz=1.0 / mu)
+    consts = GainConstants(lambda2=1.0 / mu)
 
     def evaluator(est, row):
         return gain_ar1_normalized(est, row[..., 0], row[..., 1], mu)
 
-    return GainSpec(evaluator=evaluator, dim=1, constants=consts,
-                    history_depth=1, name="ar1_normalized")
+    return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ar1_truncated_spec(trunc: float, lambda1: float | None = None,
                        c_g: float | None = None) -> GainSpec:
-    consts = GainConstants(lambda1=lambda1, lambda2=trunc,
-                           lipschitz=trunc, c_g=c_g)
+    consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
         return gain_ar1_truncated(est, row[..., 0], row[..., 1], trunc)
 
-    return GainSpec(evaluator=evaluator, dim=1, constants=consts,
-                    history_depth=1, name="ar1_truncated")
+    return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ard_score_spec(d: int, sigma: float) -> GainSpec:
     def evaluator(est, row):
         return gain_ard_score(est, row[:d], row[d:], sigma)
 
-    return GainSpec(evaluator=evaluator, dim=d, history_depth=1,
-                    name="ard_score")
+    return GainSpec(evaluator=evaluator, dim=d)
 
 
 def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):

@@ -12,7 +12,7 @@ Observation-row layouts match the GainSpec factories in gains.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,7 +114,6 @@ class ParameterPath:
     beta: float = 1.0                           # stabilizing / lipschitz
     start: Optional[np.ndarray] = None          # stabilizing
     func: Optional[Callable] = None             # lipschitz: t in [0,1] -> vec
-    lipschitz_l: float = 1.0                    # lipschitz metadata
     frequency: Optional[int] = None             # lipschitz sampling n
     rule: Optional[Callable] = None             # predictable: (k, window) -> vec
     window_depth: int = 1                       # predictable
@@ -206,7 +205,9 @@ def make_parameter_path(kind: str, **params) -> ParameterPath:
     """Validated ParameterPath constructor."""
     if kind == "static":
         value = np.atleast_1d(np.asarray(params["value"], dtype=float))
-        c_theta = params.get("c_theta", float(value @ value) + 1e-12)
+        c_theta = params.get("c_theta")
+        if c_theta is None:
+            c_theta = float(value @ value) + 1e-12
         return ParameterPath(kind="static", dim=value.size,
                              c_theta=c_theta, value=value)
     if kind == "stabilizing":
@@ -227,7 +228,6 @@ def make_parameter_path(kind: str, **params) -> ParameterPath:
         return ParameterPath(kind="lipschitz", dim=params.get("dim", 1),
                              c_theta=params.get("c_theta", 1.0),
                              func=params["func"], beta=beta,
-                             lipschitz_l=params.get("lipschitz_l", 1.0),
                              frequency=params.get("frequency"))
     if kind == "predictable":
         return ParameterPath(kind="predictable", dim=params.get("dim", 1),
@@ -315,7 +315,6 @@ class PoissonCountModel:
     """
 
     intensity: Callable[[float], float]
-    intensity_bound: Optional[float] = None
 
     dim = 1
 

@@ -10,7 +10,7 @@ gamma * lambda2 <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

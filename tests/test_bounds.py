@@ -13,7 +13,6 @@ from drifttrack.bounds import (
     biased_bound,
     bp_constant,
     estimate_oscillation,
-    kahan_sum,
     lemma_truncated_moment_check,
     theorem1_bound,
     theorem2_bound,
@@ -28,23 +27,6 @@ def _inputs(**kw):
                 c_theta_bar=0.5, gammas=np.full(10, 0.1))
     base.update(kw)
     return BoundInputs(**base)
-
-
-class TestKahanSum:
-    def test_compensation_beats_naive(self):
-        # tiny increments against a unit total: naive accumulation rounds
-        # every term away, compensated summation keeps them
-        vals = [1.0] + [1e-16] * 10_000
-        naive = 0.0
-        for v in vals:
-            naive += v
-        assert naive == 1.0
-        assert kahan_sum(vals) == math.fsum(vals)
-
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(0)
-        vals = rng.normal(size=1000) * 10.0 ** rng.integers(-8, 8, size=1000)
-        assert math.isclose(kahan_sum(vals), math.fsum(vals), rel_tol=1e-12)
 
 
 class TestBoundInputs:

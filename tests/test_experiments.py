@@ -311,3 +311,58 @@ def test_csv_float_round_trip_property(vals):
     assert all(a == b or (math.isnan(a) and math.isnan(b))
                for a, b in zip(parsed, vals))
     assert len(parsed) == len(vals)
+
+
+class TestStrictKeys:
+    def test_seed_parses_exactly(self):
+        # through a float this seed rounds to 2**64, i.e. Philox key 0
+        seed = 18446744073709551557
+        cfg = experiment_config("rates", {"experiment.seed": str(seed)})
+        assert cfg.seed == seed
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ConfigError, match="experiment.replications"):
+            experiment_config("rates", {"experiment.replications": "2.9"})
+
+    def test_zero_replications_override_rejected(self, capsys):
+        with pytest.raises(ConfigError):
+            experiment_config("rates", {}, {"replications": 0})
+        assert main(["rates", "--replications", "0", "--quiet"]) == 2
+        capsys.readouterr()
+
+    def test_unknown_key_named(self, tmp_path, capsys):
+        raw = {"schedule.kind": "stabilizing", "schedule.betta": "0.75"}
+        with pytest.raises(ConfigError, match="schedule.betta"):
+            theoretical_slope_for(raw)
+        path = tmp_path / "typo.cfg"
+        path.write_text("schedule.betta = 0.75\n", encoding="utf-8")
+        assert main(["kalman-compare", "--config", str(path)]) == 2
+        assert "schedule.betta" in capsys.readouterr().err
+
+
+_DIVERGING = ("schedule.kind = constant\nschedule.gamma = 3\n"
+              "schedule.lambda2_guard = 0.1\nexperiment.horizons = 100,200\n")
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("command, horizon",
+                             [("rates", 100), ("bound-check", 200)])
+    def test_exit_one_names_where(self, tmp_path, capsys, command, horizon):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(_DIVERGING, encoding="utf-8")
+        assert main([command, "--config", str(path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diverged")
+        assert f"step 20: horizon {horizon}, replication 0" in err
+
+
+def test_readme_lists_every_config_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            listed.add(line[3:].split("`", 1)[0])
+    assert listed == set(ex.CONFIG_KEYS)
