@@ -7,7 +7,9 @@ verifiers, the scalar Kalman reduction, and a Monte-Carlo experiment
 harness with a CLI.
 """
 
-from . import bounds, core, experiments, gains, kalman, linalg, models, schedules
+import importlib
+
+from . import bounds, core, gains, kalman, linalg, models, schedules
 
 __all__ = [
     "bounds",
@@ -21,3 +23,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # experiments loads on first use, so `python -m drifttrack.experiments`
+    # does not find it imported already (runpy warns when it is)
+    if name == "experiments":
+        return importlib.import_module(".experiments", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,10 @@
 """The recursive tracking engine.
 
-Plain and projected one-step updates plus the trajectory driver that
-wires a simulator, a gain, and a step schedule together.  The estimate
-recursion is theta_hat_{k+1} = theta_hat_k + gamma_k * G_k; the value
-stored at slot k+1 is compared against the target at the same slot.
+Plain and projected one-step updates plus one kernel, track, that runs
+the recursion theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
+replications at once; the value stored at slot k+1 is compared against
+the target at the same slot.  run_tracking and replay_updates drive it
+with a block of one, run_replications with REPLICATION_BLOCK seeds.
 """
 
 from __future__ import annotations
@@ -26,21 +27,33 @@ __all__ = [
     "TrackingRun",
     "TrackingDiverged",
     "GUARD_FACTOR",
+    "REPLICATION_BLOCK",
     "step_update",
     "projected_step_update",
+    "track",
+    "run_replications",
     "run_tracking",
     "replay_updates",
 ]
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
+# Replications run_replications steps together.  Its buffers hold about
+# REPLICATION_BLOCK * (n+1) * (w + 2d) * 8 bytes: 150 MB at n = 1e5, d = w = 1.
+REPLICATION_BLOCK = 64
+_DIVERGED = "estimate left the guard region or gain went non-finite"
 
 
 class TrackingDiverged(RuntimeError):
-    """The estimate left the guard region or the gain went non-finite."""
+    """The estimate left the guard region or the gain went non-finite.
 
-    def __init__(self, step: int, message: str):
+    replication is the index into the seeds of run_replications, if any.
+    """
+
+    def __init__(self, step: int, message: str,
+                 replication: Optional[int] = None):
         super().__init__(f"step {step}: {message}")
         self.step = step
+        self.replication = replication
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,16 @@ class Ball:
         return float(np.linalg.norm(point - self.center)) <= self.radius + tol
 
     def project(self, point) -> np.ndarray:
+        """Nearest point of a (d,) point or of each row of a (B, d) stack."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
         offset = point - self.center
-        norm = float(np.linalg.norm(offset))
-        if norm <= self.radius:
-            return point
-        return self.center + offset * (self.radius / norm)
+        # np.linalg.norm of each row: a BLAS dot, whose bits a vectorized
+        # sum of squares does not always reproduce
+        rows = offset.reshape(-1, offset.shape[-1])
+        norm = np.array([np.linalg.norm(row) for row in rows]).reshape(
+            offset.shape[:-1] + (1,))
+        scale = self.radius / np.maximum(norm, self.radius)
+        return np.where(norm <= self.radius, point, self.center + offset * scale)
 
 
 ProjectionRegion = Union[Box, Ball]
@@ -158,6 +175,91 @@ def projected_step_update(theta_hat, gamma: float, g,
     return region.project(step_update(theta_hat, gamma, g))
 
 
+def track(initial, observations, gammas, evaluator,
+          projection: Optional[ProjectionRegion] = None) -> np.ndarray:
+    """The recursion on a block of B replications stepped together.
+
+    initial is (B, d), observations (n, B, w) and gammas (n,); the gain
+    evaluator maps (B, d) estimates and (B, w) rows to (B, d) directions.
+    Returns the (B, n+1, d) estimates.  Rows never mix, so every
+    replication's path equals the one a block of one gives, bit for bit.
+    """
+    est = np.array(initial, dtype=float)
+    shape = est.shape
+    n = observations.shape[0]
+    estimates = np.empty((shape[0], n + 1, shape[1]))
+    estimates[:, 0] = est
+    guard_sq = (GUARD_FACTOR * (1.0 + np.sqrt(np.sum(est * est, axis=1)))) ** 2
+    # the block's squared norm under half the smallest row guard clears
+    # every row at once, rounding included; otherwise check row by row
+    block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
+    for k, gamma in enumerate(np.asarray(gammas, dtype=float).tolist()):
+        est = est + gamma * evaluator(est, observations[k])
+        if projection is not None:
+            est = projection.project(est)
+        if est.shape != shape:
+            raise ValueError(f"gain gave shape {est.shape}, expected {shape}")
+        if not np.vdot(est, est) <= block_sq_limit and \
+                not np.all(np.sum(est * est, axis=1) <= guard_sq):  # NaN too
+            raise TrackingDiverged(k, _DIVERGED)
+        estimates[:, k + 1] = est
+    return estimates
+
+
+def _simulate(model, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Observations (n, B, w) and targets (B, n+1, d), one run per seed."""
+    obs = targets = None
+    for i, seed in enumerate(seeds):
+        sim: SimulatedPath = model.simulate(n, make_rng(seed))
+        if obs is None:
+            obs = np.empty((n, len(seeds), sim.observations.shape[1]))
+            targets = np.empty((len(seeds),) + sim.targets.shape)
+        obs[:, i] = sim.observations
+        targets[i] = sim.targets
+    return obs, targets
+
+
+def _check_dimensions(config: TrackingConfig, model, gain: GainSpec) -> None:
+    if getattr(model, "dim", config.dimension) != config.dimension:
+        raise ValueError("model dimension does not match config")
+    if gain.dim != config.dimension:
+        raise ValueError("gain dimension does not match config")
+
+
+def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
+                     gammas: Optional[np.ndarray] = None):
+    """Yield (estimates, targets) of one run per seed, in seed order.
+
+    REPLICATION_BLOCK replications are simulated and stepped together;
+    each equals run_tracking with its seed bit for bit.  gammas defaults
+    to the config's schedule.  A divergence raises TrackingDiverged for
+    the lowest-index replication that diverges, at its own step, as a
+    one-at-a-time loop would; .replication is its index into seeds.
+    """
+    _check_dimensions(config, model, gain)
+    if gammas is None:
+        gammas = config.schedule.values_upto(config.horizon)
+    seeds = list(seeds)
+    for start in range(0, len(seeds), REPLICATION_BLOCK):
+        block = seeds[start:start + REPLICATION_BLOCK]
+        obs, targets = _simulate(model, config.horizon, block)
+        init = np.tile(config.initial_estimate, (len(block), 1))
+        try:
+            estimates = track(init, obs, gammas, gain.evaluator,
+                              config.projection)
+        except TrackingDiverged:
+            for i in range(len(block)):  # the block trips at its earliest step
+                try:
+                    track(init[i:i + 1], obs[:, i:i + 1], gammas,
+                          gain.evaluator, config.projection)
+                except TrackingDiverged as exc:
+                    raise TrackingDiverged(exc.step, _DIVERGED,
+                                           replication=start + i) from None
+            raise
+        for i in range(len(block)):
+            yield estimates[i], targets[i]
+
+
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,
                  rng_seed: int) -> TrackingRun:
     """Execute the online loop for one seed.
@@ -166,62 +268,14 @@ def run_tracking(config: TrackingConfig, model, gain: GainSpec,
     predictable from the past only, never from the estimates), then the
     recursion consumes one row per step.  Deterministic given the seed.
     """
-    if getattr(model, "dim", config.dimension) != config.dimension:
-        raise ValueError("model dimension does not match config")
-    if gain.dim != config.dimension:
-        raise ValueError("gain dimension does not match config")
-    n = config.horizon
-    rng = make_rng(rng_seed)
-    sim: SimulatedPath = model.simulate(n, rng)
-    gammas = config.schedule.values_upto(n)
-    estimates = np.empty((n + 1, config.dimension))
-    estimates[0] = config.initial_estimate
-    evaluator = gain.evaluator
-    projection = config.projection
-    if projection is None and config.dimension == 1:
-        _run_scalar(sim.observations, gammas, estimates, evaluator)
-    else:
-        _run_general(sim.observations, gammas, estimates, evaluator, projection)
-    errors = estimates - sim.targets
-    return TrackingRun(estimates=estimates, targets=sim.targets,
-                       errors=errors, observations=sim.observations,
+    _check_dimensions(config, model, gain)
+    gammas = config.schedule.values_upto(config.horizon)
+    obs, targets = _simulate(model, config.horizon, [rng_seed])
+    estimates = track(config.initial_estimate[None], obs, gammas,
+                      gain.evaluator, config.projection)[0]
+    return TrackingRun(estimates=estimates, targets=targets[0],
+                       errors=estimates - targets[0], observations=obs[:, 0],
                        steps=gammas, seed=rng_seed)
-
-
-def _run_general(obs: np.ndarray, gammas: np.ndarray, estimates: np.ndarray,
-                 evaluator, projection) -> None:
-    est = estimates[0].copy()
-    guard_sq = (GUARD_FACTOR * (1.0 + float(np.linalg.norm(est)))) ** 2
-    for k in range(obs.shape[0]):
-        g = evaluator(est, obs[k])
-        est = est + gammas[k] * np.asarray(g, dtype=float)
-        if projection is not None:
-            est = projection.project(est)
-        sq = float(est @ est)
-        if not sq <= guard_sq:  # catches NaN as well as blow-up
-            raise TrackingDiverged(k, "estimate left the guard region "
-                                      "or gain went non-finite")
-        estimates[k + 1] = est
-
-
-def _run_scalar(obs: np.ndarray, gammas: np.ndarray, estimates: np.ndarray,
-                evaluator) -> None:
-    # hot path for d = 1: plain float arithmetic, same IEEE results
-    est = float(estimates[0, 0])
-    guard = GUARD_FACTOR * (1.0 + abs(est))
-    gam = gammas.tolist()
-    out = estimates[:, 0]
-    scalar_rows = obs.shape[1] == 1
-    rows = obs[:, 0].tolist() if scalar_rows else obs
-    for k in range(obs.shape[0]):
-        g = evaluator(est, rows[k])
-        if type(g) is not float:
-            g = float(np.asarray(g).reshape(-1)[0])
-        est = est + gam[k] * g
-        if not abs(est) <= guard:
-            raise TrackingDiverged(k, "estimate left the guard region "
-                                      "or gain went non-finite")
-        out[k + 1] = est
 
 
 def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,
@@ -232,14 +286,6 @@ def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,
     inputs: the replay must reproduce a run's estimate path exactly.
     """
     observations = np.asarray(observations, dtype=float)
-    n = observations.shape[0]
-    est = np.atleast_1d(np.asarray(initial_estimate, dtype=float)).copy()
-    estimates = np.empty((n + 1, est.size))
-    estimates[0] = est
-    if projection is None and est.size == 1:
-        _run_scalar(observations, np.asarray(gammas, dtype=float),
-                    estimates, gain.evaluator)
-    else:
-        _run_general(observations, np.asarray(gammas, dtype=float),
-                     estimates, gain.evaluator, projection)
-    return estimates
+    init = np.atleast_1d(np.asarray(initial_estimate, dtype=float))
+    return track(init[None], observations[:, None], gammas, gain.evaluator,
+                 projection)[0]

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import bounds as bounds_mod
 from . import gains as gains_mod
 from . import kalman as kalman_mod
 from . import models as models_mod
-from .core import TrackingConfig, TrackingDiverged, replay_updates, run_tracking
+from .core import (TrackingConfig, TrackingDiverged, replay_updates,
+                   run_replications, run_tracking)
 from .schedules import StepSchedule, default_c_gamma
 
 __all__ = [
@@ -80,19 +80,33 @@ def _list_of(parse: Callable) -> Callable:
                               if tok.strip())
 
 
+def _at_least(parse: Callable, low: float, strict: bool = False) -> Callable:
+    """parse, then reject a value (or an empty list, or a list with an
+    entry) below low, or equal to it when strict.  NaN is rejected."""
+    def parse_in_range(text):
+        value = parse(text)
+        items = value if isinstance(value, tuple) else (value,)
+        if not items or not all(x > low if strict else x >= low
+                                for x in items):
+            raise ValueError(f"must be {'>' if strict else '>='} {low:g}")
+        return value
+    return parse_in_range
+
+
 _INTS = _list_of(int)
 _FLOATS = _list_of(float)
 _NAMES = _list_of(str.strip)
+_POSITIVE = _at_least(float, 0.0, strict=True)
 
 # Every key the harness reads: key -> (parser, default).  Integer keys
 # go through int(), never float, so 64-bit seeds stay exact.  A default
 # of None means the component that reads the key derives the value.
 CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
-    "experiment.horizons": (_INTS, (1000,)),
+    "experiment.horizons": (_at_least(_INTS, 1), (1000,)),
     "experiment.replications": (int, 1),
     "experiment.seed": (int, 1),
     "experiment.burn_in_fraction": (float, 0.5),
-    "experiment.p": (float, 2.0),
+    "experiment.p": (_POSITIVE, 2.0),
     "experiment.out": (str, None),
     "experiment.statistic": (str, "window"),
     "experiment.tolerance": (float, 0.1),
@@ -106,7 +120,7 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "path.function": (str, "sine"),
     "path.amplitude": (float, 0.5),
     "model.kind": (str, "signal_noise"),
-    "model.d": (int, 1),
+    "model.d": (_at_least(int, 1), 1),
     "model.noise.kind": (str, "normal"),
     "model.noise.scale": (float, 1.0),
     "model.x0": (float, 0.0),
@@ -128,18 +142,18 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "schedule.kind": (str, "static"),
     "schedule.c_gamma": (float, None),        # 4 / lambda1 of the gain
     "schedule.lambda2_guard": (float, None),  # lambda2 of the gain
-    "schedule.cap": (float, math.inf),
+    "schedule.cap": (_POSITIVE, math.inf),
     "schedule.beta": (float, 1.0),
     "schedule.gamma": (float, 0.1),
     "tracking.initial": (_FLOATS, None),  # d zeros
-    "bounds.checkpoints": (int, 20),
-    "bounds.lambda1": (float, None),  # bounds.* fall back on the gain's
-    "bounds.lambda2": (float, None),
+    "bounds.checkpoints": (_at_least(int, 1), 20),
+    "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
+    "bounds.lambda2": (_POSITIVE, None),
     "bounds.c_g": (float, None),
     "bounds.c_theta": (float, None),  # the path's, else measured
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
     "verify.required_failures": (_NAMES, ()),
-    "verify.samples": (int, 20_000),
+    "verify.samples": (_at_least(int, 10_000), 20_000),
     "kalman.n": (int, None),          # the last horizon
     "kalman.m0": (float, 0.0),
     "kalman.var0": (float, 1.0),
@@ -402,7 +416,8 @@ def fit_rate(pairs) -> tuple[float, float]:
     if dof > 0:
         s2 = float(resid @ resid) / dof
         cov = s2 * np.linalg.inv(design.T @ design)
-        half = float(_scipy_stats.t.ppf(0.975, dof) * math.sqrt(cov[1, 1]))
+        from scipy import stats  # 40 MB and 0.6 s to import; rarely needed
+        half = float(stats.t.ppf(0.975, dof) * math.sqrt(cov[1, 1]))
     else:
         half = 0.0 if float(np.max(np.abs(resid), initial=0.0)) < 1e-9 \
             else math.inf
@@ -436,13 +451,15 @@ def _window_norms(errors: np.ndarray, p: float, k0: int) -> tuple[float, float, 
     return l1, l2, lp
 
 
-def _replication(tracking: TrackingConfig, model, gain, seed: int, rep: int):
-    """run_tracking for one replication; a divergence names where it was."""
+def _replications(tracking: TrackingConfig, model, gain, seeds,
+                  gammas=None):
+    """(estimates, targets) per seed in order; a divergence names where."""
     try:
-        return run_tracking(tracking, model, gain, seed)
+        yield from run_replications(tracking, model, gain, seeds, gammas)
     except TrackingDiverged as exc:
         raise TrackingDiverged(exc.step, f"horizon {tracking.horizon}, "
-                                         f"replication {rep}") from exc
+                                         f"replication {exc.replication}"
+                               ) from exc
 
 
 def run_rate_sweep(config: ExperimentConfig) -> RateReport:
@@ -466,13 +483,14 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         k0 = max(1, int(math.ceil(config.burn_in_fraction * n)))
         finals = np.empty((reps, 3))
         windows = np.empty((reps, 3))
-        for rep in range(reps):
-            rep_seed = config.seed ^ (h_idx * reps + rep)
-            run = _replication(tracking, model, gain, rep_seed, rep)
-            finals[rep] = _norms(run.final_error, config.p)
-            windows[rep] = _window_norms(run.errors, config.p, k0)
+        seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
+        runs = _replications(tracking, model, gain, seeds)
+        for rep, (estimates, targets) in enumerate(runs):
+            errors = estimates - targets
+            finals[rep] = _norms(errors[-1], config.p)
+            windows[rep] = _window_norms(errors, config.p, k0)
             rows.append((n, rep, finals[rep, 0], finals[rep, 1],
-                         finals[rep, 2], config.p, rep_seed))
+                         finals[rep, 2], config.p, seeds[rep]))
         # exact sums: aggregate independent of replication order
         stat = windows if statistic == "window" else finals
         means.append([math.fsum(col) / reps for col in stat.T])
@@ -535,26 +553,27 @@ def run_bound_check(config: ExperimentConfig,
     osc_sum = np.zeros(n - k0)          # sum over reps of ||theta_{i+1} - theta_{k0}||
     est_sq_sum = np.zeros(n + 1)        # sum over reps of ||theta_hat_k||^2
     theta_sq_max = 0.0
-    for rep in range(reps):
-        rep_seed = config.seed ^ rep
-        run = _replication(tracking, model, gain, rep_seed, rep)
-        err_norms[rep] = np.linalg.norm(run.errors[slots], axis=1)
-        drift = run.targets[k0 + 1:] - run.targets[k0]
+    gammas = tracking.schedule.values_upto(n)
+    seeds = [config.seed ^ rep for rep in range(reps)]
+    runs = _replications(tracking, model, gain, seeds, gammas)
+    for rep, (estimates, targets) in enumerate(runs):
+        err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
+                                        axis=1)
+        drift = targets[k0 + 1:] - targets[k0]
         osc_sum += np.linalg.norm(drift, axis=1)
-        est_sq_sum += np.sum(run.estimates ** 2, axis=1)
+        est_sq_sum += np.sum(estimates ** 2, axis=1)
         theta_sq_max = max(theta_sq_max,
-                           float(np.max(np.sum(run.targets ** 2, axis=1))))
+                           float(np.max(np.sum(targets ** 2, axis=1))))
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants or gains_mod.GainConstants()
-    lam1 = v["bounds.lambda1"] or consts.lambda1
-    lam2 = v["bounds.lambda2"] or consts.lambda2
+    lam1 = _or(v["bounds.lambda1"], consts.lambda1)
+    lam2 = _or(v["bounds.lambda2"], consts.lambda2)
     c_g = _or(v["bounds.c_g"], consts.c_g)
     if lam1 is None or lam2 is None or c_g is None:
         raise ConfigError("bound check needs lambda1, lambda2 and c_g "
                           "(declared by the gain or set under bounds.*)")
     c_theta = max(_or(v["bounds.c_theta"], path.c_theta or theta_sq_max),
                   1e-12)
-    gammas = tracking.schedule.values_upto(n)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
     checks = []
     for j, slot in enumerate(slots):

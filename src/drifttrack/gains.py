@@ -6,9 +6,11 @@ contraction form -M (estimate - target), the known eigenvalue and
 second-moment constants are attached so the bound evaluators and the
 condition verifiers can use them.
 
-Evaluators attached to a GainSpec accept either a single observation
-row or a stack of rows (leading axis = sample index); the tracking loop
-feeds single rows, the Monte-Carlo condition verifiers feed stacks.
+Evaluators attached to a GainSpec map a (B, d) estimate stack and a
+(B, w) row stack to (B, d) directions, row by row: the tracking kernel
+steps B replications at once.  They also take a single (d,) estimate
+with a single row, and the Monte-Carlo condition verifiers feed one
+estimate with a stack of rows (leading axis = sample index).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class GainConstants:
 class GainSpec:
     """A gain evaluator with its declared constants.
 
-    evaluator(estimate, observation_row) -> direction.
+    evaluator(estimates (B, d), rows (B, w)) -> directions (B, d).
     """
 
     evaluator: Callable
@@ -302,7 +304,7 @@ def quantile_spec(alpha: float, density_floor: float | None = None,
                            c_g=1.0)
 
     def evaluator(est, row):
-        x = row[..., 0] if getattr(row, "ndim", 0) else row
+        x = row[..., :1] if getattr(row, "ndim", 0) else row
         return gain_quantile(est, x, alpha)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
@@ -312,7 +314,7 @@ def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
     consts = GainConstants(lambda1=1.0, lambda2=1.0, c_g=intensity_bound)
 
     def evaluator(est, row):
-        return gain_poisson(est, row[..., 0], row[..., 1])
+        return gain_poisson(est, row[..., :1], row[..., 1:])
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
@@ -338,7 +340,7 @@ def arch1_spec(trunc: float, lambda1: float | None = None,
     consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
-        return gain_arch1(est, row[..., 0], row[..., 1], trunc)
+        return gain_arch1(est, row[..., :1], row[..., 1:], trunc)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
@@ -347,7 +349,7 @@ def ar1_normalized_spec(mu: float) -> GainSpec:
     consts = GainConstants(lambda2=1.0 / mu)
 
     def evaluator(est, row):
-        return gain_ar1_normalized(est, row[..., 0], row[..., 1], mu)
+        return gain_ar1_normalized(est, row[..., :1], row[..., 1:], mu)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
@@ -357,14 +359,18 @@ def ar1_truncated_spec(trunc: float, lambda1: float | None = None,
     consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
-        return gain_ar1_truncated(est, row[..., 0], row[..., 1], trunc)
+        return gain_ar1_truncated(est, row[..., :1], row[..., 1:], trunc)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ard_score_spec(d: int, sigma: float) -> GainSpec:
     def evaluator(est, row):
-        return gain_ard_score(est, row[:d], row[d:], sigma)
+        if np.ndim(row) == 1:
+            return gain_ard_score(est, row[:d], row[d:], sigma)
+        ests = np.broadcast_to(est, (len(row), d))
+        return np.array([gain_ard_score(e, r[:d], r[d:], sigma)
+                         for e, r in zip(ests, row)])
 
     return GainSpec(evaluator=evaluator, dim=d)
 

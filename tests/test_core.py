@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from drifttrack import core, gains
@@ -18,7 +18,12 @@ from drifttrack.core import (
     run_tracking,
     step_update,
 )
-from drifttrack.models import NoiseSpec, SignalNoiseModel, make_parameter_path
+from drifttrack.models import (
+    NoiseSpec,
+    SignalNoiseModel,
+    SimulatedPath,
+    make_parameter_path,
+)
 from drifttrack.schedules import StepSchedule
 
 
@@ -259,3 +264,124 @@ def test_projection_safety_property(seed, gamma):
     run = run_tracking(config, model, gains.signal_noise_spec(1), seed)
     assert np.all(run.estimates >= -0.5 - 1e-12)
     assert np.all(run.estimates <= 0.5 + 1e-12)
+
+
+# =====================================================================
+# The blocked kernel against a plain loop
+# =====================================================================
+
+def _reference(init, obs, gammas, evaluator, projection):
+    """One replication at a time, one single-row gain call per step."""
+    paths = []
+    for b in range(obs.shape[1]):
+        est = init[b].copy()
+        path = [est]
+        for k in range(obs.shape[0]):
+            g = np.reshape(evaluator(est, obs[k, b]), est.shape)
+            est = est + gammas[k] * g
+            if projection is not None:
+                est = projection.project(est)
+            path.append(est)
+        paths.append(path)
+    return np.array(paths, dtype=float).reshape(init.shape[0], -1,
+                                                init.shape[1])
+
+
+# gain name -> (d -> (spec, observation row width)); d = 1 specs ignore d
+_SPECS = {
+    "signal_noise": lambda d: (gains.signal_noise_spec(d), d),
+    "gaussian": lambda d: (gains.gaussian_known_cov_spec(
+        np.diag(np.arange(1.0, d + 1.0)) + 0.25), d),
+    "ard_score": lambda d: (gains.ard_score_spec(d, sigma=1.5), 2 * d),
+    "quantile": lambda d: (gains.quantile_spec(0.3), 1),
+    "poisson": lambda d: (gains.poisson_spec(), 2),
+    "arch1": lambda d: (gains.arch1_spec(trunc=1.0), 2),
+    "ar1_normalized": lambda d: (gains.ar1_normalized_spec(mu=0.5), 2),
+    "ar1_truncated": lambda d: (gains.ar1_truncated_spec(trunc=1.5), 2),
+}
+_VECTOR_SPECS = ("signal_noise", "gaussian", "ard_score")
+
+
+def _values(shape, low, high):
+    return hnp.arrays(float, shape, elements=st.floats(
+        low, high, allow_nan=False, allow_subnormal=False))
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(_SPECS)),
+       blocks=st.integers(1, 5), d=st.integers(1, 3),
+       n=st.integers(1, 12), region=st.sampled_from(["none", "box", "ball"]))
+@settings(max_examples=150, deadline=None)
+def test_track_matches_plain_loop(data, name, blocks, d, n, region):
+    d = d if name in _VECTOR_SPECS else 1
+    spec, width = _SPECS[name](d)
+    obs = data.draw(_values((n, blocks, width), -2.0, 2.0))
+    if name == "poisson":  # counts: row = (N_k, N_{k-1}), nondecreasing
+        obs[..., 0] = obs[..., 1] + np.abs(obs[..., 0])
+    init = data.draw(_values((blocks, d), -0.5, 0.5))
+    gammas = data.draw(_values((n,), 0.0, 0.5))
+    projection = {"none": None,
+                  "box": Box(lower=[-1.0] * d, upper=[0.75] * d),
+                  "ball": Ball(center=[0.1] * d, radius=1.0)}[region]
+    want = _reference(init, obs, gammas, spec.evaluator, projection)
+    guard = core.GUARD_FACTOR * (1.0 + np.linalg.norm(init, axis=1))
+    assume(np.all(np.linalg.norm(want, axis=2) <= guard[:, None] / 2))
+    got = core.track(init, obs, gammas, spec.evaluator, projection)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class _SpikeModel:
+    """Zero observations, except one huge row at step spikes[seed]."""
+
+    dim = 1
+
+    def __init__(self, spikes):
+        self.spikes = spikes
+
+    def simulate(self, n, rng):
+        seed = int(rng.bit_generator.state["state"]["key"][0])
+        obs = np.zeros((n, 1))
+        if seed in self.spikes:
+            obs[self.spikes[seed]] = 1e9
+        return SimulatedPath(observations=obs, targets=np.zeros((n + 1, 1)))
+
+
+class TestReplications:
+    def test_blocks_equal_run_tracking(self, monkeypatch):
+        monkeypatch.setattr(core, "REPLICATION_BLOCK", 3)
+        sched = StepSchedule(kind="static", c_gamma=2.0)
+        config, model, gain = _static_setup(noise="normal", n=40, d=2,
+                                            schedule=sched)
+        seeds = [11 ^ rep for rep in range(7)]  # blocks of 3, 3 and 1
+        runs = list(core.run_replications(config, model, gain, seeds))
+        assert len(runs) == len(seeds)
+        for seed, (estimates, targets) in zip(seeds, runs):
+            one = run_tracking(config, model, gain, seed)
+            assert estimates.tobytes() == one.estimates.tobytes()
+            assert targets.tobytes() == one.targets.tobytes()
+
+    def test_divergence_names_lowest_replication(self):
+        # in one block, replication 3 diverges at step 2 and replication
+        # 1 at step 7: a one-at-a-time loop stops at replication 1 first
+        model = _SpikeModel({1: 7, 3: 2})
+        config, _, gain = _static_setup(n=20)
+        seeds = list(range(5))
+        for seed in seeds:  # the sequential loop
+            try:
+                run_tracking(config, model, gain, seed)
+            except TrackingDiverged as exc:
+                want = (seed, exc.step)
+                break
+        assert want == (1, 7)
+        with pytest.raises(TrackingDiverged) as info:
+            list(core.run_replications(config, model, gain, seeds))
+        assert (info.value.replication, info.value.step) == want
+        assert str(info.value) == ("step 7: estimate left the guard region "
+                                   "or gain went non-finite")
+
+    def test_wrongly_shaped_gain_is_rejected(self):
+        # a (B,) direction would broadcast a (B, 1) stack to (B, B)
+        spec = gains.GainSpec(evaluator=lambda est, row: row[:, 0], dim=1)
+        config, model, _ = _static_setup(n=5)
+        with pytest.raises(ValueError, match="shape"):
+            list(core.run_replications(config, model, spec, [1, 2]))

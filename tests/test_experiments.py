@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -338,6 +340,55 @@ class TestStrictKeys:
         path.write_text("schedule.betta = 0.75\n", encoding="utf-8")
         assert main(["kalman-compare", "--config", str(path)]) == 2
         assert "schedule.betta" in capsys.readouterr().err
+
+
+class TestRanges:
+    # an out-of-range value is a config error naming the key, not a
+    # traceback, and bounds.lambda* = 0 no longer falls back silently
+    @pytest.mark.parametrize("key, value, command", [
+        ("experiment.horizons", "0", "rates"),
+        ("experiment.p", "0", "rates"),
+        ("model.d", "0", "rates"),
+        ("schedule.cap", "0", "rates"),
+        ("bounds.checkpoints", "0", "bound-check"),
+        ("bounds.lambda1", "0", "bound-check"),
+        ("bounds.lambda2", "-1", "bound-check"),
+        ("verify.samples", "100", "verify"),
+    ])
+    def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
+        raw = {"experiment.horizons": "50", key: value}
+        path = tmp_path / "range.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()),
+                        encoding="utf-8")
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    proc = _python("-c", "import sys, drifttrack.experiments; "
+                         "print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_prints_no_runtime_warning(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment.horizons = 20\n", encoding="utf-8")
+    proc = _python("-W", "default", "-m", "drifttrack.experiments", "run",
+                   "--config", str(path), "--out", str(tmp_path / "r.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 _DIVERGING = ("schedule.kind = constant\nschedule.gamma = 3\n"
