@@ -4,7 +4,8 @@ Plain and projected one-step updates plus one kernel, track, that runs
 the recursion theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
 replications at once; the value stored at slot k+1 is compared against
 the target at the same slot.  run_tracking and replay_updates drive it
-with a block of one, run_replications with REPLICATION_BLOCK seeds.
+with a block of one, run_replications with as many seeds as BLOCK_SLOTS
+holds at the horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "TrackingRun",
     "TrackingDiverged",
     "GUARD_FACTOR",
-    "REPLICATION_BLOCK",
+    "BLOCK_SLOTS",
     "step_update",
     "projected_step_update",
     "track",
@@ -37,9 +38,11 @@ __all__ = [
 ]
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
-# Replications run_replications steps together.  Its buffers hold about
-# REPLICATION_BLOCK * (n+1) * (w + 2d) * 8 bytes: 150 MB at n = 1e5, d = w = 1.
-REPLICATION_BLOCK = 64
+# Replication-slots per block: run_replications steps max(1, BLOCK_SLOTS //
+# (n+1)) replications together, so its buffers hold at most about
+# BLOCK_SLOTS * (w + 2d) * 8 bytes (150 MB at d = w = 1) unless a single
+# replication needs more.
+BLOCK_SLOTS = 64 * (100_000 + 1)
 _DIVERGED = "estimate left the guard region or gain went non-finite"
 
 
@@ -230,9 +233,9 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                      gammas: Optional[np.ndarray] = None):
     """Yield (estimates, targets) of one run per seed, in seed order.
 
-    REPLICATION_BLOCK replications are simulated and stepped together;
-    each equals run_tracking with its seed bit for bit.  gammas defaults
-    to the config's schedule.  A divergence raises TrackingDiverged for
+    Blocks of max(1, BLOCK_SLOTS // (n+1)) replications are simulated
+    and stepped together; each equals run_tracking with its seed bit for
+    bit.  gammas defaults to the config's schedule.  A divergence raises TrackingDiverged for
     the lowest-index replication that diverges, at its own step, as a
     one-at-a-time loop would; .replication is its index into seeds.
     """
@@ -240,8 +243,9 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     if gammas is None:
         gammas = config.schedule.values_upto(config.horizon)
     seeds = list(seeds)
-    for start in range(0, len(seeds), REPLICATION_BLOCK):
-        block = seeds[start:start + REPLICATION_BLOCK]
+    size = max(1, BLOCK_SLOTS // (config.horizon + 1))
+    for start in range(0, len(seeds), size):
+        block = seeds[start:start + size]
         obs, targets = _simulate(model, config.horizon, block)
         init = np.tile(config.initial_estimate, (len(block), 1))
         try:

@@ -154,10 +154,10 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
     "verify.required_failures": (_NAMES, ()),
     "verify.samples": (_at_least(int, 10_000), 20_000),
-    "kalman.n": (int, None),          # the last horizon
+    "kalman.n": (_at_least(int, 1), None),  # the last horizon
     "kalman.m0": (float, 0.0),
-    "kalman.var0": (float, 1.0),
-    "kalman.var_noise": (float, 1.0),
+    "kalman.var0": (_POSITIVE, 1.0),
+    "kalman.var_noise": (_POSITIVE, 1.0),
     "kalman.deltas": (_FLOATS, ()),
     "kalman.theta": (float, 0.0),
     "kalman.tolerance": (float, 1e-12),

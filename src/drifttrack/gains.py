@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import linalg
 
@@ -320,6 +319,8 @@ def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
 
 
 def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec:
+    from scipy.linalg import cho_factor, cho_solve  # 28 MB; only this gain
+
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = sigma.shape[0]
     eigs = linalg.sym_eigenvalues(sigma)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "StabilityRegion",
@@ -234,6 +233,8 @@ class ArdQuadraticForm:
 
 def _a_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a unit upper-triangular matrix by back-substitution."""
+    from scipy.linalg import solve_triangular  # 28 MB; only AR(d) needs it
+
     return solve_triangular(a, np.eye(a.shape[0]), lower=False,
                             unit_diagonal=True)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 
@@ -132,16 +131,26 @@ class ParameterPath:
         if self.kind == "stabilizing":
             return self._sample_stabilizing(n, rng)
         if self.kind == "lipschitz":
-            grid_n = self.frequency if self.frequency is not None else n
-            out = np.empty((n + 1, self.dim))
-            for k in range(n + 1):
-                out[k] = self._check(
-                    np.atleast_1d(np.asarray(self.func(min(k, grid_n) / grid_n),
-                                             dtype=float)))
-            return out
+            return self._lipschitz_grid(n).copy()
         if self.kind == "predictable":
             return None
         raise ValueError(f"unknown path kind {self.kind!r}")
+
+    def _lipschitz_grid(self, n: int) -> np.ndarray:
+        """func on the grid of horizon n.  It draws nothing from rng, so
+        it is evaluated once per key and shared; callers get copies."""
+        key = (n, self.dim, self.c_theta, self.frequency, self.func)
+        cached = getattr(self, "_grid", None)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        grid_n = self.frequency if self.frequency is not None else n
+        out = np.empty((n + 1, self.dim))
+        for k in range(n + 1):
+            out[k] = self._check(
+                np.atleast_1d(np.asarray(self.func(min(k, grid_n) / grid_n),
+                                         dtype=float)))
+        self._grid = (key, out)
+        return out
 
     def _sample_stabilizing(self, n: int, rng: np.random.Generator) -> np.ndarray:
         radius = math.sqrt(self.c_theta)
@@ -441,6 +450,8 @@ class ArdBatchModel:
         return self.d
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
+        from scipy.linalg import solve_triangular  # 28 MB; only AR(d) needs it
+
         thetas = self.path.sample(n, rng)
         if thetas is None:
             raise ValueError("batched AR model needs a realizable path")

@@ -348,7 +348,7 @@ class _SpikeModel:
 
 class TestReplications:
     def test_blocks_equal_run_tracking(self, monkeypatch):
-        monkeypatch.setattr(core, "REPLICATION_BLOCK", 3)
+        monkeypatch.setattr(core, "BLOCK_SLOTS", 3 * (40 + 1))
         sched = StepSchedule(kind="static", c_gamma=2.0)
         config, model, gain = _static_setup(noise="normal", n=40, d=2,
                                             schedule=sched)
@@ -359,6 +359,29 @@ class TestReplications:
             one = run_tracking(config, model, gain, seed)
             assert estimates.tobytes() == one.estimates.tobytes()
             assert targets.tobytes() == one.targets.tobytes()
+
+    @pytest.mark.parametrize("slots, sizes", [
+        (25, [2, 2, 1]),              # 25 // (9+1) = 2 replications a block
+        (50, [5]),
+        (1000, [5]),
+        (10, [1, 1, 1, 1, 1]),        # exactly n+1 slots: one a block
+        (3, [1, 1, 1, 1, 1]),         # fewer than n+1 slots: still one
+    ])
+    def test_block_size_follows_slot_budget(self, monkeypatch, slots, sizes):
+        monkeypatch.setattr(core, "BLOCK_SLOTS", slots)
+        calls = []
+
+        def counting_track(initial, observations, *args, **kwargs):
+            calls.append((initial.shape[0], observations.shape[:2]))
+            return track(initial, observations, *args, **kwargs)
+
+        track = core.track
+        monkeypatch.setattr(core, "track", counting_track)
+        config, model, gain = _static_setup(noise="normal", n=9)
+        runs = list(core.run_replications(config, model, gain, range(5)))
+        assert len(runs) == 5
+        assert [b for b, _ in calls] == sizes
+        assert all(shape == (9, b) for b, shape in calls)
 
     def test_divergence_names_lowest_replication(self):
         # in one block, replication 3 diverges at step 2 and replication

@@ -354,6 +354,9 @@ class TestRanges:
         ("bounds.lambda1", "0", "bound-check"),
         ("bounds.lambda2", "-1", "bound-check"),
         ("verify.samples", "100", "verify"),
+        ("kalman.n", "0", "kalman-compare"),
+        ("kalman.var0", "-1", "kalman-compare"),
+        ("kalman.var_noise", "0", "kalman-compare"),
     ])
     def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
         raw = {"experiment.horizons": "50", key: value}
@@ -375,11 +378,31 @@ def _python(*args):
                           text=True, env=env, timeout=300)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_import_leaves_scipy_unloaded(module):
     proc = _python("-c", "import sys, drifttrack.experiments; "
-                         "print('scipy.stats' in sys.modules)")
+                         f"print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path):
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "quantile_rate.cfg")
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    config = tmp_path / "quantile.cfg"  # the later horizons line wins
+    config.write_text(text + "experiment.horizons = 1000,10000\n",
+                      encoding="utf-8")
+    out = tmp_path / "rates.csv"
+    proc = _python("-c", "import sys; from drifttrack.experiments import main; "
+                         "code = main(sys.argv[1:]); "
+                         "print(code, 'scipy.linalg' in sys.modules)",
+                   "rates", "--config", str(config), "--out", str(out),
+                   "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert out.read_text(encoding="utf-8").count("\n") == 1 + 2 * 200
 
 
 def test_cli_prints_no_runtime_warning(tmp_path):

@@ -129,6 +129,27 @@ class TestLipschitzPath:
         with pytest.raises(ValueError):
             make_parameter_path("lipschitz", func=lambda t: 0.0, beta=1.5)
 
+    def test_grid_evaluated_once_per_horizon(self):
+        # the grid draws nothing at random: 200 replications share one
+        # evaluation, and each gets an array of its own
+        n, points = 50, []
+
+        def func(t):
+            points.append(t)
+            return 0.5 * t
+
+        path = make_parameter_path("lipschitz", func=func, frequency=n)
+        model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 1.0))
+        first = model.simulate(n, make_rng(0)).targets
+        want = first.copy()
+        first[:] = 99.0
+        for rep in range(1, 200):
+            out = model.simulate(n, make_rng(rep)).targets
+            assert out.tobytes() == want.tobytes()
+        assert len(points) == n + 1
+        assert path.sample(2 * n, make_rng(0)).shape == (2 * n + 1, 1)
+        assert len(points) == n + 1 + 2 * n + 1  # a new horizon, a new grid
+
 
 class TestSignalNoiseModel:
     def test_zero_noise_exact(self):
