@@ -104,20 +104,6 @@ def bp_constant(p: float, b1: float = 2.0) -> float:
     return ((18.0 * p ** 2.5) / (p - 1.0) ** 1.5) ** p
 
 
-def _theorem2_constants(inputs: BoundInputs) -> tuple[float, float, float]:
-    p, d = inputs.p, inputs.dim
-    kp = kp_constant(p, d)
-    ratio = 1.0 + kp ** 2 * inputs.lambda2 / inputs.lambda1
-    three = 3.0 ** (p - 1.0)
-    c1p = three * kp ** p
-    if inputs.g_bar is None:
-        raise ValueError("g_bar (hard gain bound) required for the Lp bound")
-    c2p = (three * 2.0 ** p * d * bp_constant(p, inputs.b1)
-           * inputs.g_bar ** p * ratio ** p)
-    c3p = three * ratio ** p
-    return c1p, c2p, c3p
-
-
 def theorem2_bound(inputs: BoundInputs, initial_moment_p: float,
                    max_oscillation_p: float) -> float:
     """p-th moment error bound.
@@ -130,8 +116,16 @@ def theorem2_bound(inputs: BoundInputs, initial_moment_p: float,
     inputs.check_contraction()
     if initial_moment_p < 0 or max_oscillation_p < 0:
         raise ValueError("moments must be nonnegative")
-    c1p, c2p, c3p = _theorem2_constants(inputs)
-    p = inputs.p
+    p, d = inputs.p, inputs.dim
+    kp = kp_constant(p, d)
+    ratio = 1.0 + kp ** 2 * inputs.lambda2 / inputs.lambda1
+    three = 3.0 ** (p - 1.0)
+    c1p = three * kp ** p
+    if inputs.g_bar is None:
+        raise ValueError("g_bar (hard gain bound) required for the Lp bound")
+    c2p = (three * 2.0 ** p * d * bp_constant(p, inputs.b1)
+           * inputs.g_bar ** p * ratio ** p)
+    c3p = three * ratio ** p
     gsum = float(np.sum(inputs.gammas))
     gsq = float(np.sum(inputs.gammas ** 2))
     return (c1p * initial_moment_p * math.exp(-p * inputs.lambda1 * gsum)
@@ -159,14 +153,8 @@ def biased_bound(inputs: BoundInputs, bias_norms, mode: str,
         ratio = 1.0 + inputs.lambda2 / inputs.lambda1
         return theorem1_bound(inputs, max_oscillation) + ratio * weighted
     if mode == "Lp":
-        inputs.check_contraction()
-        c1p, c2p, c3p = _theorem2_constants(inputs)
-        p = inputs.p
-        gsum = float(np.sum(inputs.gammas))
-        gsq = float(np.sum(inputs.gammas ** 2))
-        return (c1p * initial_moment_p * math.exp(-p * inputs.lambda1 * gsum)
-                + c2p * gsq ** (p / 2.0)
-                + c3p * (max_oscillation + weighted) ** p)
+        return theorem2_bound(inputs, initial_moment_p,
+                              (max_oscillation + weighted) ** inputs.p)
     raise ValueError("mode must be 'L1' or 'Lp'")
 
 
@@ -215,19 +203,18 @@ class A1ProbeResult:
 @dataclass(frozen=True)
 class A1Report:
     probes: list
-    lambda1: Optional[float]
-    lipschitz: Optional[float]
     passed: bool
 
 
-def _eval_gain_stack(gain_eval, probe: np.ndarray, rows: np.ndarray,
-                     dim: int) -> np.ndarray:
-    """Evaluate the gain on a stack of observation rows -> (N, d)."""
-    est = probe if dim > 1 else float(probe[0])
+def _sampled_gains(gain_eval, sampler: Callable, probe: np.ndarray,
+                   n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The gain at probe on n_samples fresh rows of sampler -> (N, d)."""
+    rows = np.asarray(sampler(rng, n_samples), dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    est = probe if probe.size > 1 else float(probe[0])
     out = np.asarray(gain_eval(est, rows), dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    return out
+    return out[:, None] if out.ndim == 1 else out
 
 
 def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
@@ -255,10 +242,7 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
         dist_sq = float(delta @ delta)
         if dist_sq < 1e-20:
             raise ValueError("probes must differ from the true parameter")
-        rows = np.asarray(sampler(rng, n_samples), dtype=float)
-        if rows.ndim == 1:
-            rows = rows[:, None]
-        gains = _eval_gain_stack(gain_eval, probe, rows, theta.size)
+        gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
         g_hat = gains.mean(axis=0)
         # projection of each sampled gain onto the error direction
         proj = -(gains @ delta) / dist_sq
@@ -276,15 +260,13 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
         results.append(A1ProbeResult(probe=probe, r_hat=r_hat, r_se=r_se,
                                      g_norm_ratio=ratio, ratio_se=ratio_se,
                                      passed=ok))
-    return A1Report(probes=results, lambda1=lambda1, lipschitz=lipschitz,
-                    passed=all(r.passed for r in results))
+    return A1Report(probes=results, passed=all(r.passed for r in results))
 
 
 @dataclass(frozen=True)
 class A2Report:
     second_moment: float
     se: float
-    c_g: Optional[float]
     passed: bool
 
 
@@ -293,16 +275,13 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
                         c_g: Optional[float] = None) -> A2Report:
     """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g."""
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
-    rows = np.asarray(sampler(rng, n_samples), dtype=float)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    gains = _eval_gain_stack(gain_eval, probe, rows, probe.size)
+    gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
     centered = gains - gains.mean(axis=0)
     sq = np.sum(centered * centered, axis=1)
     moment = float(sq.mean())
     se = float(sq.std(ddof=1)) / math.sqrt(n_samples)
     passed = True if c_g is None else moment <= c_g + SE_MARGIN * se
-    return A2Report(second_moment=moment, se=se, c_g=c_g, passed=passed)
+    return A2Report(second_moment=moment, se=se, passed=passed)
 
 
 @dataclass(frozen=True)

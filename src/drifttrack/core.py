@@ -1,7 +1,7 @@
 """The recursive tracking engine.
 
-Plain and projected one-step updates plus one kernel, track, that runs
-the recursion theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
+Projection regions plus one kernel, track, that runs the recursion
+theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
 replications at once; the value stored at slot k+1 is compared against
 the target at the same slot.  run_tracking and replay_updates drive it
 with a block of one, run_replications with as many seeds as BLOCK_SLOTS
@@ -29,8 +29,6 @@ __all__ = [
     "TrackingDiverged",
     "GUARD_FACTOR",
     "BLOCK_SLOTS",
-    "step_update",
-    "projected_step_update",
     "track",
     "run_replications",
     "run_tracking",
@@ -143,39 +141,17 @@ class TrackingConfig:
 @dataclass(frozen=True)
 class TrackingRun:
     """One trajectory: estimates/targets/errors (n+1 slots), the consumed
-    observation rows, the realized steps (n slots), and the seed."""
+    observation rows and the realized steps (n slots)."""
 
     estimates: np.ndarray
     targets: np.ndarray
     errors: np.ndarray
     observations: np.ndarray
     steps: np.ndarray
-    seed: int
 
     @property
     def final_error(self) -> np.ndarray:
         return self.errors[-1]
-
-
-def step_update(theta_hat, gamma: float, g) -> np.ndarray:
-    """theta_hat + gamma * G with input validation, no mutation."""
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if not (np.all(np.isfinite(theta_hat)) and np.all(np.isfinite(g))
-            and math.isfinite(gamma)):
-        raise ValueError("non-finite input to step update")
-    if gamma < 0:
-        raise ValueError("step size must be nonnegative")
-    return theta_hat + gamma * g
-
-
-def projected_step_update(theta_hat, gamma: float, g,
-                          region: ProjectionRegion) -> np.ndarray:
-    """Step then project back onto the region; theta_hat must start inside."""
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if not region.contains(theta_hat):
-        raise ValueError("current estimate lies outside the projection region")
-    return region.project(step_update(theta_hat, gamma, g))
 
 
 def track(initial, observations, gammas, evaluator,
@@ -279,7 +255,7 @@ def run_tracking(config: TrackingConfig, model, gain: GainSpec,
                       gain.evaluator, config.projection)[0]
     return TrackingRun(estimates=estimates, targets=targets[0],
                        errors=estimates - targets[0], observations=obs[:, 0],
-                       steps=gammas, seed=rng_seed)
+                       steps=gammas)
 
 
 def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,

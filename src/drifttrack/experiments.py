@@ -97,6 +97,7 @@ _INTS = _list_of(int)
 _FLOATS = _list_of(float)
 _NAMES = _list_of(str.strip)
 _POSITIVE = _at_least(float, 0.0, strict=True)
+_NONNEGATIVE = _at_least(float, 0.0)
 
 # Every key the harness reads: key -> (parser, default).  Integer keys
 # go through int(), never float, so 64-bit seeds stay exact.  A default
@@ -114,15 +115,15 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "path.kind": (str, "static"),
     "path.value": (_FLOATS, None),     # d zeros
     "path.c_theta": (float, None),     # per path kind
-    "path.c_rho": (float, 1.0),
-    "path.beta": (float, 1.0),
+    "path.c_rho": (_POSITIVE, 1.0),
+    "path.beta": (_NONNEGATIVE, 1.0),
     "path.start": (_FLOATS, None),     # the origin
     "path.function": (str, "sine"),
     "path.amplitude": (float, 0.5),
     "model.kind": (str, "signal_noise"),
     "model.d": (_at_least(int, 1), 1),
     "model.noise.kind": (str, "normal"),
-    "model.noise.scale": (float, 1.0),
+    "model.noise.scale": (_NONNEGATIVE, 1.0),
     "model.x0": (float, 0.0),
     "model.sigma": (float, 1.0),
     "model.rho": (float, 0.9),
@@ -140,11 +141,11 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "gain.c_g": (float, None),
     "gain.mu": (float, 1.0),
     "schedule.kind": (str, "static"),
-    "schedule.c_gamma": (float, None),        # 4 / lambda1 of the gain
+    "schedule.c_gamma": (_POSITIVE, None),    # 4 / lambda1 of the gain
     "schedule.lambda2_guard": (float, None),  # lambda2 of the gain
     "schedule.cap": (_POSITIVE, math.inf),
-    "schedule.beta": (float, 1.0),
-    "schedule.gamma": (float, 0.1),
+    "schedule.beta": (_POSITIVE, 1.0),
+    "schedule.gamma": (_POSITIVE, 0.1),
     "tracking.initial": (_FLOATS, None),  # d zeros
     "bounds.checkpoints": (_at_least(int, 1), 20),
     "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
@@ -385,12 +386,8 @@ RATE_HEADER = ["horizon", "replication", "final_error_l1", "final_error_l2",
 @dataclass(frozen=True)
 class RateReport:
     horizons: tuple[int, ...]
-    mean_l1: tuple[float, ...]
     mean_l2: tuple[float, ...]
-    mean_lp: tuple[float, ...]
-    final_mean_l1: tuple[float, ...]
     final_mean_l2: tuple[float, ...]
-    final_mean_lp: tuple[float, ...]
     p: float
     statistic: str
     slope: float
@@ -438,17 +435,16 @@ def _norms(err: np.ndarray, p: float) -> tuple[float, float, float]:
     return l1, l2, lp
 
 
-def _window_norms(errors: np.ndarray, p: float, k0: int) -> tuple[float, float, float]:
-    """Per-step norms averaged over the post-burn-in slots k0..n."""
+def _window_l2(errors: np.ndarray, k0: int) -> float:
+    """Per-step l2 norm averaged over the post-burn-in slots k0..n."""
     window = errors[k0:]
-    ae = np.abs(window)
-    l1 = float(np.mean(np.sum(ae, axis=1)))
-    l2 = float(np.mean(np.sqrt(np.sum(ae * ae, axis=1))))
-    if p == math.inf:
-        lp = float(np.mean(np.max(ae, axis=1)))
-    else:
-        lp = float(np.mean(np.sum(ae ** p, axis=1) ** (1.0 / p)))
-    return l1, l2, lp
+    return float(np.mean(np.sqrt(np.sum(window * window, axis=1))))
+
+
+def _burn_in(fraction: float, n: int) -> int:
+    """First step of the post-burn-in window: the least k >= 1 with
+    k >= fraction * n."""
+    return max(1, math.ceil(fraction * n))
 
 
 def _replications(tracking: TrackingConfig, model, gain, seeds,
@@ -480,30 +476,27 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     rows, means, final_means = [], [], []
     for h_idx, n in enumerate(config.horizons):
         tracking, model, gain, _path = build_components(raw, n)
-        k0 = max(1, int(math.ceil(config.burn_in_fraction * n)))
+        k0 = _burn_in(config.burn_in_fraction, n)
         finals = np.empty((reps, 3))
-        windows = np.empty((reps, 3))
+        windows = np.empty(reps)
         seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
         runs = _replications(tracking, model, gain, seeds)
         for rep, (estimates, targets) in enumerate(runs):
             errors = estimates - targets
             finals[rep] = _norms(errors[-1], config.p)
-            windows[rep] = _window_norms(errors, config.p, k0)
+            windows[rep] = _window_l2(errors, k0)
             rows.append((n, rep, finals[rep, 0], finals[rep, 1],
                          finals[rep, 2], config.p, seeds[rep]))
         # exact sums: aggregate independent of replication order
-        stat = windows if statistic == "window" else finals
-        means.append([math.fsum(col) / reps for col in stat.T])
-        final_means.append([math.fsum(col) / reps for col in finals.T])
-    mean_l1, mean_l2, mean_lp = zip(*means)
-    final_l1, final_l2, final_lp = zip(*final_means)
-    slope, half = fit_rate(list(zip(config.horizons, mean_l2)))
+        stat = windows if statistic == "window" else finals[:, 1]
+        means.append(math.fsum(stat) / reps)
+        final_means.append(math.fsum(finals[:, 1]) / reps)
+    slope, half = fit_rate(list(zip(config.horizons, means)))
     theo = theoretical_slope_for(raw)
     tol = v["experiment.tolerance"]
     passed = theo is None or abs(slope - theo) <= tol
-    return RateReport(horizons=config.horizons, mean_l1=mean_l1,
-                      mean_l2=mean_l2, mean_lp=mean_lp, final_mean_l1=final_l1,
-                      final_mean_l2=final_l2, final_mean_lp=final_lp,
+    return RateReport(horizons=config.horizons, mean_l2=tuple(means),
+                      final_mean_l2=tuple(final_means),
                       p=config.p, statistic=statistic, slope=slope,
                       half_width=half, theoretical_slope=theo, tolerance=tol,
                       passed=passed, rows=rows)
@@ -524,7 +517,6 @@ class BoundTable:
     bound_rhs: tuple[float, ...]
     flags: tuple[bool, ...]
     passed: bool
-    c_theta_bar_hat: float
 
     @property
     def rows(self):
@@ -545,8 +537,14 @@ def run_bound_check(config: ExperimentConfig,
     if n is None:
         n = config.horizons[-1]
     reps = config.replications
+    k0 = _burn_in(config.burn_in_fraction, n)
+    if k0 >= n:
+        raise ConfigError("experiment.burn_in_fraction: no step after the "
+                          f"burn-in at horizon {n}")
+    if reps < 2:  # the standard error needs two replications
+        raise ConfigError("experiment.replications: bound-check needs at "
+                          f"least 2, got {reps}")
     tracking, model, gain, path = build_components(raw, n)
-    k0 = int(config.burn_in_fraction * n)
     n_checks = min(v["bounds.checkpoints"], n - k0)
     slots = np.unique(np.linspace(k0 + 1, n, n_checks).astype(int))
     err_norms = np.empty((reps, slots.size))
@@ -591,7 +589,7 @@ def run_bound_check(config: ExperimentConfig,
     return BoundTable(ks=tuple(int(s) for s in slots),
                       empirical_mean=emp, empirical_se=ses,
                       bound_rhs=rhs, flags=flags,
-                      passed=all(flags), c_theta_bar_hat=c_theta_bar)
+                      passed=all(flags))
 
 
 # =====================================================================
@@ -790,7 +788,7 @@ def run_kalman_compare(config: ExperimentConfig) -> KalmanCompareResult:
 
 
 def run_single(config: ExperimentConfig):
-    """One trajectory; returns (header, rows, passed)."""
+    """One trajectory; returns (header, rows)."""
     raw = config.raw
     n = config.horizons[-1]
     tracking, model, gain, _path = build_components(raw, n)
@@ -803,7 +801,7 @@ def run_single(config: ExperimentConfig):
         gamma = run.steps[k - 1] if k >= 1 else 0.0
         rows.append((k, *run.estimates[k], *run.targets[k],
                      float(np.linalg.norm(run.errors[k])), gamma))
-    return header, rows, True
+    return header, rows
 
 
 # =====================================================================
@@ -857,11 +855,11 @@ def _cmd_kalman(config: ExperimentConfig) -> int:
 
 
 def _cmd_run(config: ExperimentConfig) -> int:
-    header, rows, passed = run_single(config)
+    header, rows = run_single(config)
     text = emit_csv(header, rows, config.out)
     if config.out is None:
         sys.stdout.write(text)
-    return 0 if passed else 1
+    return 0
 
 
 _COMMANDS = {

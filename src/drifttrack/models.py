@@ -29,11 +29,6 @@ __all__ = [
     "CondGaussianModel",
     "Arch1Model",
     "ArdBatchModel",
-    "simulate_signal_noise",
-    "simulate_poisson_counts",
-    "simulate_cond_gaussian",
-    "simulate_arch1",
-    "simulate_ard",
     "adaptive_simpson",
     "make_rng",
 ]
@@ -117,8 +112,22 @@ class ParameterPath:
     rule: Optional[Callable] = None             # predictable: (k, window) -> vec
     window_depth: int = 1                       # predictable
 
+    def __post_init__(self):
+        if self.kind not in ("static", "stabilizing", "lipschitz",
+                             "predictable"):
+            raise ValueError(f"unknown path kind {self.kind!r}")
+        if self.kind == "stabilizing" and self.c_rho <= 0:
+            raise ValueError("c_rho must be positive")
+        if self.kind == "stabilizing" and self.beta < 0:
+            raise ValueError("beta must be nonnegative")
+        if self.kind == "lipschitz" and not 0.0 < self.beta <= 1.0:
+            raise ValueError("beta must lie in (0, 1]")
+
     def _check(self, theta: np.ndarray) -> np.ndarray:
-        if float(theta @ theta) > self.c_theta * (1.0 + 1e-12):
+        """theta, a (d,) value or an (m, d) stack, if each row keeps
+        ||theta||^2 <= c_theta."""
+        if float(np.max(np.sum(theta * theta, axis=-1))) \
+                > self.c_theta * (1.0 + 1e-12):
             raise ValueError("parameter path left the compact set "
                              f"(||theta||^2 > {self.c_theta})")
         return theta
@@ -132,9 +141,7 @@ class ParameterPath:
             return self._sample_stabilizing(n, rng)
         if self.kind == "lipschitz":
             return self._lipschitz_grid(n).copy()
-        if self.kind == "predictable":
-            return None
-        raise ValueError(f"unknown path kind {self.kind!r}")
+        return None  # predictable
 
     def _lipschitz_grid(self, n: int) -> np.ndarray:
         """func on the grid of horizon n.  It draws nothing from rng, so
@@ -146,10 +153,8 @@ class ParameterPath:
         grid_n = self.frequency if self.frequency is not None else n
         out = np.empty((n + 1, self.dim))
         for k in range(n + 1):
-            out[k] = self._check(
-                np.atleast_1d(np.asarray(self.func(min(k, grid_n) / grid_n),
-                                         dtype=float)))
-        self._grid = (key, out)
+            out[k] = self.func(min(k, grid_n) / grid_n)
+        self._grid = (key, self._check(out))
         return out
 
     def _sample_stabilizing(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,9 +182,7 @@ class ParameterPath:
                     t = t + b * s
                 # else trapped near the boundary; stay put this round
                 col[i + 1] = t
-            if abs(t) > radius * (1.0 + 1e-12):
-                raise ValueError("parameter path left the compact set")
-            return out
+            return self._check(out)
         norms = np.linalg.norm(draws, axis=1)
         tiny = norms < 1e-12
         if np.any(tiny):
@@ -196,14 +199,7 @@ class ParameterPath:
                     cand = theta  # trapped near the boundary; stay put
             theta = cand
             out[i + 1] = theta
-        return self._check_all(out)
-
-    def _check_all(self, values: np.ndarray) -> np.ndarray:
-        if float(np.max(np.sum(values * values, axis=1))) \
-                > self.c_theta * (1.0 + 1e-12):
-            raise ValueError("parameter path left the compact set "
-                             f"(||theta||^2 > {self.c_theta})")
-        return values
+        return self._check(out)
 
     def predictable_value(self, k: int, window: np.ndarray) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(self.rule(k, window), dtype=float))
@@ -211,39 +207,14 @@ class ParameterPath:
 
 
 def make_parameter_path(kind: str, **params) -> ParameterPath:
-    """Validated ParameterPath constructor."""
+    """ParameterPath(kind, **params); a static value also sets dim and,
+    when c_theta is not given, c_theta = ||value||^2."""
     if kind == "static":
         value = np.atleast_1d(np.asarray(params["value"], dtype=float))
-        c_theta = params.get("c_theta")
-        if c_theta is None:
-            c_theta = float(value @ value) + 1e-12
-        return ParameterPath(kind="static", dim=value.size,
-                             c_theta=c_theta, value=value)
-    if kind == "stabilizing":
-        c_rho = params.get("c_rho", 1.0)
-        beta = params.get("beta", 1.0)
-        if c_rho <= 0:
-            raise ValueError("c_rho must be positive")
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
-        return ParameterPath(kind="stabilizing", dim=params.get("dim", 1),
-                             c_theta=params.get("c_theta", 1.0),
-                             c_rho=c_rho, beta=beta,
-                             start=params.get("start"))
-    if kind == "lipschitz":
-        beta = params.get("beta", 1.0)
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        return ParameterPath(kind="lipschitz", dim=params.get("dim", 1),
-                             c_theta=params.get("c_theta", 1.0),
-                             func=params["func"], beta=beta,
-                             frequency=params.get("frequency"))
-    if kind == "predictable":
-        return ParameterPath(kind="predictable", dim=params.get("dim", 1),
-                             c_theta=params.get("c_theta", 1.0),
-                             rule=params["rule"],
-                             window_depth=params.get("window_depth", 1))
-    raise ValueError(f"unknown path kind {kind!r}")
+        if params.get("c_theta") is None:
+            params["c_theta"] = float(value @ value) + 1e-12
+        params.update(value=value, dim=value.size)
+    return ParameterPath(kind=kind, **params)
 
 
 # =====================================================================
@@ -474,34 +445,3 @@ class ArdBatchModel:
             obs[k, self.d:] = y
             y = x
         return SimulatedPath(observations=obs, targets=thetas)
-
-
-# =====================================================================
-# Functional wrappers
-# =====================================================================
-
-def simulate_signal_noise(path: ParameterPath, noise: NoiseSpec, n: int,
-                          seed: int) -> SimulatedPath:
-    return SignalNoiseModel(path=path, noise=noise).simulate(n, make_rng(seed))
-
-
-def simulate_poisson_counts(intensity, n: int, seed: int) -> SimulatedPath:
-    return PoissonCountModel(intensity=intensity).simulate(n, make_rng(seed))
-
-
-def simulate_cond_gaussian(mean_rule, cov_rule, n: int, d: int, seed: int,
-                           eig_band=(1e-8, np.inf)) -> SimulatedPath:
-    model = CondGaussianModel(mean_rule=mean_rule, cov_rule=cov_rule,
-                              dim=d, eig_band=eig_band)
-    return model.simulate(n, make_rng(seed))
-
-
-def simulate_arch1(path: ParameterPath, noise: NoiseSpec, n: int,
-                   seed: int, x0: float = 0.0) -> SimulatedPath:
-    return Arch1Model(path=path, noise=noise, x0=x0).simulate(n, make_rng(seed))
-
-
-def simulate_ard(path: ParameterPath, sigma: float, n_batches: int, d: int,
-                 seed: int, rho: float = 0.9) -> SimulatedPath:
-    model = ArdBatchModel(path=path, d=d, sigma=sigma, rho=rho)
-    return model.simulate(n_batches, make_rng(seed))

@@ -70,6 +70,16 @@ def schedule_constant(gamma: float) -> float:
     return gamma
 
 
+# kind -> (schedule, k) -> the uncapped step gamma_k
+_TERMS = {
+    "static": lambda s, k: schedule_static(s.c_gamma, k),
+    "stabilizing": lambda s, k: schedule_stabilizing(s.c_gamma, s.beta, k),
+    "lipschitz": lambda s, k: schedule_lipschitz(s.c_gamma, s.beta, s.horizon),
+    "constant": lambda s, k: schedule_constant(s.gamma),
+    "tabulated": lambda s, k: float(s.values[k]),
+}
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """A step sequence gamma_k with cap and contraction guard.
@@ -89,8 +99,7 @@ class StepSchedule:
     lambda2_guard: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("static", "stabilizing", "lipschitz",
-                             "constant", "tabulated"):
+        if self.kind not in _TERMS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind in ("stabilizing", "lipschitz") and self.beta is None:
             raise ValueError("beta required for this kind")
@@ -103,17 +112,6 @@ class StepSchedule:
         if self.cap <= 0:
             raise ValueError("cap must be positive")
 
-    def _raw(self, k) -> float:
-        if self.kind == "static":
-            return schedule_static(self.c_gamma, k)
-        if self.kind == "stabilizing":
-            return schedule_stabilizing(self.c_gamma, self.beta, k)
-        if self.kind == "lipschitz":
-            return schedule_lipschitz(self.c_gamma, self.beta, self.horizon)
-        if self.kind == "constant":
-            return schedule_constant(self.gamma)
-        return float(self.values[k])
-
     def _ceiling(self) -> float:
         ceiling = self.cap
         if self.lambda2_guard:
@@ -121,8 +119,12 @@ class StepSchedule:
         return ceiling
 
     def value(self, k) -> float:
-        return min(self._raw(k), self._ceiling())
+        return min(_TERMS[self.kind](self, k), self._ceiling())
 
     def values_upto(self, n: int) -> np.ndarray:
-        """gamma_0 .. gamma_{n-1} as an array."""
-        return np.array([self.value(k) for k in range(n)])
+        """gamma_0 .. gamma_{n-1} as an array; the term is chosen once,
+        and a lipschitz or constant schedule is one value repeated."""
+        term, ceiling = _TERMS[self.kind], self._ceiling()
+        if self.kind in ("lipschitz", "constant"):
+            return np.full(n, min(term(self, 0), ceiling))
+        return np.array([min(term(self, k), ceiling) for k in range(n)])

@@ -13,10 +13,8 @@ from drifttrack.core import (
     Box,
     TrackingConfig,
     TrackingDiverged,
-    projected_step_update,
     replay_updates,
     run_tracking,
-    step_update,
 )
 from drifttrack.models import (
     NoiseSpec,
@@ -25,58 +23,6 @@ from drifttrack.models import (
     make_parameter_path,
 )
 from drifttrack.schedules import StepSchedule
-
-
-class TestStepUpdate:
-    def test_scalar(self):
-        assert np.array_equal(step_update(0.0, 0.5, 2.0), [1.0])
-
-    def test_zero_step_identity(self):
-        assert np.array_equal(step_update([1.0, 2.0], 0.0, [5.0, 5.0]),
-                              [1.0, 2.0])
-
-    def test_unit_step(self):
-        assert np.array_equal(step_update([1.0, 0.0], 1.0, [-1.0, 1.0]),
-                              [0.0, 1.0])
-
-    def test_no_mutation(self):
-        est = np.array([1.0, 2.0])
-        step_update(est, 0.5, [1.0, 1.0])
-        assert np.array_equal(est, [1.0, 2.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            step_update([math.nan], 0.1, [1.0])
-        with pytest.raises(ValueError):
-            step_update([0.0], 0.1, [math.inf])
-        with pytest.raises(ValueError):
-            step_update([0.0], math.nan, [1.0])
-
-    def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            step_update([0.0], -0.1, [1.0])
-
-
-class TestProjectedStepUpdate:
-    def test_box_clamp(self):
-        region = Box(lower=[-1.0], upper=[1.0])
-        assert np.array_equal(
-            projected_step_update([0.8], 1.0, [1.0], region), [1.0])
-
-    def test_ball_radial(self):
-        region = Ball(center=[0.0, 0.0], radius=1.0)
-        got = projected_step_update([0.0, 0.0], 1.0, [3.0, 4.0], region)
-        assert np.allclose(got, [0.6, 0.8])
-
-    def test_interior_untouched(self):
-        region = Box(lower=[-1.0], upper=[1.0])
-        assert np.allclose(
-            projected_step_update([0.0], 0.1, [1.0], region), [0.1])
-
-    def test_rejects_outside_start(self):
-        region = Box(lower=[-1.0], upper=[1.0])
-        with pytest.raises(ValueError):
-            projected_step_update([2.0], 0.1, [0.0], region)
 
 
 class TestRegions:
@@ -92,6 +38,21 @@ class TestRegions:
         region = Box(lower=[-1.0, 0.0], upper=[1.0, 2.0])
         assert region.contains([0.0, 1.0])
         assert not region.contains([0.0, 3.0])
+
+    def test_box_project_clamps(self):
+        region = Box(lower=[-1.0], upper=[1.0])
+        assert np.array_equal(region.project(0.8 + 1.0 * np.array([1.0])),
+                              [1.0])
+
+    def test_ball_project_radial(self):
+        region = Ball(center=[0.0, 0.0], radius=1.0)
+        got = region.project(np.zeros(2) + 1.0 * np.array([3.0, 4.0]))
+        assert np.allclose(got, [0.6, 0.8])
+
+    def test_box_project_leaves_interior(self):
+        region = Box(lower=[-1.0], upper=[1.0])
+        assert np.allclose(region.project(0.0 + 0.1 * np.array([1.0])),
+                           [0.1])
 
     def test_ball_project_is_idempotent(self):
         region = Ball(center=[1.0, 1.0], radius=0.5)

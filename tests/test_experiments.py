@@ -223,6 +223,19 @@ class TestRateSweep:
         assert base.rows != other.rows
 
 
+@pytest.mark.parametrize("fraction, n, k0", [
+    (0.5, 1001, 501), (0.5, 1000, 500), (0.0, 50, 1)])
+def test_bound_check_burn_in_rounds_up(fraction, n, k0):
+    # the checked window starts at the first step k0 >= fraction * n (and
+    # k0 >= 1), the rule rates uses; the first checkpoint is slot k0 + 1
+    raw = {"experiment.horizons": str(n),
+           "experiment.burn_in_fraction": str(fraction)}
+    table = ex.run_bound_check(
+        experiment_config("bound-check", raw, {"replications": 2}))
+    assert table.ks[0] == k0 + 1
+    assert table.ks[-1] == n
+
+
 class TestKalmanCompare:
     def test_static_case_passes(self):
         raw = {"kalman.n": "2000", "kalman.theta": "0.4"}
@@ -357,6 +370,14 @@ class TestRanges:
         ("kalman.n", "0", "kalman-compare"),
         ("kalman.var0", "-1", "kalman-compare"),
         ("kalman.var_noise", "0", "kalman-compare"),
+        ("schedule.c_gamma", "0", "rates"),
+        ("schedule.gamma", "0", "rates"),
+        ("schedule.beta", "0", "rates"),
+        ("path.c_rho", "0", "rates"),
+        ("path.beta", "-1", "rates"),
+        ("model.noise.scale", "-1", "rates"),
+        ("experiment.replications", "1", "bound-check"),
+        ("experiment.burn_in_fraction", "0.99", "bound-check"),
     ])
     def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
         raw = {"experiment.horizons": "50", key: value}
@@ -424,7 +445,9 @@ class TestDivergence:
     def test_exit_one_names_where(self, tmp_path, capsys, command, horizon):
         path = tmp_path / "diverge.cfg"
         path.write_text(_DIVERGING, encoding="utf-8")
-        assert main([command, "--config", str(path), "--quiet"]) == 1
+        # bound-check needs two replications; replication 0 keeps its seed
+        assert main([command, "--config", str(path), "--replications", "2",
+                     "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("diverged")
         assert f"step 20: horizon {horizon}, replication 0" in err

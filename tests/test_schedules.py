@@ -115,10 +115,29 @@ class TestStepScheduleObject:
             StepSchedule(kind="lipschitz", beta=1.0)
 
     def test_values_upto_matches_value(self):
-        sched = StepSchedule(kind="static", c_gamma=2.0)
-        vals = sched.values_upto(50)
-        assert vals.shape == (50,)
-        assert all(vals[k] == sched.value(k) for k in range(50))
+        # every kind, against the public schedule_* functions capped by
+        # min(cap, 1/lambda2): the guard binds first, then the cap alone
+        n = 50
+        table = tuple(0.6 / (k + 1) for k in range(n))
+        terms = {
+            "static": (dict(c_gamma=2.0), lambda k: schedule_static(2.0, k)),
+            "stabilizing": (dict(c_gamma=0.5, beta=0.75),
+                            lambda k: schedule_stabilizing(0.5, 0.75, k)),
+            "lipschitz": (dict(c_gamma=2.0, beta=1.0, horizon=n),
+                          lambda k: schedule_lipschitz(2.0, 1.0, n)),
+            "constant": (dict(gamma=0.9), lambda k: schedule_constant(0.9)),
+            "tabulated": (dict(values=table), lambda k: table[k]),
+        }
+        for cap, guard in ((0.3, 4.0), (0.2, None)):
+            ceiling = min(cap, 1.0 / guard) if guard else cap
+            for kind, (args, term) in terms.items():
+                sched = StepSchedule(kind=kind, cap=cap, lambda2_guard=guard,
+                                     **args)
+                vals = sched.values_upto(n)
+                want = np.array([min(term(k), ceiling) for k in range(n)])
+                assert vals.shape == (n,)
+                assert vals.tobytes() == want.tobytes(), kind
+                assert all(vals[k] == sched.value(k) for k in range(n))
 
     def test_tabulated(self):
         table = (0.5, 0.25, 0.125)
