@@ -3,9 +3,9 @@
 Projection regions plus one kernel, track, that runs the recursion
 theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
 replications at once; the value stored at slot k+1 is compared against
-the target at the same slot.  run_tracking and replay_updates drive it
-with a block of one, run_replications with as many seeds as BLOCK_SLOTS
-holds at the horizon.
+the target at the same slot.  run_replications simulates and tracks
+as many seeds as BLOCK_SLOTS holds at the horizon; run_tracking is it
+with one seed, and replay_updates re-runs track on stored observations.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ _DIVERGED = "estimate left the guard region or gain went non-finite"
 class TrackingDiverged(RuntimeError):
     """The estimate left the guard region or the gain went non-finite.
 
-    replication is the index into the seeds of run_replications, if any.
+    run_replications sets horizon and replication, an index into seeds.
     """
 
-    def __init__(self, step: int, message: str,
+    def __init__(self, step: int, horizon: Optional[int] = None,
                  replication: Optional[int] = None):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(f"step {step}: {_DIVERGED}")
         self.step = step
+        self.horizon = horizon
         self.replication = replication
 
 
@@ -140,18 +141,12 @@ class TrackingConfig:
 
 @dataclass(frozen=True)
 class TrackingRun:
-    """One trajectory: estimates/targets/errors (n+1 slots), the consumed
-    observation rows and the realized steps (n slots)."""
+    """One trajectory: estimates and targets (n+1 slots) and the realized
+    steps (n slots)."""
 
     estimates: np.ndarray
     targets: np.ndarray
-    errors: np.ndarray
-    observations: np.ndarray
     steps: np.ndarray
-
-    @property
-    def final_error(self) -> np.ndarray:
-        return self.errors[-1]
 
 
 def track(initial, observations, gammas, evaluator,
@@ -180,7 +175,7 @@ def track(initial, observations, gammas, evaluator,
             raise ValueError(f"gain gave shape {est.shape}, expected {shape}")
         if not np.vdot(est, est) <= block_sq_limit and \
                 not np.all(np.sum(est * est, axis=1) <= guard_sq):  # NaN too
-            raise TrackingDiverged(k, _DIVERGED)
+            raise TrackingDiverged(k)
         estimates[:, k + 1] = est
     return estimates
 
@@ -198,24 +193,21 @@ def _simulate(model, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return obs, targets
 
 
-def _check_dimensions(config: TrackingConfig, model, gain: GainSpec) -> None:
-    if getattr(model, "dim", config.dimension) != config.dimension:
-        raise ValueError("model dimension does not match config")
-    if gain.dim != config.dimension:
-        raise ValueError("gain dimension does not match config")
-
-
 def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                      gammas: Optional[np.ndarray] = None):
     """Yield (estimates, targets) of one run per seed, in seed order.
 
     Blocks of max(1, BLOCK_SLOTS // (n+1)) replications are simulated
-    and stepped together; each equals run_tracking with its seed bit for
-    bit.  gammas defaults to the config's schedule.  A divergence raises TrackingDiverged for
-    the lowest-index replication that diverges, at its own step, as a
-    one-at-a-time loop would; .replication is its index into seeds.
+    and stepped together; each equals a block of one with its seed bit
+    for bit.  gammas defaults to the config's schedule.  A divergence
+    raises TrackingDiverged for the lowest-index replication that
+    diverges, at its own step, as a one-at-a-time loop would;
+    .replication is its index into seeds and .horizon the config's.
     """
-    _check_dimensions(config, model, gain)
+    if getattr(model, "dim", config.dimension) != config.dimension:
+        raise ValueError("model dimension does not match config")
+    if gain.dim != config.dimension:
+        raise ValueError("gain dimension does not match config")
     if gammas is None:
         gammas = config.schedule.values_upto(config.horizon)
     seeds = list(seeds)
@@ -233,8 +225,8 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                     track(init[i:i + 1], obs[:, i:i + 1], gammas,
                           gain.evaluator, config.projection)
                 except TrackingDiverged as exc:
-                    raise TrackingDiverged(exc.step, _DIVERGED,
-                                           replication=start + i) from None
+                    raise TrackingDiverged(exc.step, config.horizon,
+                                           start + i) from None
             raise
         for i in range(len(block)):
             yield estimates[i], targets[i]
@@ -242,20 +234,16 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
 
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,
                  rng_seed: int) -> TrackingRun:
-    """Execute the online loop for one seed.
+    """Execute the online loop for one seed: run_replications with one.
 
     The simulator draws the whole observation sequence (targets are
     predictable from the past only, never from the estimates), then the
     recursion consumes one row per step.  Deterministic given the seed.
     """
-    _check_dimensions(config, model, gain)
     gammas = config.schedule.values_upto(config.horizon)
-    obs, targets = _simulate(model, config.horizon, [rng_seed])
-    estimates = track(config.initial_estimate[None], obs, gammas,
-                      gain.evaluator, config.projection)[0]
-    return TrackingRun(estimates=estimates, targets=targets[0],
-                       errors=estimates - targets[0], observations=obs[:, 0],
-                       steps=gammas)
+    [(estimates, targets)] = run_replications(config, model, gain,
+                                              [rng_seed], gammas)
+    return TrackingRun(estimates, targets, gammas)
 
 
 def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,

@@ -322,26 +322,37 @@ _SCHEDULES = {
 }
 
 
+def _build(section: str, raw: dict, build: Callable, *args):
+    """build(*args); a value it rejects is a config error naming the
+    section and the keys the config sets in it."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        keys = ", ".join(key for key in raw if key.startswith(section + "."))
+        raise ConfigError(f"{section} ({keys or 'defaults'}): {exc}") from exc
+
+
 def build_components(raw: dict, n: int):
     """(tracking config, model, gain, path) for one horizon."""
     v = _values(raw)
     d = v["model.d"]
-    noise = models_mod.NoiseSpec(kind=v["model.noise.kind"],
-                                 scale=v["model.noise.scale"])
-    path = _pick(_PATHS, "path.kind", v)(v, n)
-    model = _pick(_MODELS, "model.kind", v)(v, path, noise)
-    gain = _pick(_GAINS, "gain.kind", v)(v, noise)
+    noise = _build("model.noise", raw, models_mod.NoiseSpec,
+                   v["model.noise.kind"], v["model.noise.scale"])
+    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n)
+    model = _build("model", raw, _pick(_MODELS, "model.kind", v),
+                   v, path, noise)
+    gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise)
     schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
     consts = gain.constants or gains_mod.GainConstants()
-    schedule = StepSchedule(
+    schedule = _build("schedule", raw, lambda: StepSchedule(
         kind=v["schedule.kind"],
         c_gamma=_or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1)),
         cap=v["schedule.cap"],
         lambda2_guard=_or(v["schedule.lambda2_guard"], consts.lambda2),
-        **schedule_args(v, n))
-    config = TrackingConfig(
+        **schedule_args(v, n)))
+    config = _build("tracking", raw, lambda: TrackingConfig(
         dimension=d, horizon=n, schedule=schedule,
-        initial_estimate=_or(v["tracking.initial"], (0.0,) * d))
+        initial_estimate=_or(v["tracking.initial"], (0.0,) * d)))
     return config, model, gain, path
 
 
@@ -447,17 +458,6 @@ def _burn_in(fraction: float, n: int) -> int:
     return max(1, math.ceil(fraction * n))
 
 
-def _replications(tracking: TrackingConfig, model, gain, seeds,
-                  gammas=None):
-    """(estimates, targets) per seed in order; a divergence names where."""
-    try:
-        yield from run_replications(tracking, model, gain, seeds, gammas)
-    except TrackingDiverged as exc:
-        raise TrackingDiverged(exc.step, f"horizon {tracking.horizon}, "
-                                         f"replication {exc.replication}"
-                               ) from exc
-
-
 def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     """Monte-Carlo error-vs-horizon sweep with a log-corrected slope fit.
 
@@ -480,7 +480,7 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         finals = np.empty((reps, 3))
         windows = np.empty(reps)
         seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
-        runs = _replications(tracking, model, gain, seeds)
+        runs = run_replications(tracking, model, gain, seeds)
         for rep, (estimates, targets) in enumerate(runs):
             errors = estimates - targets
             finals[rep] = _norms(errors[-1], config.p)
@@ -553,7 +553,7 @@ def run_bound_check(config: ExperimentConfig,
     theta_sq_max = 0.0
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
-    runs = _replications(tracking, model, gain, seeds, gammas)
+    runs = run_replications(tracking, model, gain, seeds, gammas)
     for rep, (estimates, targets) in enumerate(runs):
         err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
                                         axis=1)
@@ -796,11 +796,12 @@ def run_single(config: ExperimentConfig):
     d = tracking.dimension
     header = (["k"] + [f"estimate_{i}" for i in range(d)]
               + [f"target_{i}" for i in range(d)] + ["error_l2", "gamma"])
+    errors = run.estimates - run.targets
     rows = []
     for k in range(n + 1):
         gamma = run.steps[k - 1] if k >= 1 else 0.0
         rows.append((k, *run.estimates[k], *run.targets[k],
-                     float(np.linalg.norm(run.errors[k])), gamma))
+                     float(np.linalg.norm(errors[k])), gamma))
     return header, rows
 
 
@@ -894,7 +895,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrackingDiverged as exc:
-        print(f"diverged at {exc}", file=sys.stderr)
+        print(f"diverged at step {exc.step}: horizon {exc.horizon}, "
+              f"replication {exc.replication}", file=sys.stderr)
         return 1
 
 

@@ -428,16 +428,17 @@ class ArdBatchModel:
             raise ValueError("batched AR model needs a realizable path")
         obs = np.empty((n, 2 * self.d))
         y = rng.normal(0.0, self.sigma, size=self.d)
-        eye = np.eye(self.d)
         for k in range(n):
             theta = thetas[k]
-            member, radius = linalg.ar_stability_check(theta, self.rho)
-            if not member:
-                raise ValueError(
-                    f"coefficients outside the stability region at step {k} "
-                    f"(spectral radius {radius:.4f} > {self.rho})")
-            a = linalg.ar_matrix_a(theta)
-            b = linalg.ar_matrix_b(theta)
+            # the check, A and B depend on theta alone: redo them when it moves
+            if k == 0 or not np.array_equal(theta, thetas[k - 1]):
+                member, radius = linalg.ar_stability_check(theta, self.rho)
+                if not member:
+                    raise ValueError(
+                        f"coefficients outside the stability region at step "
+                        f"{k} (spectral radius {radius:.4f} > {self.rho})")
+                a = linalg.ar_matrix_a(theta)
+                b = linalg.ar_matrix_b(theta)
             xi = rng.normal(0.0, self.sigma, size=self.d)
             x = solve_triangular(a, b @ y + xi, lower=False,
                                  unit_diagonal=True)

@@ -111,6 +111,8 @@ class StepSchedule:
             raise ValueError("values required for the tabulated kind")
         if self.cap <= 0:
             raise ValueError("cap must be positive")
+        if self.kind != "tabulated":
+            _TERMS[self.kind](self, 2)  # the term checks its own arguments
 
     def _ceiling(self) -> float:
         ceiling = self.cap

@@ -21,6 +21,7 @@ from drifttrack.models import (
     SignalNoiseModel,
     SimulatedPath,
     make_parameter_path,
+    make_rng,
 )
 from drifttrack.schedules import StepSchedule
 
@@ -82,7 +83,7 @@ class TestRunTracking:
         run = run_tracking(config, model, gain, rng_seed=0)
         assert run.estimates[0, 0] == 0.0
         assert np.all(run.estimates[1:, 0] == 1.0)
-        assert np.all(run.errors[1:] == 0.0)
+        assert np.all((run.estimates - run.targets)[1:] == 0.0)
 
     def test_zero_gamma_constant(self):
         schedule = StepSchedule(kind="constant", gamma=1e-300, cap=1e-300)
@@ -96,18 +97,13 @@ class TestRunTracking:
         a = run_tracking(config, model, gain, rng_seed=77)
         b = run_tracking(config, model, gain, rng_seed=77)
         assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.observations, b.observations)
 
     def test_shapes_and_alignment(self):
         config, model, gain = _static_setup(noise="normal", n=50)
         run = run_tracking(config, model, gain, rng_seed=3)
         assert run.estimates.shape == (51, 1)
         assert run.targets.shape == (51, 1)
-        assert run.errors.shape == (51, 1)
-        assert run.observations.shape == (50, 1)
         assert run.steps.shape == (50,)
-        assert np.array_equal(run.errors, run.estimates - run.targets)
-        assert np.array_equal(run.final_error, run.errors[-1])
 
     def test_scalar_and_general_paths_agree(self):
         # force the general path with a huge projection region; results
@@ -168,7 +164,8 @@ class TestRunTracking:
                                                 kind="static", c_gamma=4.0))
         run = run_tracking(config, model, gain, rng_seed=12)
         assert run.estimates.shape == (201, 3)
-        assert float(np.linalg.norm(run.final_error)) < 1.0
+        assert float(np.linalg.norm(run.estimates[-1]
+                                    - run.targets[-1])) < 1.0
 
 
 class TestReplay:
@@ -177,7 +174,9 @@ class TestReplay:
         config, model, gain = _static_setup(noise="normal", n=400,
                                             schedule=sched)
         run = run_tracking(config, model, gain, rng_seed=21)
-        replayed = replay_updates(run.estimates[0], run.observations,
+        observations = model.simulate(config.horizon,
+                                      make_rng(21)).observations
+        replayed = replay_updates(run.estimates[0], observations,
                                   run.steps, gain)
         assert np.array_equal(replayed, run.estimates)
 
@@ -191,7 +190,9 @@ class TestReplay:
         model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 1.0))
         gain = gains.signal_noise_spec(2)
         run = run_tracking(config, model, gain, rng_seed=31)
-        replayed = replay_updates(run.estimates[0], run.observations,
+        observations = model.simulate(config.horizon,
+                                      make_rng(31)).observations
+        replayed = replay_updates(run.estimates[0], observations,
                                   run.steps, gain, projection=region)
         assert np.array_equal(replayed, run.estimates)
 

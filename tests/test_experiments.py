@@ -378,6 +378,8 @@ class TestRanges:
         ("model.noise.scale", "-1", "rates"),
         ("experiment.replications", "1", "bound-check"),
         ("experiment.burn_in_fraction", "0.99", "bound-check"),
+        ("model.noise.kind", "cauchy", "rates"),
+        ("tracking.initial", "0,0", "rates"),
     ])
     def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
         raw = {"experiment.horizons": "50", key: value}
@@ -385,6 +387,25 @@ class TestRanges:
         path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()),
                         encoding="utf-8")
         assert main([command, "--config", str(path), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
+    # a value a component constructor rejects for the kind another key
+    # picks is a config error naming it too
+    @pytest.mark.parametrize("key, value, others", [
+        ("schedule.beta", "1.5", {"schedule.kind": "lipschitz",
+                                  "path.kind": "lipschitz"}),
+        ("path.beta", "0", {"schedule.kind": "lipschitz",
+                            "path.kind": "lipschitz"}),
+        ("model.x0", "2", {"model.kind": "arch1", "gain.kind": "arch1"}),
+        ("gain.sigma_diag", "-1", {"gain.kind": "gaussian"}),
+    ])
+    def test_component_rejection_exits_two(self, tmp_path, capsys, key,
+                                           value, others):
+        raw = {"experiment.horizons": "50", **others, key: value}
+        path = tmp_path / "range.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()),
+                        encoding="utf-8")
+        assert main(["rates", "--config", str(path), "--quiet"]) == 2
         assert key in capsys.readouterr().err
 
 
@@ -441,7 +462,8 @@ _DIVERGING = ("schedule.kind = constant\nschedule.gamma = 3\n"
 
 class TestDivergence:
     @pytest.mark.parametrize("command, horizon",
-                             [("rates", 100), ("bound-check", 200)])
+                             [("rates", 100), ("bound-check", 200),
+                              ("run", 200)])
     def test_exit_one_names_where(self, tmp_path, capsys, command, horizon):
         path = tmp_path / "diverge.cfg"
         path.write_text(_DIVERGING, encoding="utf-8")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drifttrack import models
+from drifttrack import linalg, models
 from drifttrack.models import (
     Arch1Model,
     ArdBatchModel,
@@ -342,6 +342,56 @@ class TestArdModel:
         v = float(np.var(sim.observations[:, 0]))
         want = 1.0 / (1.0 - theta * theta)
         assert abs(v - want) <= 0.05 * want
+
+    @pytest.mark.parametrize("path", [
+        # drifts for half the run, then holds still
+        make_parameter_path("lipschitz", dim=2, c_theta=1.0, frequency=300,
+                            func=lambda t: np.array(
+                                [0.6 * math.sin(3.0 * min(t, 0.5)), -0.2])),
+        # reflects and gets trapped at the boundary, so it also holds still
+        make_parameter_path("stabilizing", dim=2, c_rho=0.3, beta=0.25,
+                            c_theta=0.09, start=[0.25, 0.1]),
+    ])
+    def test_drifting_d2_matches_per_step_loop(self, path):
+        model = ArdBatchModel(path=path, d=2, sigma=1.0)
+        sim = model.simulate(300, make_rng(12))
+        want_obs, want_thetas = _ard_reference(model, 300, make_rng(12))
+        held = np.all(want_thetas[1:300] == want_thetas[:299], axis=1)
+        assert held.any() and not held.all()
+        assert sim.observations.tobytes() == want_obs.tobytes()
+        assert sim.targets.tobytes() == want_thetas.tobytes()
+
+    def test_path_leaving_region_names_first_unstable_step(self):
+        path = make_parameter_path("lipschitz", dim=1, c_theta=4.0,
+                                   frequency=100,
+                                   func=lambda t: np.array([1.5 * t]))
+        model = ArdBatchModel(path=path, d=1, sigma=1.0)
+        thetas = path.sample(100, make_rng(0))
+        first = next(k for k in range(100) if not
+                     linalg.ar_stability_check(thetas[k], model.rho)[0])
+        assert 0 < first < 99
+        with pytest.raises(ValueError, match=f"at step {first} "):
+            model.simulate(100, make_rng(0))
+
+
+def _ard_reference(model, n, rng):
+    """ArdBatchModel.simulate as a plain loop: check, A and B every step."""
+    from scipy.linalg import solve_triangular
+
+    d = model.d
+    thetas = model.path.sample(n, rng)
+    obs = np.empty((n, 2 * d))
+    y = rng.normal(0.0, model.sigma, size=d)
+    for k in range(n):
+        assert linalg.ar_stability_check(thetas[k], model.rho)[0]
+        a = linalg.ar_matrix_a(thetas[k])
+        b = linalg.ar_matrix_b(thetas[k])
+        xi = rng.normal(0.0, model.sigma, size=d)
+        x = solve_triangular(a, b @ y + xi, lower=False, unit_diagonal=True)
+        obs[k, :d] = x
+        obs[k, d:] = y
+        y = x
+    return obs, thetas
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32),
