@@ -343,7 +343,7 @@ def build_components(raw: dict, n: int):
                    v, path, noise)
     gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise)
     schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
-    consts = gain.constants or gains_mod.GainConstants()
+    consts = gain.constants
     schedule = _build("schedule", raw, lambda: StepSchedule(
         kind=v["schedule.kind"],
         c_gamma=_or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1)),
@@ -411,7 +411,9 @@ class RateReport:
 
 def fit_rate(pairs) -> tuple[float, float]:
     """OLS of log error on (1, log n, log log n); the log n coefficient
-    and its 95% half-width (0 when the fit is exact with no dof)."""
+    and its 95% half-width (0 when three points fit exactly, inf when
+    the fit is inexact with no dof or fewer than three points leave the
+    coefficient undetermined)."""
     ns = np.array([float(n) for n, _ in pairs])
     errs = np.array([float(e) for _, e in pairs])
     if np.any(errs <= 0):
@@ -427,8 +429,8 @@ def fit_rate(pairs) -> tuple[float, float]:
         from scipy import stats  # 40 MB and 0.6 s to import; rarely needed
         half = float(stats.t.ppf(0.975, dof) * math.sqrt(cov[1, 1]))
     else:
-        half = 0.0 if float(np.max(np.abs(resid), initial=0.0)) < 1e-9 \
-            else math.inf
+        exact = dof == 0 and float(np.max(np.abs(resid))) < 1e-9
+        half = 0.0 if exact else math.inf
     return float(coef[1]), half
 
 
@@ -473,6 +475,9 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     statistic = v["experiment.statistic"]
     if statistic not in ("window", "final"):
         raise ConfigError(f"unknown experiment.statistic: {statistic}")
+    if config.horizons[0] < 2:  # the fit's log log n needs n >= 2
+        raise ConfigError("experiment.horizons: rates needs horizons of at "
+                          f"least 2, got {config.horizons[0]}")
     rows, means, final_means = [], [], []
     for h_idx, n in enumerate(config.horizons):
         tracking, model, gain, _path = build_components(raw, n)
@@ -563,7 +568,7 @@ def run_bound_check(config: ExperimentConfig,
         theta_sq_max = max(theta_sq_max,
                            float(np.max(np.sum(targets ** 2, axis=1))))
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
-    consts = gain.constants or gains_mod.GainConstants()
+    consts = gain.constants
     lam1 = _or(v["bounds.lambda1"], consts.lambda1)
     lam2 = _or(v["bounds.lambda2"], consts.lambda2)
     c_g = _or(v["bounds.c_g"], consts.c_g)
@@ -758,9 +763,9 @@ def run_kalman_compare(config: ExperimentConfig) -> KalmanCompareResult:
     """
     v = _values(config.raw)
     n = _or(v["kalman.n"], config.horizons[-1])
-    kconf = kalman_mod.KalmanConfig(
+    kconf = _build("kalman", config.raw, lambda: kalman_mod.KalmanConfig(
         m0=v["kalman.m0"], var0=v["kalman.var0"],
-        var_noise=v["kalman.var_noise"], deltas=v["kalman.deltas"])
+        var_noise=v["kalman.var_noise"], deltas=v["kalman.deltas"]))
     theta = v["kalman.theta"]
     rng = models_mod.make_rng(config.seed)
     obs = theta + rng.normal(0.0, math.sqrt(kconf.var_noise), size=n)

@@ -1,10 +1,12 @@
 """Gain functions driving the tracking recursion.
 
 Each catalog entry implements an update direction G(current estimate,
-new observation).  Where the conditional mean of the gain has the
-contraction form -M (estimate - target), the known eigenvalue and
-second-moment constants are attached so the bound evaluators and the
-condition verifiers can use them.
+new observation).  A gain the tracking engine runs is defined once, by
+its *_spec factory: the factory checks the gain's parameters when it is
+built, and its evaluator is the formula.  Where the conditional mean of
+the gain has the contraction form -M (estimate - target), the known
+eigenvalue and second-moment constants are attached so the bound
+evaluators and the condition verifiers can use them.
 
 Evaluators attached to a GainSpec map a (B, d) estimate stack and a
 (B, w) row stack to (B, d) directions, row by row: the tracking kernel
@@ -15,7 +17,6 @@ estimate with a stack of rows (leading axis = sample index).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,16 +27,9 @@ from . import linalg
 __all__ = [
     "GainConstants",
     "GainSpec",
-    "gain_signal_noise",
     "gain_robbins_monro",
     "gain_kw_finite_difference",
     "gain_spsa",
-    "gain_quantile",
-    "gain_poisson",
-    "gain_gaussian_known_cov",
-    "gain_arch1",
-    "gain_ar1_normalized",
-    "gain_ar1_truncated",
     "gain_ard_score",
     "average_gain_ard",
     "modifier_soft_normalize",
@@ -71,90 +65,16 @@ class GainSpec:
 
     evaluator: Callable
     dim: int
-    constants: Optional[GainConstants] = None
+    constants: GainConstants = GainConstants()
 
 
 # =====================================================================
 # Catalog: direct observation gains
 # =====================================================================
 
-def gain_signal_noise(theta_hat, x):
-    """Gain x - estimate; the mean-tracking workhorse (M = I)."""
-    return np.asarray(x, dtype=float) - np.asarray(theta_hat, dtype=float)
-
-
 def gain_robbins_monro(x, alpha):
     """Root finding: -(x - alpha) pushes F(estimate) toward level alpha."""
     return -(np.asarray(x, dtype=float) - np.asarray(alpha, dtype=float))
-
-
-def gain_quantile(theta_hat, x, alpha: float):
-    """alpha - 1{x <= estimate}; ties count as below (<=)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    below = np.asarray(x, dtype=float) <= theta_hat
-    return alpha - below.astype(float) if isinstance(below, np.ndarray) \
-        else alpha - float(below)
-
-
-def gain_poisson(theta_hat, x_k, x_km1):
-    """Count increment minus the current intensity estimate."""
-    inc = np.asarray(x_k, dtype=float) - np.asarray(x_km1, dtype=float)
-    if np.any(inc < 0):
-        raise ValueError("counts must be nondecreasing")
-    return inc - theta_hat
-
-
-def gain_gaussian_known_cov(theta_hat, x, sigma):
-    """Sigma^{-1}(x - estimate) via a linear solve, Sigma SPD."""
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    eigs = linalg.sym_eigenvalues(sigma)
-    if eigs[0] <= 1e-12:
-        raise ValueError(f"covariance not positive definite "
-                         f"(smallest eigenvalue {eigs[0]:.3e})")
-    resid = np.asarray(x, dtype=float) - np.asarray(theta_hat, dtype=float)
-    return np.linalg.solve(sigma, np.atleast_1d(resid).T).T
-
-
-def _truncation_factor(s, cap: float):
-    """min(s, cap)/s with the s = 0 limit set to 0 (no information)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    nz = s > 0
-    out[nz] = np.minimum(s[nz], cap) / s[nz]
-    return out if out.ndim else float(out)
-
-
-def gain_arch1(theta_hat, x_k, x_km1, trunc: float):
-    """Truncated ARCH(1) volatility gain.
-
-    (min(x_{k-1}^2, T)/x_{k-1}^2) (x_k^2 - 1 - theta_hat x_{k-1}^2);
-    zero at x_{k-1} = 0.
-    """
-    if trunc <= 0:
-        raise ValueError("truncation level must be positive")
-    x_k = np.asarray(x_k, dtype=float)
-    s = np.asarray(x_km1, dtype=float) ** 2
-    return _truncation_factor(s, trunc) * (x_k ** 2 - 1.0 - theta_hat * s)
-
-
-def gain_ar1_normalized(theta_hat, x_k, x_km1, mu: float):
-    """AR(1) residual gain rescaled by 1/(1 + mu x_{k-1}^2)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    x_k = np.asarray(x_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    return x_km1 * (x_k - theta_hat * x_km1) / (1.0 + mu * x_km1 ** 2)
-
-
-def gain_ar1_truncated(theta_hat, x_k, x_km1, trunc: float):
-    """Truncated AR(1) gain: factor min(x^2,T)/x^2 times the score term."""
-    if trunc <= 0:
-        raise ValueError("truncation level must be positive")
-    x_k = np.asarray(x_k, dtype=float)
-    x_km1 = np.asarray(x_km1, dtype=float)
-    s = x_km1 ** 2
-    return _truncation_factor(s, trunc) * (x_k * x_km1 - theta_hat * s)
 
 
 # =====================================================================
@@ -290,6 +210,7 @@ def modifier_predictable_rescale(g, s: float, kappa: float):
 # =====================================================================
 
 def signal_noise_spec(d: int = 1, noise_var: float | None = None) -> GainSpec:
+    """Gain x - estimate; the mean-tracking workhorse (M = I)."""
     consts = GainConstants(lambda1=1.0, lambda2=1.0,
                            c_g=noise_var * d if noise_var is not None else None)
     return GainSpec(evaluator=lambda est, row: row - est, dim=d,
@@ -298,27 +219,37 @@ def signal_noise_spec(d: int = 1, noise_var: float | None = None) -> GainSpec:
 
 def quantile_spec(alpha: float, density_floor: float | None = None,
                   density_cap: float | None = None) -> GainSpec:
-    """Quantile gain; declared constants come from density bounds."""
+    """Quantile gain alpha - 1{x <= estimate}, ties counting as below;
+    declared constants come from density bounds."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     consts = GainConstants(lambda1=density_floor, lambda2=density_cap,
                            c_g=1.0)
 
     def evaluator(est, row):
         x = row[..., :1] if getattr(row, "ndim", 0) else row
-        return gain_quantile(est, x, alpha)
+        below = np.asarray(x, dtype=float) <= est
+        return alpha - below.astype(float) if isinstance(below, np.ndarray) \
+            else alpha - float(below)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
+    """Count increment minus the current intensity estimate."""
     consts = GainConstants(lambda1=1.0, lambda2=1.0, c_g=intensity_bound)
 
     def evaluator(est, row):
-        return gain_poisson(est, row[..., :1], row[..., 1:])
+        inc = row[..., :1] - row[..., 1:]
+        if np.any(inc < 0):
+            raise ValueError("counts must be nondecreasing")
+        return inc - est
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
-def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec:
+def gaussian_known_cov_spec(sigma) -> GainSpec:
+    """Sigma^{-1}(x - estimate) via a Cholesky solve, Sigma SPD."""
     from scipy.linalg import cho_factor, cho_solve  # 28 MB; only this gain
 
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
@@ -328,7 +259,7 @@ def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec
         raise ValueError("covariance not positive definite")
     chol = cho_factor(sigma)
     consts = GainConstants(lambda1=1.0 / float(eigs[-1]),
-                           lambda2=1.0 / float(eigs[0]), c_g=noise_trace)
+                           lambda2=1.0 / float(eigs[0]))
 
     def evaluator(est, row):
         return cho_solve(chol, np.atleast_1d(row - est).T).T
@@ -336,31 +267,54 @@ def gaussian_known_cov_spec(sigma, noise_trace: float | None = None) -> GainSpec
     return GainSpec(evaluator=evaluator, dim=d, constants=consts)
 
 
+def _truncation_factor(s: np.ndarray, cap: float) -> np.ndarray:
+    """min(s, cap)/s with the s = 0 limit set to 0 (no information)."""
+    out = np.zeros_like(s)
+    nz = s > 0
+    out[nz] = np.minimum(s[nz], cap) / s[nz]
+    return out
+
+
 def arch1_spec(trunc: float, lambda1: float | None = None,
                c_g: float | None = None) -> GainSpec:
+    """Truncated ARCH(1) volatility gain
+    (min(x_{k-1}^2, T)/x_{k-1}^2) (x_k^2 - 1 - estimate x_{k-1}^2),
+    zero at x_{k-1} = 0."""
+    if trunc <= 0:
+        raise ValueError("truncation level must be positive")
     consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
-        return gain_arch1(est, row[..., :1], row[..., 1:], trunc)
+        x_k, s = row[..., :1], row[..., 1:] ** 2
+        return _truncation_factor(s, trunc) * (x_k ** 2 - 1.0 - est * s)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ar1_normalized_spec(mu: float) -> GainSpec:
+    """AR(1) residual gain rescaled by 1/(1 + mu x_{k-1}^2)."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     consts = GainConstants(lambda2=1.0 / mu)
 
     def evaluator(est, row):
-        return gain_ar1_normalized(est, row[..., :1], row[..., 1:], mu)
+        x_k, x_km1 = row[..., :1], row[..., 1:]
+        return x_km1 * (x_k - est * x_km1) / (1.0 + mu * x_km1 ** 2)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
 def ar1_truncated_spec(trunc: float, lambda1: float | None = None,
                        c_g: float | None = None) -> GainSpec:
+    """Truncated AR(1) gain: factor min(x^2,T)/x^2 times the score term."""
+    if trunc <= 0:
+        raise ValueError("truncation level must be positive")
     consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
 
     def evaluator(est, row):
-        return gain_ar1_truncated(est, row[..., :1], row[..., 1:], trunc)
+        x_k, x_km1 = row[..., :1], row[..., 1:]
+        s = x_km1 ** 2
+        return _truncation_factor(s, trunc) * (x_k * x_km1 - est * s)
 
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
@@ -382,7 +336,7 @@ def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):
     With M proportional to the rank-one matrix x x^T its smallest
     eigenvalue is identically zero for d >= 2, so the persistence of
     excitation lower bound fails there; kept for the required-failure
-    verifier fixture (use gain_ar1_normalized for actual d=1 tracking).
+    verifier fixture (use ar1_normalized_spec for actual d=1 tracking).
     """
     if mu <= 0:
         raise ValueError("mu must be positive")

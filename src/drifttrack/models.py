@@ -122,6 +122,8 @@ class ParameterPath:
             raise ValueError("beta must be nonnegative")
         if self.kind == "lipschitz" and not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
+        if self.kind == "stabilizing" and self.start is not None:
+            self._check(np.atleast_1d(np.asarray(self.start, dtype=float)))
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         """theta, a (d,) value or an (m, d) stack, if each row keeps
@@ -161,7 +163,6 @@ class ParameterPath:
         radius = math.sqrt(self.c_theta)
         theta = np.zeros(self.dim) if self.start is None \
             else np.atleast_1d(np.asarray(self.start, dtype=float)).copy()
-        self._check(theta)
         out = np.empty((n + 1, self.dim))
         out[0] = theta
         # draws batched up front; degenerate (near-zero) draws fall back
@@ -416,12 +417,27 @@ class ArdBatchModel:
     sigma: float = 1.0
     rho: float = 0.9
 
+    def __post_init__(self):
+        linalg.StabilityRegion(self.rho, self.d)  # rho in (0, 1), d >= 1
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if self.path.kind == "static":
+            self._check_stable(self.path.value, "of the static path")
+
     @property
     def dim(self) -> int:
         return self.d
 
+    def _check_stable(self, theta, where: str) -> None:
+        member, radius = linalg.ar_stability_check(theta, self.rho)
+        if not member:
+            raise ValueError(
+                f"coefficients outside the stability region {where} "
+                f"(spectral radius {radius:.4f} > {self.rho})")
+
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        from scipy.linalg import solve_triangular  # 28 MB; only AR(d) needs it
+        if self.d > 1:  # at d = 1, A is the 1x1 identity: nothing to solve
+            from scipy.linalg import solve_triangular  # 28 MB
 
         thetas = self.path.sample(n, rng)
         if thetas is None:
@@ -432,16 +448,13 @@ class ArdBatchModel:
             theta = thetas[k]
             # the check, A and B depend on theta alone: redo them when it moves
             if k == 0 or not np.array_equal(theta, thetas[k - 1]):
-                member, radius = linalg.ar_stability_check(theta, self.rho)
-                if not member:
-                    raise ValueError(
-                        f"coefficients outside the stability region at step "
-                        f"{k} (spectral radius {radius:.4f} > {self.rho})")
+                self._check_stable(theta, f"at step {k}")
                 a = linalg.ar_matrix_a(theta)
                 b = linalg.ar_matrix_b(theta)
             xi = rng.normal(0.0, self.sigma, size=self.d)
-            x = solve_triangular(a, b @ y + xi, lower=False,
-                                 unit_diagonal=True)
+            x = b @ y + xi
+            if self.d > 1:
+                x = solve_triangular(a, x, lower=False, unit_diagonal=True)
             obs[k, : self.d] = x
             obs[k, self.d:] = y
             y = x

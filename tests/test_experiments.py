@@ -158,6 +158,10 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(10, 1.0), (100, 0.0), (1000, 1.0)])
 
+    def test_two_points_leave_slope_undetermined(self):
+        _slope, half = fit_rate([(n, n ** -0.5) for n in (10**3, 10**4)])
+        assert half == math.inf
+
 
 class TestTheoreticalSlope:
     def test_builtin_kinds(self):
@@ -380,6 +384,8 @@ class TestRanges:
         ("experiment.burn_in_fraction", "0.99", "bound-check"),
         ("model.noise.kind", "cauchy", "rates"),
         ("tracking.initial", "0,0", "rates"),
+        ("kalman.deltas", "-1", "kalman-compare"),
+        ("experiment.horizons", "1,10,100", "rates"),
     ])
     def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
         raw = {"experiment.horizons": "50", key: value}
@@ -398,6 +404,17 @@ class TestRanges:
                             "path.kind": "lipschitz"}),
         ("model.x0", "2", {"model.kind": "arch1", "gain.kind": "arch1"}),
         ("gain.sigma_diag", "-1", {"gain.kind": "gaussian"}),
+        ("gain.alpha", "1.5", {"gain.kind": "quantile"}),
+        ("gain.trunc", "-1", {"model.kind": "arch1", "gain.kind": "arch1"}),
+        ("gain.mu", "-1", {"model.kind": "ar1", "gain.kind": "ar1_normalized"}),
+        ("path.start", "5", {"path.kind": "stabilizing"}),
+        # the model rejects these, so the message names the model section
+        ("model.kind", "ar1", {"gain.kind": "ar1_normalized",
+                               "path.value": "1.2"}),
+        ("model.rho", "1.5", {"model.kind": "ar1",
+                              "gain.kind": "ar1_normalized"}),
+        ("model.sigma", "-1", {"model.kind": "ar1",
+                               "gain.kind": "ar1_normalized"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):
@@ -428,13 +445,25 @@ def test_import_leaves_scipy_unloaded(module):
     assert proc.stdout.strip() == "False"
 
 
-def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path):
-    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "quantile_rate.cfg")
-    with open(shipped, encoding="utf-8") as fh:
-        text = fh.read()
-    config = tmp_path / "quantile.cfg"  # the later horizons line wins
-    config.write_text(text + "experiment.horizons = 1000,10000\n",
+# (shipped config or None, extra lines, exit code, replications)
+_NO_SCIPY_LINALG = {
+    "quantile": ("quantile_rate.cfg", "", "0", 200),
+    # AR(1) at d = 1 has no triangular system to solve
+    "ar1": (None, "model.kind = ar1\ngain.kind = ar1_truncated\n"
+                  "path.value = 0.5\nexperiment.replications = 5\n", "1", 5),
+}
+
+
+@pytest.mark.parametrize("case", list(_NO_SCIPY_LINALG))
+def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path, case):
+    shipped, extra, code, reps = _NO_SCIPY_LINALG[case]
+    text = ""
+    if shipped:
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", shipped), encoding="utf-8") as fh:
+            text = fh.read()
+    config = tmp_path / "rates.cfg"  # the later horizons line wins
+    config.write_text(text + extra + "experiment.horizons = 1000,10000\n",
                       encoding="utf-8")
     out = tmp_path / "rates.csv"
     proc = _python("-c", "import sys; from drifttrack.experiments import main; "
@@ -443,8 +472,8 @@ def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path):
                    "rates", "--config", str(config), "--out", str(out),
                    "--quiet")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
-    assert out.read_text(encoding="utf-8").count("\n") == 1 + 2 * 200
+    assert proc.stdout.split()[-2:] == [code, "False"]
+    assert out.read_text(encoding="utf-8").count("\n") == 1 + 2 * reps
 
 
 def test_cli_prints_no_runtime_warning(tmp_path):

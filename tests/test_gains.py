@@ -13,14 +13,15 @@ from drifttrack.models import make_rng
 
 class TestSignalNoise:
     def test_direct(self):
-        assert np.array_equal(gains.gain_signal_noise([1.0, 2.0], [3.0, 2.0]),
-                              [2.0, 0.0])
+        assert np.array_equal(gains.signal_noise_spec(2).evaluator(
+            np.array([1.0, 2.0]), np.array([3.0, 2.0])), [2.0, 0.0])
 
     def test_fixed_point_at_truth(self):
-        assert np.array_equal(gains.gain_signal_noise([0.7], [0.7]), [0.0])
+        assert np.array_equal(gains.signal_noise_spec(1).evaluator(
+            np.array([0.7]), np.array([0.7])), [0.0])
 
     def test_scalar(self):
-        assert float(gains.gain_signal_noise(0.0, -1.0)) == -1.0
+        assert float(gains.signal_noise_spec(1).evaluator(0.0, -1.0)) == -1.0
 
 
 class TestRobbinsMonro:
@@ -37,50 +38,51 @@ class TestRobbinsMonro:
 
 class TestQuantile:
     def test_above(self):
-        assert gains.gain_quantile(1.0, 1.2, 0.5) == 0.5
+        assert gains.quantile_spec(0.5).evaluator(1.0, 1.2) == 0.5
 
     def test_below(self):
-        assert gains.gain_quantile(1.0, 0.9, 0.5) == -0.5
+        assert gains.quantile_spec(0.5).evaluator(1.0, 0.9) == -0.5
 
     def test_tie_counts_as_below(self):
-        assert math.isclose(gains.gain_quantile(1.0, 1.0, 0.9), -0.1)
+        assert math.isclose(gains.quantile_spec(0.9).evaluator(1.0, 1.0), -0.1)
 
     def test_bounded(self):
         for alpha in (0.1, 0.5, 0.9):
             for x in (-5.0, 0.0, 5.0):
-                assert abs(gains.gain_quantile(0.0, x, alpha)) \
+                assert abs(gains.quantile_spec(alpha).evaluator(0.0, x)) \
                     <= max(alpha, 1.0 - alpha)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            gains.gain_quantile(0.0, 0.0, 1.0)
+            gains.quantile_spec(1.0)
 
 
 class TestPoisson:
     def test_exact_intensity(self):
-        assert gains.gain_poisson(2.0, 5, 3) == 0.0
+        assert gains.poisson_spec().evaluator(2.0, np.array([5, 3]))[0] == 0.0
 
     def test_no_increment(self):
-        assert gains.gain_poisson(0.0, 4, 4) == 0.0
+        assert gains.poisson_spec().evaluator(0.0, np.array([4, 4]))[0] == 0.0
 
     def test_direct(self):
-        assert gains.gain_poisson(1.5, 7, 3) == 2.5
+        assert gains.poisson_spec().evaluator(1.5, np.array([7, 3]))[0] == 2.5
 
     def test_rejects_decreasing_counts(self):
         with pytest.raises(ValueError):
-            gains.gain_poisson(0.0, 3, 4)
+            gains.poisson_spec().evaluator(0.0, np.array([3, 4]))
 
 
 class TestGaussianKnownCov:
     def test_identity_reduces_to_signal_noise(self):
         x = np.array([1.0, -2.0])
         est = np.array([0.5, 0.5])
-        assert np.allclose(gains.gain_gaussian_known_cov(est, x, np.eye(2)),
-                           gains.gain_signal_noise(est, x))
+        assert np.allclose(
+            gains.gaussian_known_cov_spec(np.eye(2)).evaluator(est, x),
+            gains.signal_noise_spec(2).evaluator(est, x))
 
     def test_diagonal_solve(self):
-        got = gains.gain_gaussian_known_cov([0.0, 0.0], [2.0, 4.0],
-                                            np.diag([2.0, 4.0]))
+        got = gains.gaussian_known_cov_spec(np.diag([2.0, 4.0])).evaluator(
+            np.array([0.0, 0.0]), np.array([2.0, 4.0]))
         assert np.allclose(got, [1.0, 1.0])
 
     def test_solve_residual_identity(self):
@@ -89,25 +91,27 @@ class TestGaussianKnownCov:
         sigma = a @ a.T + 0.1 * np.eye(3)
         x = rng.normal(size=3)
         est = rng.normal(size=3)
-        out = gains.gain_gaussian_known_cov(est, x, sigma)
+        out = gains.gaussian_known_cov_spec(sigma).evaluator(est, x)
         assert np.allclose(sigma @ out, x - est, atol=1e-12)
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
-            gains.gain_gaussian_known_cov([0.0], [1.0], [[0.0]])
+            gains.gaussian_known_cov_spec([[0.0]])
 
 
 class TestArch1:
     def test_direct(self):
         # factor 1/4, residual 9 - 1 - 0.5*4 = 6 -> 1.5
-        assert math.isclose(gains.gain_arch1(0.5, 3.0, 2.0, 1.0), 1.5)
+        assert math.isclose(gains.arch1_spec(1.0).evaluator(
+            0.5, np.array([3.0, 2.0]))[0], 1.5)
 
     def test_no_truncation_region(self):
-        got = gains.gain_arch1(0.3, 1.5, 0.5, 1.0)
+        got = gains.arch1_spec(1.0).evaluator(0.3, np.array([1.5, 0.5]))[0]
         assert math.isclose(got, 1.5 ** 2 - 1.0 - 0.3 * 0.25)
 
     def test_zero_at_zero_lag(self):
-        assert gains.gain_arch1(0.5, 3.0, 0.0, 1.0) == 0.0
+        assert gains.arch1_spec(1.0).evaluator(
+            0.5, np.array([3.0, 0.0]))[0] == 0.0
 
     def test_conditional_mean(self):
         # x_k = sqrt(1 + theta * x_prev^2) * eps: MC mean of the gain is
@@ -116,7 +120,8 @@ class TestArch1:
         theta, est, x_prev, trunc = 0.3, 0.7, 2.0, 1.0
         eps = rng.standard_normal(200_000)
         x_k = math.sqrt(1.0 + theta * x_prev ** 2) * eps
-        vals = gains.gain_arch1(est, x_k, np.full_like(x_k, x_prev), trunc)
+        vals = gains.arch1_spec(trunc).evaluator(
+            est, np.column_stack([x_k, np.full_like(x_k, x_prev)]))
         want = -min(x_prev ** 2, trunc) * (est - theta)
         se = float(np.std(vals)) / math.sqrt(vals.size)
         assert abs(float(np.mean(vals)) - want) <= 4.0 * se
@@ -124,13 +129,16 @@ class TestArch1:
 
 class TestAr1Normalized:
     def test_direct(self):
-        assert math.isclose(gains.gain_ar1_normalized(1.0, 2.0, 1.0, 1.0), 0.5)
+        assert math.isclose(gains.ar1_normalized_spec(1.0).evaluator(
+            1.0, np.array([2.0, 1.0]))[0], 0.5)
 
     def test_zero_lag(self):
-        assert gains.gain_ar1_normalized(1.0, 2.0, 0.0, 1.0) == 0.0
+        assert gains.ar1_normalized_spec(1.0).evaluator(
+            1.0, np.array([2.0, 0.0]))[0] == 0.0
 
     def test_zero_residual(self):
-        assert gains.gain_ar1_normalized(0.5, 1.0, 2.0, 1.0) == 0.0
+        assert gains.ar1_normalized_spec(1.0).evaluator(
+            0.5, np.array([1.0, 2.0]))[0] == 0.0
 
     def test_magnitude_bound(self):
         # |gain| <= |resid| * |x|/(1 + mu x^2) <= |resid| / (2 sqrt(mu))
@@ -138,25 +146,28 @@ class TestAr1Normalized:
         mu = 0.5
         for _ in range(200):
             est, x_k, x_prev = rng.normal(size=3) * 5
-            g = gains.gain_ar1_normalized(est, x_k, x_prev, mu)
+            g = gains.ar1_normalized_spec(mu).evaluator(
+                est, np.array([x_k, x_prev]))[0]
             resid = abs(x_k - est * x_prev)
             assert abs(g) <= resid / (2.0 * math.sqrt(mu)) + 1e-12
 
 
 class TestAr1Truncated:
     def test_no_truncation(self):
-        assert math.isclose(gains.gain_ar1_truncated(0.0, 1.0, 2.0, 4.0), 2.0)
+        assert math.isclose(gains.ar1_truncated_spec(4.0).evaluator(
+            0.0, np.array([1.0, 2.0]))[0], 2.0)
 
     def test_truncated(self):
-        assert math.isclose(gains.gain_ar1_truncated(0.0, 1.0, 2.0, 1.0), 0.5)
+        assert math.isclose(gains.ar1_truncated_spec(1.0).evaluator(
+            0.0, np.array([1.0, 2.0]))[0], 0.5)
 
     def test_conditional_mean(self):
         # x_k = theta x_prev + xi: MC mean is -min(x_prev^2, T)(est - theta)
         rng = make_rng(7)
         theta, est, x_prev, trunc = 0.4, -0.2, 1.5, 1.5
         x_k = theta * x_prev + rng.standard_normal(200_000)
-        vals = gains.gain_ar1_truncated(est, x_k, np.full_like(x_k, x_prev),
-                                        trunc)
+        vals = gains.ar1_truncated_spec(trunc).evaluator(
+            est, np.column_stack([x_k, np.full_like(x_k, x_prev)]))
         want = -min(x_prev ** 2, trunc) * (est - theta)
         se = float(np.std(vals)) / math.sqrt(vals.size)
         assert abs(float(np.mean(vals)) - want) <= 3.0 * se

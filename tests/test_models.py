@@ -351,9 +351,13 @@ class TestArdModel:
         # reflects and gets trapped at the boundary, so it also holds still
         make_parameter_path("stabilizing", dim=2, c_rho=0.3, beta=0.25,
                             c_theta=0.09, start=[0.25, 0.1]),
+        # d = 1 skips the triangular solve: A is the 1x1 identity
+        make_parameter_path("lipschitz", dim=1, c_theta=1.0, frequency=300,
+                            func=lambda t: np.array(
+                                [0.6 * math.sin(3.0 * min(t, 0.5))])),
     ])
     def test_drifting_d2_matches_per_step_loop(self, path):
-        model = ArdBatchModel(path=path, d=2, sigma=1.0)
+        model = ArdBatchModel(path=path, d=path.dim, sigma=1.0)
         sim = model.simulate(300, make_rng(12))
         want_obs, want_thetas = _ard_reference(model, 300, make_rng(12))
         held = np.all(want_thetas[1:300] == want_thetas[:299], axis=1)
