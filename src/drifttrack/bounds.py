@@ -58,7 +58,6 @@ class BoundInputs:
     p: float = 1.0
     g_bar: Optional[float] = None
     dim: int = 1
-    b1: float = 2.0  # martingale moment constant at p=1; a free knob
 
     def __post_init__(self):
         if not 0 < self.lambda1 <= self.lambda2:
@@ -123,7 +122,7 @@ def theorem2_bound(inputs: BoundInputs, initial_moment_p: float,
     c1p = three * kp ** p
     if inputs.g_bar is None:
         raise ValueError("g_bar (hard gain bound) required for the Lp bound")
-    c2p = (three * 2.0 ** p * d * bp_constant(p, inputs.b1)
+    c2p = (three * 2.0 ** p * d * bp_constant(p)
            * inputs.g_bar ** p * ratio ** p)
     c3p = three * ratio ** p
     gsum = float(np.sum(inputs.gammas))

@@ -124,23 +124,13 @@ def gain_spsa(theta_hat, c: float, oracle, direction_sampler, rng,
 # Catalog: batched AR(d) score and its average
 # =====================================================================
 
-def _score_jacobian(d: int, x_batch: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
-    """Closed-form Jacobian of the residual A(v)x - B(v)y in v.
-
-    Column i is -S^i x - (S^{d-i})^T y (S^0 = I, S^d = 0).
-    """
-    jac = np.empty((d, d))
-    for i in range(1, d + 1):
-        jac[:, i - 1] = (-linalg.shift_matrix(d, i) @ x_batch
-                         - linalg.shift_matrix(d, d - i).T @ y_batch)
-    return jac
-
-
 def gain_ard_score(theta_hat, x_batch, y_batch, sigma: float):
     """Gradient of the log conditional Gaussian density of an AR(d) batch.
 
     With residual r(v) = A(v) x - B(v) y the gradient is
-    -sigma^{-2} J(v)^T r(v), J assembled from the shift expansion.
+    -sigma^{-2} J^T r(v).  The Jacobian J does not depend on v: column i
+    of the shift expansion, -S^{i+1} x - (S^{d-i-1})^T y, reads
+    J[j, i] = -(x, y)[j + i + 1] off the concatenated batch pair.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -152,7 +142,8 @@ def gain_ard_score(theta_hat, x_batch, y_batch, sigma: float):
         raise ValueError("batch dimension mismatch")
     resid = linalg.ar_matrix_a(theta_hat) @ x_batch \
         - linalg.ar_matrix_b(theta_hat) @ y_batch
-    jac = _score_jacobian(d, x_batch, y_batch)
+    idx = np.arange(d)
+    jac = -np.concatenate((x_batch, y_batch))[idx[:, None] + idx + 1]
     return -(jac.T @ resid) / sigma ** 2
 
 

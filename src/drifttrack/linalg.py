@@ -1,8 +1,9 @@
 """Dense matrix helpers for autoregressive tracking.
 
-Toeplitz and companion constructions, a Durand-Kerner polynomial root
-finder, a cyclic Jacobi eigenvalue solver, Gaussian KL divergence, and
-the quadratic form that the batched AR(d) average gain is built from.
+Toeplitz and companion constructions, unit upper-triangular
+back-substitution, a Durand-Kerner polynomial root finder, a cyclic
+Jacobi eigenvalue solver, Gaussian KL divergence, and the quadratic
+form that the batched AR(d) average gain is built from.
 
 The root finder and the Jacobi sweep are deliberately hand-rolled: the
 companion spectrum must agree with the reciprocal polynomial roots, and
@@ -25,6 +26,7 @@ __all__ = [
     "ar_matrix_a",
     "ar_matrix_b",
     "companion_matrix",
+    "solve_unit_upper",
     "durand_kerner_roots",
     "ar_stability_check",
     "stability_inner_radius",
@@ -92,6 +94,19 @@ def companion_matrix(theta) -> np.ndarray:
     if d > 1:
         c[np.arange(1, d), np.arange(d - 1)] = 1.0
     return c
+
+
+def solve_unit_upper(a, b) -> np.ndarray:
+    """x with a x = b for unit upper-triangular a, by back-substitution.
+
+    One dot product per row, x[i] = b[i] - a[i, i+1:] @ x[i+1:]: the
+    order SciPy's LAPACK triangular solve takes on a C-ordered a, so both
+    give the same bits (tests pin it).  The diagonal is not read.
+    """
+    x = np.array(b, dtype=float)
+    for i in range(x.size - 2, -1, -1):
+        x[i] -= a[i, i + 1:] @ x[i + 1:]
+    return x
 
 
 # =====================================================================
@@ -231,14 +246,6 @@ class ArdQuadraticForm:
         return 0.5 * float(delta @ self.matrix @ delta)
 
 
-def _a_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a unit upper-triangular matrix by back-substitution."""
-    from scipy.linalg import solve_triangular  # 28 MB; only AR(d) needs it
-
-    return solve_triangular(a, np.eye(a.shape[0]), lower=False,
-                            unit_diagonal=True)
-
-
 def ard_quadratic_matrix(theta, y, sigma: float) -> ArdQuadraticForm:
     """Assemble M(theta, Y) from the shift-matrix expansion.
 
@@ -253,7 +260,8 @@ def ard_quadratic_matrix(theta, y, sigma: float) -> ArdQuadraticForm:
         raise ValueError("y must have the same dimension as theta")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    a_inv = _a_inverse(ar_matrix_a(theta))
+    a = ar_matrix_a(theta)
+    a_inv = np.column_stack([solve_unit_upper(a, e) for e in np.eye(d)])
     b = ar_matrix_b(theta)
     v_cols = np.empty((d * d, d))
     w_cols = np.empty((d, d))

@@ -436,9 +436,6 @@ class ArdBatchModel:
                 f"(spectral radius {radius:.4f} > {self.rho})")
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        if self.d > 1:  # at d = 1, A is the 1x1 identity: nothing to solve
-            from scipy.linalg import solve_triangular  # 28 MB
-
         thetas = self.path.sample(n, rng)
         if thetas is None:
             raise ValueError("batched AR model needs a realizable path")
@@ -452,9 +449,7 @@ class ArdBatchModel:
                 a = linalg.ar_matrix_a(theta)
                 b = linalg.ar_matrix_b(theta)
             xi = rng.normal(0.0, self.sigma, size=self.d)
-            x = b @ y + xi
-            if self.d > 1:
-                x = solve_triangular(a, x, lower=False, unit_diagonal=True)
+            x = linalg.solve_unit_upper(a, b @ y + xi)
             obs[k, : self.d] = x
             obs[k, self.d:] = y
             y = x

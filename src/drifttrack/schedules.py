@@ -76,7 +76,6 @@ _TERMS = {
     "stabilizing": lambda s, k: schedule_stabilizing(s.c_gamma, s.beta, k),
     "lipschitz": lambda s, k: schedule_lipschitz(s.c_gamma, s.beta, s.horizon),
     "constant": lambda s, k: schedule_constant(s.gamma),
-    "tabulated": lambda s, k: float(s.values[k]),
 }
 
 
@@ -84,9 +83,8 @@ _TERMS = {
 class StepSchedule:
     """A step sequence gamma_k with cap and contraction guard.
 
-    kind: "static" | "stabilizing" | "lipschitz" | "constant" |
-    "tabulated".  The tabulated kind replays an explicit sequence (used
-    for the Kalman cross-check).  horizon is required for "lipschitz".
+    kind: "static" | "stabilizing" | "lipschitz" | "constant".  horizon
+    is required for "lipschitz".
     """
 
     kind: str
@@ -94,7 +92,6 @@ class StepSchedule:
     beta: float | None = None
     horizon: int | None = None
     gamma: float | None = None
-    values: tuple[float, ...] | None = None
     cap: float = math.inf
     lambda2_guard: float | None = None
 
@@ -107,26 +104,16 @@ class StepSchedule:
             raise ValueError("horizon required for the lipschitz kind")
         if self.kind == "constant" and self.gamma is None:
             raise ValueError("gamma required for the constant kind")
-        if self.kind == "tabulated" and self.values is None:
-            raise ValueError("values required for the tabulated kind")
         if self.cap <= 0:
             raise ValueError("cap must be positive")
-        if self.kind != "tabulated":
-            _TERMS[self.kind](self, 2)  # the term checks its own arguments
-
-    def _ceiling(self) -> float:
-        ceiling = self.cap
-        if self.lambda2_guard:
-            ceiling = min(ceiling, 1.0 / self.lambda2_guard)
-        return ceiling
-
-    def value(self, k) -> float:
-        return min(_TERMS[self.kind](self, k), self._ceiling())
+        _TERMS[self.kind](self, 2)  # the term checks its own arguments
 
     def values_upto(self, n: int) -> np.ndarray:
         """gamma_0 .. gamma_{n-1} as an array; the term is chosen once,
         and a lipschitz or constant schedule is one value repeated."""
-        term, ceiling = _TERMS[self.kind], self._ceiling()
+        term, ceiling = _TERMS[self.kind], self.cap
+        if self.lambda2_guard:
+            ceiling = min(ceiling, 1.0 / self.lambda2_guard)
         if self.kind in ("lipschitz", "constant"):
             return np.full(n, min(term(self, 0), ceiling))
         return np.array([min(term(self, k), ceiling) for k in range(n)])

@@ -448,9 +448,12 @@ def test_import_leaves_scipy_unloaded(module):
 # (shipped config or None, extra lines, exit code, replications)
 _NO_SCIPY_LINALG = {
     "quantile": ("quantile_rate.cfg", "", "0", 200),
-    # AR(1) at d = 1 has no triangular system to solve
     "ar1": (None, "model.kind = ar1\ngain.kind = ar1_truncated\n"
                   "path.value = 0.5\nexperiment.replications = 5\n", "1", 5),
+    # AR(2) solves its unit upper-triangular system by back-substitution
+    "ard": (None, "model.kind = ard\nmodel.d = 2\ngain.kind = ard_score\n"
+                  "path.value = 0.3,0.2\nexperiment.replications = 5\n",
+            "0", 5),
 }
 
 

@@ -275,6 +275,38 @@ class TestArdScore:
             gains.gain_ard_score([0.1, 0.2], [1.0], [1.0, 2.0], 1.0)
 
 
+def _shift_matrix_score(theta_hat, x, y, sigma):
+    """The score with its Jacobian assembled from shift-matrix products:
+    column i is -S^i x - (S^{d-i})^T y (S^0 = I, S^d = 0)."""
+    d = theta_hat.size
+    jac = np.empty((d, d))
+    for i in range(1, d + 1):
+        jac[:, i - 1] = (-linalg.shift_matrix(d, i) @ x
+                         - linalg.shift_matrix(d, d - i).T @ y)
+    resid = (linalg.ar_matrix_a(theta_hat) @ x
+             - linalg.ar_matrix_b(theta_hat) @ y)
+    return -(jac.T @ resid) / sigma ** 2
+
+
+@st.composite
+def ard_batches(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    # nonzero entries: a 0 * v term of a shift-matrix product can flip the
+    # sign of a zero, which the indexed Jacobian copies as it is
+    entry = st.floats(-100.0, 100.0).filter(lambda v: v != 0.0)
+    vec = lambda: draw(hnp.arrays(float, d, elements=entry))
+    return vec(), vec(), vec(), draw(st.floats(0.1, 10.0))
+
+
+@given(batch=ard_batches())
+@settings(max_examples=200, deadline=None)
+def test_indexed_jacobian_matches_shift_matrix_products_bitwise(batch):
+    theta_hat, x, y, sigma = batch
+    want = _shift_matrix_score(theta_hat, x, y, sigma)
+    assert gains.gain_ard_score(theta_hat, x, y, sigma).tobytes() \
+        == want.tobytes()
+
+
 class TestAverageGainArd:
     def test_zero_at_truth(self):
         got = gains.average_gain_ard([0.3, 0.1], [0.3, 0.1], [1.0, 2.0], 1.0)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drifttrack import gains
-from drifttrack.core import TrackingConfig, run_tracking
+from drifttrack.core import replay_updates
 from drifttrack.kalman import KalmanConfig, kalman_filter_run, kalman_gain_sequence
 from drifttrack.models import NoiseSpec, SignalNoiseModel, make_parameter_path, make_rng
-from drifttrack.schedules import StepSchedule
 
 
 class TestGainSequence:
@@ -75,8 +74,8 @@ class TestFilterRun:
         assert np.array_equal(mse, 3.0 * kalman_gain_sequence(cfg, 20))
 
     def test_tracker_equivalence(self):
-        # feed the Kalman gains to the generic tracker as a tabulated
-        # step sequence: both recursions are the same arithmetic
+        # feed the Kalman gains to the generic recursion as its step
+        # sequence: both recursions are the same arithmetic
         n = 10_000
         cfg = KalmanConfig(m0=0.0, var0=1.0, var_noise=1.0)
         path = make_parameter_path("static", value=[0.5])
@@ -84,14 +83,10 @@ class TestFilterRun:
         obs = model.simulate(n, make_rng(42)).observations
         estimates, _ = kalman_filter_run(cfg, obs[:, 0])
 
-        schedule = StepSchedule(kind="tabulated",
-                                values=kalman_gain_sequence(cfg, n))
-        tcfg = TrackingConfig(dimension=1, horizon=n,
-                              initial_estimate=np.zeros(1),
-                              schedule=schedule)
-        run = run_tracking(tcfg, model, gains.signal_noise_spec(1),
-                           rng_seed=42)
-        assert np.max(np.abs(run.estimates[:, 0] - estimates)) < 1e-12
+        tracked = replay_updates(np.zeros(1), obs,
+                                 kalman_gain_sequence(cfg, n),
+                                 gains.signal_noise_spec(1))
+        assert np.max(np.abs(tracked[:, 0] - estimates)) < 1e-12
 
 
 @given(var0=st.floats(min_value=1e-3, max_value=1e3),

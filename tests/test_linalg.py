@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from drifttrack import linalg
 
@@ -68,6 +69,27 @@ class TestToeplitz:
             b_sum = sum(theta[i - 1] * linalg.shift_matrix(d, d - i).T
                         for i in range(1, d + 1))
             assert np.allclose(b_direct, b_sum, atol=1e-14)
+
+
+@st.composite
+def unit_upper_systems(draw):
+    # a full matrix: both solvers read only its strict upper triangle
+    d = draw(st.integers(min_value=1, max_value=6))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    return (draw(hnp.arrays(float, (d, d), elements=entries)),
+            draw(hnp.arrays(float, d, elements=entries)))
+
+
+@given(system=unit_upper_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_unit_upper_matches_solve_triangular_bitwise(system):
+    from scipy.linalg import solve_triangular
+
+    a, b = system
+    b_bytes = b.tobytes()
+    want = solve_triangular(a, b, lower=False, unit_diagonal=True)
+    assert linalg.solve_unit_upper(a, b).tobytes() == want.tobytes()
+    assert b.tobytes() == b_bytes  # the right-hand side is not overwritten
 
 
 class TestCompanion:
