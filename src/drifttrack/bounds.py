@@ -207,13 +207,12 @@ class A1Report:
 
 def _sampled_gains(gain_eval, sampler: Callable, probe: np.ndarray,
                    n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """The gain at probe on n_samples fresh rows of sampler -> (N, d)."""
+    """The gain at probe on n_samples fresh rows of sampler: gain_eval
+    returns the (N, d) stack, as a GainSpec evaluator does."""
     rows = np.asarray(sampler(rng, n_samples), dtype=float)
     if rows.ndim == 1:
         rows = rows[:, None]
-    est = probe if probe.size > 1 else float(probe[0])
-    out = np.asarray(gain_eval(est, rows), dtype=float)
-    return out[:, None] if out.ndim == 1 else out
+    return np.asarray(gain_eval(probe, rows), dtype=float)
 
 
 def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,

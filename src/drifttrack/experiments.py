@@ -108,7 +108,6 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "experiment.seed": (int, 1),
     "experiment.burn_in_fraction": (float, 0.5),
     "experiment.p": (_POSITIVE, 2.0),
-    "experiment.out": (str, None),
     "experiment.statistic": (str, "window"),
     "experiment.tolerance": (float, 0.1),
     "experiment.theoretical_slope": (float, None),  # from schedule.kind
@@ -151,9 +150,8 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
     "bounds.lambda2": (_POSITIVE, None),
     "bounds.c_g": (float, None),
-    "bounds.c_theta": (float, None),  # the path's, else measured
+    "bounds.c_theta": (float, None),  # the path's if read, else measured
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
-    "verify.required_failures": (_NAMES, ()),
     "verify.samples": (_at_least(int, 10_000), 20_000),
     "kalman.n": (_at_least(int, 1), None),  # the last horizon
     "kalman.m0": (float, 0.0),
@@ -229,7 +227,7 @@ def experiment_config(kind: str, raw: dict[str, str],
         seed=_or(overrides.get("seed"), v["experiment.seed"]),
         burn_in_fraction=v["experiment.burn_in_fraction"],
         p=v["experiment.p"],
-        out=overrides.get("out") or v["experiment.out"],
+        out=overrides.get("out"),
         quiet=bool(overrides.get("quiet", False)),
     )
 
@@ -245,21 +243,21 @@ _PATH_FUNCTIONS = {
 }
 
 
-def _lipschitz_path(v: dict, n: int) -> models_mod.ParameterPath:
+def _lipschitz_path(v: dict) -> models_mod.ParameterPath:
     amp = v["path.amplitude"]
     return models_mod.make_parameter_path(
         "lipschitz", dim=v["model.d"],
         func=_pick(_PATH_FUNCTIONS, "path.function", v)(amp),
         beta=v["path.beta"],
-        c_theta=_or(v["path.c_theta"], max(amp * amp, 1.0)), frequency=n)
+        c_theta=_or(v["path.c_theta"], max(amp * amp, 1.0)))
 
 
-# path.kind -> (values, horizon) -> ParameterPath
+# path.kind -> values -> ParameterPath
 _PATHS = {
-    "static": lambda v, n: models_mod.make_parameter_path(
+    "static": lambda v: models_mod.make_parameter_path(
         "static", value=_or(v["path.value"], (0.0,) * v["model.d"]),
         c_theta=v["path.c_theta"]),
-    "stabilizing": lambda v, n: models_mod.make_parameter_path(
+    "stabilizing": lambda v: models_mod.make_parameter_path(
         "stabilizing", dim=v["model.d"], c_rho=v["path.c_rho"],
         beta=v["path.beta"], c_theta=_or(v["path.c_theta"], 1.0),
         start=v["path.start"]),
@@ -322,26 +320,32 @@ _SCHEDULES = {
 }
 
 
-def _build(section: str, raw: dict, build: Callable, *args):
-    """build(*args); a value it rejects is a config error naming the
-    section and the keys the config sets in it."""
+def _build(section: str, raw: dict, build: Callable, *args,
+           dim: Optional[int] = None):
+    """build(*args); a value it rejects, or a dimension other than dim,
+    is a config error naming the section and the keys the config sets
+    in it."""
     try:
-        return build(*args)
+        part = build(*args)
+        if dim is not None and part.dim != dim:
+            raise ValueError(f"dimension {part.dim}, not model.d = {dim}")
+        return part
     except ValueError as exc:
         keys = ", ".join(key for key in raw if key.startswith(section + "."))
         raise ConfigError(f"{section} ({keys or 'defaults'}): {exc}") from exc
 
 
 def build_components(raw: dict, n: int):
-    """(tracking config, model, gain, path) for one horizon."""
+    """(tracking config, model, gain, path) for one horizon; the path,
+    model and gain must have dimension model.d."""
     v = _values(raw)
     d = v["model.d"]
     noise = _build("model.noise", raw, models_mod.NoiseSpec,
                    v["model.noise.kind"], v["model.noise.scale"])
-    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n)
+    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, dim=d)
     model = _build("model", raw, _pick(_MODELS, "model.kind", v),
-                   v, path, noise)
-    gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise)
+                   v, path, noise, dim=d)
+    gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise, dim=d)
     schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
     consts = gain.constants
     schedule = _build("schedule", raw, lambda: StepSchedule(
@@ -575,8 +579,11 @@ def run_bound_check(config: ExperimentConfig,
     if lam1 is None or lam2 is None or c_g is None:
         raise ConfigError("bound check needs lambda1, lambda2 and c_g "
                           "(declared by the gain or set under bounds.*)")
-    c_theta = max(_or(v["bounds.c_theta"], path.c_theta or theta_sq_max),
-                  1e-12)
+    # the path's c_theta bounds the targets only if the model reads them
+    # from it (a Poisson model draws its own)
+    from_path = getattr(model, "path", None) is path
+    c_theta = max(_or(v["bounds.c_theta"],
+                      path.c_theta if from_path else theta_sq_max), 1e-12)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
     checks = []
     for j, slot in enumerate(slots):
@@ -717,8 +724,6 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
         if name not in registry:
             raise ConfigError(f"unknown verify fixture {name!r}")
         fixture = registry[name]
-        expect_pass = fixture.expect_pass \
-            and name not in v["verify.required_failures"]
         report = bounds_mod.verify_A1_empirical(
             fixture.gain_eval, fixture.sampler, fixture.theta,
             fixture.probes, n_samples, rng,
@@ -732,7 +737,7 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
                                res.r_se, res.g_norm_ratio, a2.second_moment,
                                res.passed and a2.passed))
         observed_pass = all(row[-1] for row in probe_rows)
-        results.append((name, expect_pass, observed_pass, probe_rows))
+        results.append((name, fixture.expect_pass, observed_pass, probe_rows))
         rows.extend(probe_rows)
     passed = all(expect == observed for _, expect, observed, _ in results)
     return VerifyReport(fixture_results=results, passed=passed, rows=rows)

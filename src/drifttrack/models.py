@@ -94,10 +94,10 @@ class ParameterPath:
     """Generator of the drifting target sequence.
 
     kinds: "static" (constant vector), "stabilizing" (random walk with
-    increment budget c_rho * i^{-beta}), "lipschitz" (grid samples of a
-    smooth-in-rescaled-time function), "predictable" (user rule reading
-    a bounded window of past observations).  Every emitted value keeps
-    ||theta||^2 <= c_theta.
+    increment budget c_rho * i^{-beta}), "lipschitz" (func sampled on
+    the grid k/n of horizon n), "predictable" (user rule reading a
+    bounded window of the realized past, run by feed).  Every emitted
+    value keeps ||theta||^2 <= c_theta.
     """
 
     kind: str
@@ -108,7 +108,6 @@ class ParameterPath:
     beta: float = 1.0                           # stabilizing / lipschitz
     start: Optional[np.ndarray] = None          # stabilizing
     func: Optional[Callable] = None             # lipschitz: t in [0,1] -> vec
-    frequency: Optional[int] = None             # lipschitz sampling n
     rule: Optional[Callable] = None             # predictable: (k, window) -> vec
     window_depth: int = 1                       # predictable
 
@@ -122,8 +121,12 @@ class ParameterPath:
             raise ValueError("beta must be nonnegative")
         if self.kind == "lipschitz" and not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
+        if self.window_depth < 1:
+            raise ValueError("window_depth must be at least 1")
         if self.kind == "stabilizing" and self.start is not None:
-            self._check(np.atleast_1d(np.asarray(self.start, dtype=float)))
+            start = self._check(np.atleast_1d(np.asarray(self.start, dtype=float)))
+            if start.size != self.dim:
+                raise ValueError(f"start has {start.size} entries, not {self.dim}")
 
     def _check(self, theta: np.ndarray) -> np.ndarray:
         """theta, a (d,) value or an (m, d) stack, if each row keeps
@@ -148,14 +151,13 @@ class ParameterPath:
     def _lipschitz_grid(self, n: int) -> np.ndarray:
         """func on the grid of horizon n.  It draws nothing from rng, so
         it is evaluated once per key and shared; callers get copies."""
-        key = (n, self.dim, self.c_theta, self.frequency, self.func)
+        key = (n, self.dim, self.c_theta, self.func)
         cached = getattr(self, "_grid", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        grid_n = self.frequency if self.frequency is not None else n
         out = np.empty((n + 1, self.dim))
         for k in range(n + 1):
-            out[k] = self.func(min(k, grid_n) / grid_n)
+            out[k] = self.func(k / n)
         self._grid = (key, self._check(out))
         return out
 
@@ -202,9 +204,26 @@ class ParameterPath:
             out[i + 1] = theta
         return self._check(out)
 
-    def predictable_value(self, k: int, window: np.ndarray) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(self.rule(k, window), dtype=float))
-        return self._check(theta)
+    def feed(self, n: int, step: Callable,
+             rule: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Run a path that reads the realized past; (thetas, fed).
+
+        A zero-padded (window_depth + n, dim) buffer holds the values fed
+        back so far, and window is a view of its last window_depth rows.
+        For k = 0..n, theta_k = rule(k, window) (the path's own rule by
+        default); for k < n, step(k, theta_k, window) returns the value
+        fed back at step k.  fed is the (n, dim) stack of those values.
+        """
+        rule = rule or self.rule
+        depth = self.window_depth
+        buffer = np.zeros((depth + n, self.dim))
+        thetas = np.empty((n + 1, self.dim))
+        for k in range(n):
+            window = buffer[k:k + depth]
+            thetas[k] = rule(k, window)
+            buffer[depth + k] = step(k, thetas[k], window)
+        thetas[n] = rule(n, buffer[n:])
+        return self._check(thetas), buffer[depth:]
 
 
 def make_parameter_path(kind: str, **params) -> ParameterPath:
@@ -242,22 +261,12 @@ class SignalNoiseModel:
         return self.path.dim
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        d = self.dim
-        xi = self.noise.draw(rng, (n, d))
+        xi = self.noise.draw(rng, (n, self.dim))
         thetas = self.path.sample(n, rng)
-        if thetas is None:  # predictable rule fed by the realized past
-            thetas = np.empty((n + 1, d))
-            obs = np.empty((n, d))
-            depth = self.path.window_depth
-            window = np.zeros((depth, d))
-            for k in range(n):
-                thetas[k] = self.path.predictable_value(k, window)
-                obs[k] = thetas[k] + xi[k]
-                window = np.roll(window, -1, axis=0)
-                window[-1] = obs[k]
-            thetas[n] = self.path.predictable_value(n, window)
-            return SimulatedPath(observations=obs, targets=thetas)
-        obs = thetas[:n] + xi
+        if thetas is None:  # the rule reads the observations fed back
+            thetas, obs = self.path.feed(n, lambda k, theta, _: theta + xi[k])
+        else:
+            obs = thetas[:n] + xi
         return SimulatedPath(observations=obs, targets=thetas)
 
 
@@ -304,11 +313,7 @@ class PoissonCountModel:
         hi = min((k + 1) / n, 1.0)
         if hi <= lo:  # past the end of the unit interval
             return self.intensity(1.0)
-        val = n * adaptive_simpson(self.intensity, lo, hi, tol=1e-10)
-        # n * integral over a cell of width 1/n past t=1 is just lambda(1)
-        if (k + 1) / n > 1.0:
-            val = self.intensity(1.0)
-        return val
+        return n * adaptive_simpson(self.intensity, lo, hi, tol=1e-10)
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
         thetas = np.array([self.cell_mean(k, n) for k in range(n + 1)])
@@ -336,15 +341,10 @@ class CondGaussianModel:
     window_depth: int = 1
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        d = self.dim
         lo, hi = self.eig_band
-        thetas = np.empty((n + 1, d))
-        obs = np.empty((n, d))
-        window = np.zeros((self.window_depth, d))
-        z = rng.normal(size=(n, d))
-        for k in range(n):
-            thetas[k] = np.atleast_1d(np.asarray(self.mean_rule(k, window),
-                                                 dtype=float))
+        z = rng.normal(size=(n, self.dim))
+
+        def step(k, theta, window):
             cov = np.atleast_2d(np.asarray(self.cov_rule(k, window), dtype=float))
             vals, vecs = np.linalg.eigh(cov)
             if vals[0] < lo - 1e-12 or vals[-1] > hi + 1e-12:
@@ -352,11 +352,11 @@ class CondGaussianModel:
                     f"covariance eigenvalue outside declared band at step {k}: "
                     f"[{vals[0]:.3e}, {vals[-1]:.3e}] vs [{lo}, {hi}]")
             root = (vecs * np.sqrt(vals)) @ vecs.T
-            obs[k] = thetas[k] + root @ z[k]
-            window = np.roll(window, -1, axis=0)
-            window[-1] = obs[k]
-        thetas[n] = np.atleast_1d(np.asarray(self.mean_rule(n, window),
-                                             dtype=float))
+            return theta + root @ z[k]
+
+        path = ParameterPath("predictable", dim=self.dim, c_theta=math.inf,
+                             rule=self.mean_rule, window_depth=self.window_depth)
+        thetas, obs = path.feed(n, step)
         return SimulatedPath(observations=obs, targets=thetas)
 
 
@@ -378,32 +378,24 @@ class Arch1Model:
             raise ValueError("|x0| must be at most 1")
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        thetas = self.path.sample(n, rng)
+        sampled = self.path.sample(n, rng)
         eps = self.noise.draw(rng, n)
-        obs = np.empty((n, 2))
-        x_prev = self.x0
-        use_rule = thetas is None
-        if use_rule:
-            thetas = np.empty((n + 1, 1))
-            window = np.zeros((self.path.window_depth, 1))
-        for k in range(n):
-            if use_rule:
-                thetas[k] = self.path.predictable_value(k, window)
-            theta = float(thetas[k, 0])
+
+        def step(k, theta, window):
+            # the window's last row is X_{k-1}: the value fed back at k - 1
+            theta = float(theta[0])
             if theta < 0:
                 raise ValueError("volatility parameter must be nonnegative")
-            x = math.sqrt(1.0 + theta * x_prev * x_prev) * eps[k]
-            obs[k, 0] = x
-            obs[k, 1] = x_prev
-            x_prev = x
-            if use_rule:
-                window = np.roll(window, -1, axis=0)
-                window[-1, 0] = x
-        if use_rule:
-            thetas[n] = self.path.predictable_value(n, window)
+            x_prev = float(window[-1, 0]) if k else self.x0
+            return math.sqrt(1.0 + theta * x_prev * x_prev) * eps[k]
+
+        thetas, x = self.path.feed(
+            n, step, None if sampled is None else lambda k, _: sampled[k])
         if np.any(thetas[:, 0] < 0):
             raise ValueError("volatility parameter must be nonnegative")
-        return SimulatedPath(observations=obs, targets=thetas)
+        xs = np.concatenate(([self.x0], x[:, 0]))
+        return SimulatedPath(observations=np.column_stack([xs[1:], xs[:-1]]),
+                             targets=thetas)
 
 
 @dataclass(frozen=True)

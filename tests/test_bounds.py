@@ -263,7 +263,7 @@ class TestVerifyA1:
 
 class TestVerifyA2:
     def test_deterministic_gain_zero(self):
-        evaluator = lambda est, rows: np.full(rows.shape[0], 0.7)
+        evaluator = lambda est, rows: np.full((rows.shape[0], 1), 0.7)
         report = verify_A2_empirical(evaluator,
                                      lambda r, n: np.zeros(n), [0.0],
                                      20_000, make_rng(0), c_g=0.1)

@@ -24,6 +24,7 @@ from drifttrack.experiments import (
     run_rate_sweep,
     theoretical_slope_for,
 )
+from drifttrack.models import make_rng
 
 
 class TestConfigParsing:
@@ -240,6 +241,26 @@ def test_bound_check_burn_in_rounds_up(fraction, n, k0):
     assert table.ks[-1] == n
 
 
+def test_poisson_bound_check_measures_c_theta():
+    # a Poisson model draws its own targets, so the static path the
+    # harness builds beside it bounds nothing: c_theta is the measured
+    # max ||theta_k||^2 (the cell means reach lambda(t)^2 = 16)
+    raw = {"model.kind": "poisson", "gain.kind": "poisson",
+           "model.intensity": "sine", "model.intensity.a": "3",
+           "model.intensity.b": "1", "gain.intensity_bound": "4",
+           "experiment.horizons": "400"}
+    _, model, _, _ = build_components(raw, 400)
+    targets = model.simulate(400, make_rng(0)).targets
+    measured = float(np.max(np.sum(targets ** 2, axis=1)))
+    assert 15.9 < measured <= 16.0
+    overrides = {"replications": 20}
+    table = ex.run_bound_check(experiment_config("bound-check", raw,
+                                                 overrides))
+    pinned = ex.run_bound_check(experiment_config(
+        "bound-check", {**raw, "bounds.c_theta": repr(measured)}, overrides))
+    assert table.bound_rhs == pinned.bound_rhs
+
+
 class TestKalmanCompare:
     def test_static_case_passes(self):
         raw = {"kalman.n": "2000", "kalman.theta": "0.4"}
@@ -415,6 +436,11 @@ class TestRanges:
                               "gain.kind": "ar1_normalized"}),
         ("model.sigma", "-1", {"model.kind": "ar1",
                                "gain.kind": "ar1_normalized"}),
+        # a list or a component whose dimension is not model.d
+        ("path.value", "0.3,0.2", {}),
+        ("path.start", "0.1,0.2", {"path.kind": "stabilizing"}),
+        ("gain.sigma_diag", "1,2,3", {"model.d": "2", "gain.kind": "gaussian"}),
+        ("model.kind", "ar1", {"model.d": "2", "gain.kind": "ar1_normalized"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):

@@ -105,8 +105,7 @@ class TestStabilizingPath:
 class TestLipschitzPath:
     def test_grid_evaluation(self):
         path = make_parameter_path(
-            "lipschitz", func=lambda t: 0.5 * math.sin(2.0 * math.pi * t),
-            frequency=100)
+            "lipschitz", func=lambda t: 0.5 * math.sin(2.0 * math.pi * t))
         out = path.sample(100, make_rng(0))
         assert abs(out[50, 0]) < 1e-12  # sin(pi)/2 = 0
         assert math.isclose(out[25, 0], 0.5)
@@ -115,7 +114,7 @@ class TestLipschitzPath:
         n = 1000
         path = make_parameter_path(
             "lipschitz", func=lambda t: 0.5 * math.sin(2.0 * math.pi * t),
-            frequency=n, beta=1.0)
+            beta=1.0)
         out = path.sample(n, make_rng(0))[:, 0]
         lip = math.pi  # |d/dt sin(2 pi t)/2| <= pi
         assert np.max(np.abs(np.diff(out))) <= lip / n + 1e-12
@@ -133,7 +132,7 @@ class TestLipschitzPath:
             points.append(t)
             return 0.5 * t
 
-        path = make_parameter_path("lipschitz", func=func, frequency=n)
+        path = make_parameter_path("lipschitz", func=func)
         model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 1.0))
         first = model.simulate(n, make_rng(0)).targets
         want = first.copy()
@@ -165,7 +164,7 @@ class TestSignalNoiseModel:
     def test_alignment(self):
         # row k carries target k: with zero noise obs[k] == targets[k]
         path = make_parameter_path(
-            "lipschitz", func=lambda t: t, frequency=10, c_theta=1.0)
+            "lipschitz", func=lambda t: t, c_theta=1.0)
         sim = SignalNoiseModel(path=path, noise=NoiseSpec("zero")).simulate(
             10, make_rng(0))
         assert np.allclose(sim.observations[:, 0], sim.targets[:10, 0])
@@ -345,14 +344,14 @@ class TestArdModel:
 
     @pytest.mark.parametrize("path", [
         # drifts for half the run, then holds still
-        make_parameter_path("lipschitz", dim=2, c_theta=1.0, frequency=300,
+        make_parameter_path("lipschitz", dim=2, c_theta=1.0,
                             func=lambda t: np.array(
                                 [0.6 * math.sin(3.0 * min(t, 0.5)), -0.2])),
         # reflects and gets trapped at the boundary, so it also holds still
         make_parameter_path("stabilizing", dim=2, c_rho=0.3, beta=0.25,
                             c_theta=0.09, start=[0.25, 0.1]),
         # d = 1 skips the triangular solve: A is the 1x1 identity
-        make_parameter_path("lipschitz", dim=1, c_theta=1.0, frequency=300,
+        make_parameter_path("lipschitz", dim=1, c_theta=1.0,
                             func=lambda t: np.array(
                                 [0.6 * math.sin(3.0 * min(t, 0.5))])),
     ])
@@ -367,7 +366,6 @@ class TestArdModel:
 
     def test_path_leaving_region_names_first_unstable_step(self):
         path = make_parameter_path("lipschitz", dim=1, c_theta=4.0,
-                                   frequency=100,
                                    func=lambda t: np.array([1.5 * t]))
         model = ArdBatchModel(path=path, d=1, sigma=1.0)
         thetas = path.sample(100, make_rng(0))
@@ -407,3 +405,159 @@ def test_simulators_deterministic(seed, n):
     b = SignalNoiseModel(path=path).simulate(n, make_rng(seed))
     assert np.array_equal(a.observations, b.observations)
     assert np.array_equal(a.targets, b.targets)
+
+
+# ---------------------------------------------------------------------
+# Predictable paths: the one feedback loop against the per-model loops
+# it replaced, kept here as plain references that roll their window
+# ---------------------------------------------------------------------
+
+def _rule_value(rule, k, window):
+    return np.atleast_1d(np.asarray(rule(k, window), dtype=float))
+
+
+def _signal_noise_reference(model, n, rng):
+    """SignalNoiseModel.simulate on a predictable path as a plain loop."""
+    path, d = model.path, model.dim
+    xi = model.noise.draw(rng, (n, d))
+    thetas = np.empty((n + 1, d))
+    obs = np.empty((n, d))
+    window = np.zeros((path.window_depth, d))
+    for k in range(n):
+        thetas[k] = _rule_value(path.rule, k, window)
+        obs[k] = thetas[k] + xi[k]
+        window = np.roll(window, -1, axis=0)
+        window[-1] = obs[k]
+    thetas[n] = _rule_value(path.rule, n, window)
+    return obs, thetas
+
+
+def _arch1_reference(model, n, rng):
+    """Arch1Model.simulate as a plain loop, a rule read only when the
+    path is predictable."""
+    thetas = model.path.sample(n, rng)
+    eps = model.noise.draw(rng, n)
+    obs = np.empty((n, 2))
+    x_prev = model.x0
+    use_rule = thetas is None
+    if use_rule:
+        thetas = np.empty((n + 1, 1))
+        window = np.zeros((model.path.window_depth, 1))
+    for k in range(n):
+        if use_rule:
+            thetas[k] = _rule_value(model.path.rule, k, window)
+        theta = float(thetas[k, 0])
+        x = math.sqrt(1.0 + theta * x_prev * x_prev) * eps[k]
+        obs[k, 0] = x
+        obs[k, 1] = x_prev
+        x_prev = x
+        if use_rule:
+            window = np.roll(window, -1, axis=0)
+            window[-1, 0] = x
+    if use_rule:
+        thetas[n] = _rule_value(model.path.rule, n, window)
+    return obs, thetas
+
+
+def _cond_gaussian_reference(model, n, rng):
+    """CondGaussianModel.simulate as a plain loop."""
+    d = model.dim
+    thetas = np.empty((n + 1, d))
+    obs = np.empty((n, d))
+    window = np.zeros((model.window_depth, d))
+    z = rng.normal(size=(n, d))
+    for k in range(n):
+        thetas[k] = _rule_value(model.mean_rule, k, window)
+        cov = np.atleast_2d(np.asarray(model.cov_rule(k, window),
+                                       dtype=float))
+        vals, vecs = np.linalg.eigh(cov)
+        root = (vecs * np.sqrt(vals)) @ vecs.T
+        obs[k] = thetas[k] + root @ z[k]
+        window = np.roll(window, -1, axis=0)
+        window[-1] = obs[k]
+    thetas[n] = _rule_value(model.mean_rule, n, window)
+    return obs, thetas
+
+
+def _window_rule(k, window):
+    """Reads every row of the window and the step index."""
+    return (0.6 * np.tanh(window.sum(axis=0) - 0.3 * window[0])
+            + 0.1 * math.cos(k))
+
+
+@pytest.mark.parametrize("d, depth", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_signal_noise_predictable_matches_rolled_window(d, depth):
+    path = make_parameter_path("predictable", dim=d, c_theta=float(d),
+                               rule=_window_rule, window_depth=depth)
+    model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 0.5))
+    sim = model.simulate(200, make_rng(21))
+    want_obs, want_thetas = _signal_noise_reference(model, 200, make_rng(21))
+    assert sim.observations.tobytes() == want_obs.tobytes()
+    assert sim.targets.tobytes() == want_thetas.tobytes()
+
+
+@pytest.mark.parametrize("path", [
+    make_parameter_path("predictable", c_theta=1.0, window_depth=1,
+                        rule=lambda k, w: 0.2 + 0.3 * np.tanh(w[-1] ** 2)),
+    make_parameter_path("predictable", c_theta=1.0, window_depth=3,
+                        rule=lambda k, w: 0.1 + 0.2 * np.tanh(
+                            w[0] ** 2 + w[-1] ** 2 + 0.01 * k)),
+    make_parameter_path("static", value=[0.4]),
+    make_parameter_path("lipschitz", c_theta=1.0,
+                        func=lambda t: 0.3 + 0.2 * math.sin(2.0 * math.pi * t)),
+])
+def test_arch1_matches_plain_loop(path):
+    model = Arch1Model(path=path, noise=NoiseSpec("normal", 1.0), x0=0.5)
+    sim = model.simulate(200, make_rng(22))
+    want_obs, want_thetas = _arch1_reference(model, 200, make_rng(22))
+    assert sim.observations.tobytes() == want_obs.tobytes()
+    assert sim.targets.tobytes() == want_thetas.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_cond_gaussian_covariance_reads_window(depth):
+    def cov_rule(k, window):
+        a, b = 1.0 + 0.5 * np.tanh(window[-1]) ** 2
+        off = 0.2 * math.tanh(float(window[0] @ window[0]))
+        return [[a, off], [off, b]]
+
+    model = CondGaussianModel(_window_rule, cov_rule, dim=2,
+                              eig_band=(0.5, 2.0), window_depth=depth)
+    sim = model.simulate(200, make_rng(23))
+    want_obs, want_thetas = _cond_gaussian_reference(model, 200, make_rng(23))
+    assert sim.observations.tobytes() == want_obs.tobytes()
+    assert sim.targets.tobytes() == want_thetas.tobytes()
+
+
+def test_feed_window_is_the_zero_padded_fed_past():
+    seen = []
+
+    def rule(k, window):
+        seen.append(window.copy())
+        return np.zeros(2)
+
+    path = make_parameter_path("predictable", dim=2, rule=rule,
+                               window_depth=3)
+    thetas, fed = path.feed(5, lambda k, theta, window: np.full(2, k + 1.0))
+    assert thetas.shape == (6, 2) and fed.shape == (5, 2)
+    padded = np.vstack([np.zeros((3, 2)), fed])
+    assert len(seen) == 6
+    for k, window in enumerate(seen):
+        assert np.array_equal(window, padded[k:k + 3])
+
+
+def test_feed_checks_every_rule_value():
+    path = make_parameter_path("predictable", c_theta=1.0,
+                               rule=lambda k, w: [0.5 + 0.2 * k])
+    with pytest.raises(ValueError, match="compact set"):
+        SignalNoiseModel(path=path).simulate(10, make_rng(0))
+    with pytest.raises(ValueError, match="window_depth"):
+        make_parameter_path("predictable", rule=lambda k, w: [0.0],
+                            window_depth=0)
+
+
+def test_arch1_rule_must_stay_nonnegative():
+    path = make_parameter_path("predictable", c_theta=1.0,
+                               rule=lambda k, w: [0.3 - 0.1 * k])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Arch1Model(path=path).simulate(10, make_rng(0))
