@@ -28,6 +28,7 @@ __all__ = [
     "bias_from_parameter_gap",
     "estimate_oscillation",
     "bp_constant",
+    "MIN_SAMPLES",
     "A1Report",
     "A1ProbeResult",
     "verify_A1_empirical",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 SE_MARGIN = 4.0
+MIN_SAMPLES = 10_000  # fewest Monte-Carlo draws a verifier accepts
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,42 @@ class A1Report:
     passed: bool
 
 
+def _check_sample_count(n_samples: int) -> None:
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} MC samples")
+
+
+def _column_sums(x: np.ndarray):
+    """x.sum(axis=0), bit for bit.  numpy sums a 1-D array or a single
+    column pairwise, but adds the rows of a C-ordered stack of several
+    columns one at a time, in order: the last row of a running sum holds
+    that total at a fraction of the cost."""
+    if x.ndim == 2 and x.shape[1] > 1 and x.flags.c_contiguous:
+        return np.cumsum(x, axis=0)[-1]
+    return x.sum(axis=0)
+
+
+def _column_means(x: np.ndarray):
+    """x.mean(axis=0), bit for bit."""
+    return _column_sums(x) / x.shape[0]
+
+
+def _column_stds(x: np.ndarray, means):
+    """x.std(axis=0, ddof=1), bit for bit, about means already computed."""
+    sq = x - means
+    sq *= sq
+    return np.sqrt(_column_sums(sq) / (x.shape[0] - 1))
+
+
+def _row_sq_norms(c: np.ndarray) -> np.ndarray:
+    """np.sum(c * c, axis=1) as one pass per column: numpy adds a row's
+    squares in order below 8 columns, so the bits agree there."""
+    sq = c[:, 0] * c[:, 0]
+    for j in range(1, c.shape[1]):
+        sq += c[:, j] * c[:, j]
+    return sq
+
+
 def _sampled_gains(gain_eval, sampler: Callable, probe: np.ndarray,
                    n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """The gain at probe on n_samples fresh rows of sampler: gain_eval
@@ -228,8 +266,7 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
     ||g_hat||/||v-theta||.  A probe passes when r >= lambda1 - 4 SE and
     (if a Lipschitz constant is declared) the ratio <= L + 4 SE.
     """
-    if n_samples < 10_000:
-        raise ValueError("need at least 1e4 MC samples")
+    _check_sample_count(n_samples)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     probes = [np.atleast_1d(np.asarray(v, dtype=float)) for v in probes]
     if not probes:
@@ -241,14 +278,14 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
         if dist_sq < 1e-20:
             raise ValueError("probes must differ from the true parameter")
         gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-        g_hat = gains.mean(axis=0)
+        g_hat = _column_means(gains)
         # projection of each sampled gain onto the error direction
         proj = -(gains @ delta) / dist_sq
-        r_hat = float(proj.mean())
-        r_se = float(proj.std(ddof=1)) / math.sqrt(n_samples)
+        r_hat = float(_column_means(proj))
+        r_se = float(_column_stds(proj, r_hat)) / math.sqrt(n_samples)
         dist = math.sqrt(dist_sq)
         ratio = float(np.linalg.norm(g_hat)) / dist
-        comp_se = gains.std(axis=0, ddof=1) / math.sqrt(n_samples)
+        comp_se = _column_stds(gains, g_hat) / math.sqrt(n_samples)
         ratio_se = float(np.linalg.norm(comp_se)) / dist
         ok = True
         if lambda1 is not None:
@@ -272,12 +309,12 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
                         n_samples: int, rng: np.random.Generator,
                         c_g: Optional[float] = None) -> A2Report:
     """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g."""
+    _check_sample_count(n_samples)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-    centered = gains - gains.mean(axis=0)
-    sq = np.sum(centered * centered, axis=1)
-    moment = float(sq.mean())
-    se = float(sq.std(ddof=1)) / math.sqrt(n_samples)
+    sq = _row_sq_norms(gains - _column_means(gains))
+    moment = float(_column_means(sq))
+    se = float(_column_stds(sq, moment)) / math.sqrt(n_samples)
     passed = True if c_g is None else moment <= c_g + SE_MARGIN * se
     return A2Report(second_moment=moment, se=se, passed=passed)
 

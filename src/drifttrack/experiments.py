@@ -152,7 +152,7 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "bounds.c_g": (float, None),
     "bounds.c_theta": (float, None),  # the path's if read, else measured
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
-    "verify.samples": (_at_least(int, 10_000), 20_000),
+    "verify.samples": (_at_least(int, bounds_mod.MIN_SAMPLES), 20_000),
     "kalman.n": (_at_least(int, 1), None),  # the last horizon
     "kalman.m0": (float, 0.0),
     "kalman.var0": (_POSITIVE, 1.0),
@@ -643,10 +643,16 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     sigma_diag = np.array([2.0, 4.0])
     theta_g = np.array([0.5, -0.3])
     root = np.sqrt(sigma_diag)
+
+    def gaussian_sampler(rng, size):
+        rows = rng.normal(size=(size, 2))
+        rows *= root
+        rows += theta_g
+        return rows
+
     fx["gaussian"] = VerifyFixture(
         gain_eval=gains_mod.gaussian_known_cov_spec(np.diag(sigma_diag)).evaluator,
-        sampler=lambda rng, size: theta_g + rng.normal(size=(size, 2)) * root,
-        theta=theta_g,
+        sampler=gaussian_sampler, theta=theta_g,
         probes=[[1.0, -0.3], [0.5, 0.4], [0.0, 0.0], [1.2, -1.1]],
         lambda1=0.25, lipschitz=0.5, c_g=0.75)  # c_g = tr(Sigma^{-1})
 
@@ -662,9 +668,11 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     x_pin = 1.0
 
     def arch_sampler(rng, size):
-        eps = rng.normal(size=size)
-        x_k = math.sqrt(1.0 + theta_a * x_pin * x_pin) * eps
-        return np.column_stack([x_k, np.full(size, x_pin)])
+        rows = np.empty((size, 2))
+        np.multiply(math.sqrt(1.0 + theta_a * x_pin * x_pin),
+                    rng.normal(size=size), out=rows[:, 0])
+        rows[:, 1] = x_pin
+        return rows
 
     fx["arch1_truncated"] = VerifyFixture(
         gain_eval=gains_mod.arch1_spec(trunc=1.0).evaluator,
@@ -677,8 +685,10 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     xr_pin = 1.5
 
     def ar1_sampler(rng, size):
-        x_k = theta_r * xr_pin + rng.normal(size=size)
-        return np.column_stack([x_k, np.full(size, xr_pin)])
+        rows = np.empty((size, 2))
+        np.add(theta_r * xr_pin, rng.normal(size=size), out=rows[:, 0])
+        rows[:, 1] = xr_pin
+        return rows
 
     fx["ar1_truncated"] = VerifyFixture(
         gain_eval=gains_mod.ar1_truncated_spec(trunc=1.5).evaluator,
@@ -691,8 +701,10 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     ortho = np.array([-0.5, 1.0]) / np.linalg.norm([-0.5, 1.0])
 
     def moulines_sampler(rng, size):
-        x_k = float(theta_m @ lags) + rng.normal(size=size)
-        return np.column_stack([x_k, np.tile(lags, (size, 1))])
+        rows = np.empty((size, 3))
+        np.add(float(theta_m @ lags), rng.normal(size=size), out=rows[:, 0])
+        rows[:, 1:] = lags
+        return rows
 
     def moulines_eval(est, rows):
         rows = np.atleast_2d(rows)

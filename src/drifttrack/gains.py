@@ -240,30 +240,50 @@ def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
 
 
 def gaussian_known_cov_spec(sigma) -> GainSpec:
-    """Sigma^{-1}(x - estimate) via a Cholesky solve, Sigma SPD."""
-    from scipy.linalg import cho_factor, cho_solve  # 28 MB; only this gain
+    """Sigma^{-1}(x - estimate), Sigma SPD, by Cholesky substitution.
 
+    Sigma = U^T U is factored once, here.  The evaluator solves U^T y = b
+    forward and U z = y backward, one coordinate at a time: each step
+    subtracts the nonzero off-diagonal terms as elementwise products and
+    multiplies by the reciprocal diagonal r = 1/diag(U), as OpenBLAS's
+    triangular solve does.  A diagonal Sigma, the only kind a config or
+    fixture builds, gives (b r) r, the bits of SciPy's cho_solve (tests
+    pin it).  No row mixes with another, so a row's bits do not depend
+    on how many rows come with it.  A non-finite row gives a non-finite
+    direction, which the tracking guard stops.
+    """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = sigma.shape[0]
     eigs = linalg.sym_eigenvalues(sigma)
     if eigs[0] <= 1e-12:
         raise ValueError("covariance not positive definite")
-    chol = cho_factor(sigma)
+    upper = np.linalg.cholesky(sigma).T
+    recip = 1.0 / np.diag(upper)
+    # U^T y = b forward, then U z = y backward: coordinate i with its
+    # nonzero off-diagonal terms (j, U[j, i]), j < i, then (j, U[i, j]), j > i
+    sweep = [(i, [(j, upper[j, i]) for j in range(i) if upper[j, i] != 0.0])
+             for i in range(d)]
+    sweep += [(i, [(j, upper[i, j]) for j in range(i + 1, d)
+                   if upper[i, j] != 0.0]) for i in reversed(range(d))]
     consts = GainConstants(lambda1=1.0 / float(eigs[-1]),
                            lambda2=1.0 / float(eigs[0]))
 
     def evaluator(est, row):
-        return cho_solve(chol, np.atleast_1d(row - est).T).T
+        b = np.atleast_1d(np.asarray(row - est, dtype=float))
+        for i, terms in sweep:
+            col = b[..., i]
+            for j, u in terms:
+                col -= u * b[..., j]
+            col *= recip[i]
+        return b
 
     return GainSpec(evaluator=evaluator, dim=d, constants=consts)
 
 
 def _truncation_factor(s: np.ndarray, cap: float) -> np.ndarray:
     """min(s, cap)/s with the s = 0 limit set to 0 (no information)."""
-    out = np.zeros_like(s)
-    nz = s > 0
-    out[nz] = np.minimum(s[nz], cap) / s[nz]
-    return out
+    return np.divide(np.minimum(s, cap), s, out=np.zeros_like(s),
+                     where=s > 0)
 
 
 def arch1_spec(trunc: float, lambda1: float | None = None,

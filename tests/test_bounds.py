@@ -297,6 +297,93 @@ class TestVerifyA2:
                                      20_000, make_rng(3), c_g=0.0)
         assert not report.passed
 
+    @pytest.mark.parametrize("n_samples", [1, 100, 9_999])
+    def test_too_few_samples_rejected(self, n_samples):
+        # one sample used to give a NaN SE and a probe that never fails
+        spec = gains.signal_noise_spec(1)
+        with pytest.raises(ValueError):
+            verify_A2_empirical(spec.evaluator, lambda r, n: np.zeros(n),
+                                [0.0], n_samples, make_rng(0), c_g=1.0)
+
+
+# Stacks the verifiers reduce: 1-D projections, one- and two-column gains,
+# and wider ones; small and large counts, offset so the mean matters.
+_STACK_SHAPES = [(10_000,), (1_000_000,), (10_000, 1), (1_000_000, 1),
+                 (10_000, 2), (1_000_000, 2), (20_001, 3), (5_000, 7)]
+
+
+def _stack(shape):
+    rng = np.random.default_rng(sum(shape))
+    return rng.normal(size=shape) * 1e3 + 0.3
+
+
+@pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
+def test_column_means_match_numpy_bitwise(shape):
+    x = _stack(shape)
+    want = x.mean(axis=0)
+    got = bounds._column_means(x)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
+def test_column_stds_match_numpy_bitwise(shape):
+    x = _stack(shape)
+    want = x.std(axis=0, ddof=1)
+    got = bounds._column_stds(x, bounds._column_means(x))
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [s for s in _STACK_SHAPES if len(s) == 2],
+                         ids=str)
+def test_row_sq_norms_match_numpy_bitwise(shape):
+    c = _stack(shape)
+    c -= c.mean(axis=0)
+    want = np.sum(c * c, axis=1)
+    assert bounds._row_sq_norms(c).tobytes() == want.tobytes()
+
+
+def test_column_reductions_of_a_strided_stack():
+    # a column view is not C-contiguous; numpy sums it pairwise
+    x = _stack((10_000, 3))[:, :2]
+    means = bounds._column_means(x)
+    assert means.tobytes() == x.mean(axis=0).tobytes()
+    assert bounds._column_stds(x, means).tobytes() \
+        == x.std(axis=0, ddof=1).tobytes()
+
+
+def _verify_reference(gain_eval, sampler, theta, probe, n, seed):
+    """A1 and A2 statistics of one probe by numpy's own reductions."""
+    gains_ = gain_eval(probe, sampler(make_rng(seed), n))
+    delta = probe - theta
+    dist_sq = float(delta @ delta)
+    proj = -(gains_ @ delta) / dist_sq
+    a1 = (float(proj.mean()), float(proj.std(ddof=1)) / math.sqrt(n),
+          float(np.linalg.norm(gains_.mean(axis=0))) / math.sqrt(dist_sq),
+          float(np.linalg.norm(gains_.std(axis=0, ddof=1) / math.sqrt(n)))
+          / math.sqrt(dist_sq))
+    centered = gains_ - gains_.mean(axis=0)
+    sq = np.sum(centered * centered, axis=1)
+    a2 = (float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(n))
+    return a1, a2
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_verifier_statistics_match_numpy_reductions(width):
+    spec = gains.signal_noise_spec(width)
+    theta = np.full(width, 0.3)
+    probe = np.full(width, 0.9)
+    sampler = lambda rng, n: theta + rng.standard_normal((n, width))
+    n = 50_000
+    a1_want, a2_want = _verify_reference(spec.evaluator, sampler, theta,
+                                         probe, n, seed=4)
+    res = verify_A1_empirical(spec.evaluator, sampler, theta, [probe], n,
+                              make_rng(4)).probes[0]
+    assert (res.r_hat, res.r_se, res.g_norm_ratio, res.ratio_se) == a1_want
+    a2 = verify_A2_empirical(spec.evaluator, sampler, probe, n, make_rng(4))
+    assert (a2.second_moment, a2.se) == a2_want
+
 
 class TestLemma6:
     def test_grid_pass(self):

@@ -139,6 +139,18 @@ class TestRunTracking:
             run_tracking(config, model, spec, rng_seed=0)
         assert 0 <= info.value.step < 100
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gaussian_row_diverges(self, bad):
+        # the substitution solve passes a non-finite row through, and the
+        # guard stops at that row's step
+        spec = gains.gaussian_known_cov_spec(np.diag([2.0, 4.0]))
+        obs = np.zeros((6, 3, 2))
+        obs[4, 1, 0] = bad
+        with pytest.raises(TrackingDiverged) as info:
+            core.track(np.zeros((3, 2)), obs, np.full(6, 0.1),
+                       spec.evaluator)
+        assert info.value.step == 4
+
     def test_nan_gain_aborts(self):
         spec = gains.GainSpec(evaluator=lambda est, row: math.nan, dim=1)
         config, model, _ = _static_setup(n=10)

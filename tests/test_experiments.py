@@ -465,27 +465,34 @@ def _python(*args):
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
 def test_import_leaves_scipy_unloaded(module):
-    proc = _python("-c", "import sys, drifttrack.experiments; "
+    # building the verify fixtures builds the Gaussian gain too
+    proc = _python("-c", "import sys, drifttrack.experiments as ex; "
+                         "ex.builtin_fixtures(); "
                          f"print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-# (shipped config or None, extra lines, exit code, replications)
+# (subcommand, shipped config or None, extra lines, exit code, CSV rows)
 _NO_SCIPY_LINALG = {
-    "quantile": ("quantile_rate.cfg", "", "0", 200),
-    "ar1": (None, "model.kind = ar1\ngain.kind = ar1_truncated\n"
-                  "path.value = 0.5\nexperiment.replications = 5\n", "1", 5),
+    "quantile": ("rates", "quantile_rate.cfg", "", "0", 2 * 200),
+    "ar1": ("rates", None, "model.kind = ar1\ngain.kind = ar1_truncated\n"
+                           "path.value = 0.5\nexperiment.replications = 5\n",
+            "1", 2 * 5),
     # AR(2) solves its unit upper-triangular system by back-substitution
-    "ard": (None, "model.kind = ard\nmodel.d = 2\ngain.kind = ard_score\n"
-                  "path.value = 0.3,0.2\nexperiment.replications = 5\n",
-            "0", 5),
+    "ard": ("rates", None, "model.kind = ard\nmodel.d = 2\n"
+                           "gain.kind = ard_score\npath.value = 0.3,0.2\n"
+                           "experiment.replications = 5\n", "0", 2 * 5),
+    # the Gaussian gain solves by Cholesky substitution in numpy
+    "gaussian": ("run", None, "model.d = 2\ngain.kind = gaussian\n"
+                              "gain.sigma_diag = 2,4\n", "0", 10_001),
+    "verify": ("verify", None, "", "0", 22),
 }
 
 
 @pytest.mark.parametrize("case", list(_NO_SCIPY_LINALG))
 def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path, case):
-    shipped, extra, code, reps = _NO_SCIPY_LINALG[case]
+    command, shipped, extra, code, rows = _NO_SCIPY_LINALG[case]
     text = ""
     if shipped:
         with open(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -498,11 +505,11 @@ def test_quantile_rates_leave_scipy_linalg_unloaded(tmp_path, case):
     proc = _python("-c", "import sys; from drifttrack.experiments import main; "
                          "code = main(sys.argv[1:]); "
                          "print(code, 'scipy.linalg' in sys.modules)",
-                   "rates", "--config", str(config), "--out", str(out),
+                   command, "--config", str(config), "--out", str(out),
                    "--quiet")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == [code, "False"]
-    assert out.read_text(encoding="utf-8").count("\n") == 1 + 2 * reps
+    assert out.read_text(encoding="utf-8").count("\n") == 1 + rows
 
 
 def test_cli_prints_no_runtime_warning(tmp_path):

@@ -99,6 +99,65 @@ class TestGaussianKnownCov:
             gains.gaussian_known_cov_spec([[0.0]])
 
 
+def _cho_solve_gain(sigma, est, row):
+    """The Gaussian evaluator as a scipy.linalg Cholesky solve."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    return cho_solve(cho_factor(sigma), np.atleast_1d(row - est).T).T
+
+
+_DIAGONALS = ([2.0], [0.7], [2.0, 4.0], [5.0, 0.3], [1.0, 2.0, 3.0],
+              [7.0, 11.0, 0.1, 3.3])
+
+
+@pytest.mark.parametrize("diag", _DIAGONALS, ids=str)
+@pytest.mark.parametrize("size", [None, 1, 2, 64, 100_000])
+def test_gaussian_diagonal_matches_cho_solve_bitwise(diag, size):
+    sigma = np.diag(diag)
+    rng = np.random.default_rng(len(diag) * 1000 + (size or 0))
+    shape = (len(diag),) if size is None else (size, len(diag))
+    rows = rng.normal(size=shape) * 3.0
+    est = rng.normal(size=len(diag))
+    got = gains.gaussian_known_cov_spec(sigma).evaluator(est, rows)
+    want = _cho_solve_gain(sigma, est, rows)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_gaussian_full_covariance_matches_cho_solve():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 3))
+    sigma = a @ a.T + 0.1 * np.eye(3)
+    rows = rng.normal(size=(1000, 3))
+    est = rng.normal(size=3)
+    evaluator = gains.gaussian_known_cov_spec(sigma).evaluator
+    got = evaluator(est, rows)
+    assert np.allclose(got, _cho_solve_gain(sigma, est, rows),
+                       rtol=1e-12, atol=1e-12)
+    # each row is solved on its own: a block gives every row's own bits
+    singles = np.array([evaluator(est, row) for row in rows[:7]])
+    assert got[:7].tobytes() == singles.tobytes()
+
+
+def _masked_truncation_factor(s, cap):
+    """The truncation factor as a masked assignment."""
+    out = np.zeros_like(s)
+    nz = s > 0
+    out[nz] = np.minimum(s[nz], cap) / s[nz]
+    return out
+
+
+def test_truncation_factor_matches_masked_assignment():
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=(10_000, 1)) ** 2
+    s[::7] = 0.0
+    s[3] = np.nan
+    for cap in (0.5, 1.5):
+        got = gains._truncation_factor(s, cap)
+        assert got.tobytes() == _masked_truncation_factor(s, cap).tobytes()
+    assert gains._truncation_factor(s, 1.0)[0, 0] == 0.0
+
+
 class TestArch1:
     def test_direct(self):
         # factor 1/4, residual 9 - 1 - 0.5*4 = 6 -> 1.5
