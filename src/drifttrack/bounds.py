@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import kp_constant
+from .linalg import kp_constant, row_sq_norms
 
 __all__ = [
     "BoundInputs",
@@ -212,14 +212,30 @@ def _check_sample_count(n_samples: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} MC samples")
 
 
+# Rows per block of _column_sums' running sum: a (16384, d) block stays
+# in cache, where a running sum over all N rows would be another (N, d).
+_SUM_BLOCK = 16384
+
+
 def _column_sums(x: np.ndarray):
     """x.sum(axis=0), bit for bit.  numpy sums a 1-D array or a single
     column pairwise, but adds the rows of a C-ordered stack of several
-    columns one at a time, in order: the last row of a running sum holds
-    that total at a fraction of the cost."""
-    if x.ndim == 2 and x.shape[1] > 1 and x.flags.c_contiguous:
-        return np.cumsum(x, axis=0)[-1]
-    return x.sum(axis=0)
+    columns one at a time, in order.  A running sum over blocks of rows
+    makes the same additions: each block's first row takes the total so
+    far, then the block is summed in place, and its last row carries
+    the total on."""
+    if not (x.ndim == 2 and x.shape[1] > 1 and x.flags.c_contiguous):
+        return x.sum(axis=0)
+    block = np.empty((min(_SUM_BLOCK, x.shape[0]), x.shape[1]))
+    total = None
+    for start in range(0, x.shape[0], _SUM_BLOCK):
+        part = block[:min(_SUM_BLOCK, x.shape[0] - start)]
+        np.copyto(part, x[start:start + len(part)])
+        if total is not None:
+            part[0] += total
+        np.cumsum(part, axis=0, out=part)
+        total = part[-1].copy()
+    return total
 
 
 def _column_means(x: np.ndarray):
@@ -234,23 +250,44 @@ def _column_stds(x: np.ndarray, means):
     return np.sqrt(_column_sums(sq) / (x.shape[0] - 1))
 
 
-def _row_sq_norms(c: np.ndarray) -> np.ndarray:
-    """np.sum(c * c, axis=1) as one pass per column: numpy adds a row's
-    squares in order below 8 columns, so the bits agree there."""
-    sq = c[:, 0] * c[:, 0]
-    for j in range(1, c.shape[1]):
-        sq += c[:, j] * c[:, j]
-    return sq
-
-
 def _sampled_gains(gain_eval, sampler: Callable, probe: np.ndarray,
                    n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """The gain at probe on n_samples fresh rows of sampler: gain_eval
-    returns the (N, d) stack, as a GainSpec evaluator does."""
+    returns a new (N, d) stack, as a GainSpec evaluator does."""
     rows = np.asarray(sampler(rng, n_samples), dtype=float)
     if rows.ndim == 1:
         rows = rows[:, None]
     return np.asarray(gain_eval(probe, rows), dtype=float)
+
+
+def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
+              probe: np.ndarray, n_samples: int, rng: np.random.Generator,
+              lambda1: Optional[float],
+              lipschitz: Optional[float]) -> A1ProbeResult:
+    """One probe of verify_A1_empirical.  Its stacks are freed when it
+    returns, before the next probe draws its rows."""
+    delta = probe - theta
+    dist_sq = float(delta @ delta)
+    if dist_sq < 1e-20:
+        raise ValueError("probes must differ from the true parameter")
+    gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
+    g_hat = _column_means(gains)
+    comp_se = _column_stds(gains, g_hat) / math.sqrt(n_samples)
+    # projection of each sampled gain onto the error direction
+    proj = gains @ delta
+    proj /= -dist_sq
+    r_hat = float(_column_means(proj))
+    r_se = float(_column_stds(proj, r_hat)) / math.sqrt(n_samples)
+    dist = math.sqrt(dist_sq)
+    ratio = float(np.linalg.norm(g_hat)) / dist
+    ratio_se = float(np.linalg.norm(comp_se)) / dist
+    ok = True
+    if lambda1 is not None:
+        ok = ok and r_hat >= lambda1 - SE_MARGIN * r_se
+    if lipschitz is not None:
+        ok = ok and ratio <= lipschitz + SE_MARGIN * ratio_se
+    return A1ProbeResult(probe=probe, r_hat=r_hat, r_se=r_se,
+                         g_norm_ratio=ratio, ratio_se=ratio_se, passed=ok)
 
 
 def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
@@ -271,30 +308,8 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
     probes = [np.atleast_1d(np.asarray(v, dtype=float)) for v in probes]
     if not probes:
         raise ValueError("empty probe set")
-    results = []
-    for probe in probes:
-        delta = probe - theta
-        dist_sq = float(delta @ delta)
-        if dist_sq < 1e-20:
-            raise ValueError("probes must differ from the true parameter")
-        gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-        g_hat = _column_means(gains)
-        # projection of each sampled gain onto the error direction
-        proj = -(gains @ delta) / dist_sq
-        r_hat = float(_column_means(proj))
-        r_se = float(_column_stds(proj, r_hat)) / math.sqrt(n_samples)
-        dist = math.sqrt(dist_sq)
-        ratio = float(np.linalg.norm(g_hat)) / dist
-        comp_se = _column_stds(gains, g_hat) / math.sqrt(n_samples)
-        ratio_se = float(np.linalg.norm(comp_se)) / dist
-        ok = True
-        if lambda1 is not None:
-            ok = ok and r_hat >= lambda1 - SE_MARGIN * r_se
-        if lipschitz is not None:
-            ok = ok and ratio <= lipschitz + SE_MARGIN * ratio_se
-        results.append(A1ProbeResult(probe=probe, r_hat=r_hat, r_se=r_se,
-                                     g_norm_ratio=ratio, ratio_se=ratio_se,
-                                     passed=ok))
+    results = [_a1_probe(gain_eval, sampler, theta, probe, n_samples, rng,
+                         lambda1, lipschitz) for probe in probes]
     return A1Report(probes=results, passed=all(r.passed for r in results))
 
 
@@ -308,11 +323,14 @@ class A2Report:
 def verify_A2_empirical(gain_eval, sampler: Callable, probe,
                         n_samples: int, rng: np.random.Generator,
                         c_g: Optional[float] = None) -> A2Report:
-    """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g."""
+    """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g.
+
+    The sampled gain stack is centred in place."""
     _check_sample_count(n_samples)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-    sq = _row_sq_norms(gains - _column_means(gains))
+    gains -= _column_means(gains)
+    sq = row_sq_norms(gains)
     moment = float(_column_means(sq))
     se = float(_column_stds(sq, moment)) / math.sqrt(n_samples)
     passed = True if c_g is None else moment <= c_g + SE_MARGIN * se

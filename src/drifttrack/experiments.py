@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -612,10 +613,40 @@ VERIFY_HEADER = ["probe_index", "r_hat", "r_se", "g_norm_ratio", "c_g_hat",
                  "pass"]
 
 
+# Rows a fixture's fill draws per call: a one-column draw then makes a
+# 32 KB temporary, small beside the (N, w) stack it fills.
+FILL_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class StackSampler:
+    """A verify fixture's observation rows, defined by one fill.
+
+    fill(rng, rows) writes a (m, width) row stack in place with a single
+    draw from rng.  fill_rows feeds it FILL_ROWS rows at a time, so its
+    temporaries stay small; with one draw per call, the generator's
+    values land in the same rows as from one call on the whole stack.
+    Called as sampler(rng, size) it returns a new stack, as a (size,)
+    vector at width 1.
+    """
+
+    width: int
+    fill: Callable
+
+    def fill_rows(self, rng: np.random.Generator, rows: np.ndarray) -> None:
+        for start in range(0, len(rows), FILL_ROWS):
+            self.fill(rng, rows[start:start + FILL_ROWS])
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        rows = np.empty((size, self.width))
+        self.fill_rows(rng, rows)
+        return rows[:, 0] if self.width == 1 else rows
+
+
 @dataclass(frozen=True)
 class VerifyFixture:
     gain_eval: Callable
-    sampler: Callable
+    sampler: StackSampler
     theta: np.ndarray
     probes: list
     lambda1: Optional[float]
@@ -634,9 +665,13 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     fx: dict[str, VerifyFixture] = {}
 
     theta = np.array([0.3])
+
+    def signal_noise_fill(rng, rows):
+        np.add(theta[0], rng.normal(0.0, 1.0, len(rows)), out=rows[:, 0])
+
     fx["signal_noise"] = VerifyFixture(
         gain_eval=gains_mod.signal_noise_spec(1).evaluator,
-        sampler=lambda rng, size: theta[0] + rng.normal(0.0, 1.0, size),
+        sampler=StackSampler(1, signal_noise_fill),
         theta=theta, probes=[[-0.7], [0.0], [0.8], [1.3]],
         lambda1=1.0, lipschitz=1.0, c_g=1.0)
 
@@ -644,22 +679,24 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     theta_g = np.array([0.5, -0.3])
     root = np.sqrt(sigma_diag)
 
-    def gaussian_sampler(rng, size):
-        rows = rng.normal(size=(size, 2))
-        rows *= root
+    def gaussian_fill(rng, rows):
+        np.multiply(rng.normal(size=rows.shape), root, out=rows)
         rows += theta_g
-        return rows
 
     fx["gaussian"] = VerifyFixture(
         gain_eval=gains_mod.gaussian_known_cov_spec(np.diag(sigma_diag)).evaluator,
-        sampler=gaussian_sampler, theta=theta_g,
+        sampler=StackSampler(2, gaussian_fill), theta=theta_g,
         probes=[[1.0, -0.3], [0.5, 0.4], [0.0, 0.0], [1.2, -1.1]],
         lambda1=0.25, lipschitz=0.5, c_g=0.75)  # c_g = tr(Sigma^{-1})
 
     theta_q = np.array([0.5])
+
+    def quantile_fill(rng, rows):
+        rows[:, 0] = rng.uniform(0.0, 1.0, len(rows))
+
     fx["quantile"] = VerifyFixture(
         gain_eval=gains_mod.quantile_spec(0.5).evaluator,
-        sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+        sampler=StackSampler(1, quantile_fill),
         theta=theta_q, probes=[[0.2], [0.35], [0.65], [0.8]],
         lambda1=1.0, lipschitz=1.0, c_g=0.25)
 
@@ -667,16 +704,14 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     theta_a = 0.5
     x_pin = 1.0
 
-    def arch_sampler(rng, size):
-        rows = np.empty((size, 2))
+    def arch_fill(rng, rows):
         np.multiply(math.sqrt(1.0 + theta_a * x_pin * x_pin),
-                    rng.normal(size=size), out=rows[:, 0])
+                    rng.normal(size=len(rows)), out=rows[:, 0])
         rows[:, 1] = x_pin
-        return rows
 
     fx["arch1_truncated"] = VerifyFixture(
         gain_eval=gains_mod.arch1_spec(trunc=1.0).evaluator,
-        sampler=arch_sampler, theta=np.array([theta_a]),
+        sampler=StackSampler(2, arch_fill), theta=np.array([theta_a]),
         probes=[[0.0], [0.2], [0.8], [1.0]],
         lambda1=1.0, lipschitz=1.0, c_g=5.0)
 
@@ -684,15 +719,13 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     theta_r = 0.5
     xr_pin = 1.5
 
-    def ar1_sampler(rng, size):
-        rows = np.empty((size, 2))
-        np.add(theta_r * xr_pin, rng.normal(size=size), out=rows[:, 0])
+    def ar1_fill(rng, rows):
+        np.add(theta_r * xr_pin, rng.normal(size=len(rows)), out=rows[:, 0])
         rows[:, 1] = xr_pin
-        return rows
 
     fx["ar1_truncated"] = VerifyFixture(
         gain_eval=gains_mod.ar1_truncated_spec(trunc=1.5).evaluator,
-        sampler=ar1_sampler, theta=np.array([theta_r]),
+        sampler=StackSampler(2, ar1_fill), theta=np.array([theta_r]),
         probes=[[-0.2], [0.1], [0.7], [0.9]],
         lambda1=1.5, lipschitz=1.5, c_g=1.0)
 
@@ -700,11 +733,10 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     lags = np.array([1.0, 0.5])
     ortho = np.array([-0.5, 1.0]) / np.linalg.norm([-0.5, 1.0])
 
-    def moulines_sampler(rng, size):
-        rows = np.empty((size, 3))
-        np.add(float(theta_m @ lags), rng.normal(size=size), out=rows[:, 0])
+    def moulines_fill(rng, rows):
+        np.add(float(theta_m @ lags), rng.normal(size=len(rows)),
+               out=rows[:, 0])
         rows[:, 1:] = lags
-        return rows
 
     def moulines_eval(est, rows):
         rows = np.atleast_2d(rows)
@@ -712,10 +744,81 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
             est, rows[..., 0], rows[..., 1:], mu=1.0)
 
     fx["moulines_d2"] = VerifyFixture(
-        gain_eval=moulines_eval, sampler=moulines_sampler, theta=theta_m,
+        gain_eval=moulines_eval, sampler=StackSampler(3, moulines_fill),
+        theta=theta_m,
         probes=[list(theta_m + 0.4 * ortho), list(theta_m - 0.3 * ortho)],
         lambda1=0.2, lipschitz=None, c_g=None, expect_pass=False)
     return fx
+
+
+class _DrawAhead:
+    """The row stacks of a fixed list of samplers, drawn in that order
+    from one generator on a worker thread, one stack ahead of the caller.
+
+    numpy's draws release the GIL, so the worker draws the next stack
+    while the caller evaluates gains on this one.  It fills two (n, w)
+    stacks allocated here and allocates nothing large itself: glibc gives
+    a second thread its own malloc arena, which would hold the memory it
+    frees.  It refills a stack only once the caller has asked for the
+    next, so a stack stays intact until then.  Use it in a with block:
+    leaving the block stops the worker and joins it.
+    """
+
+    def __init__(self, samplers: Sequence[StackSampler], n: int,
+                 rng: np.random.Generator):
+        self._samplers = list(samplers)
+        self._n = n
+        self._rng = rng
+        width = max((s.width for s in self._samplers), default=1)
+        self._slots = [np.empty(n * width) for _ in range(2)]
+        self._free = [threading.Semaphore(1) for _ in range(2)]
+        self._ready = [threading.Semaphore(0) for _ in range(2)]
+        self._error: Optional[Exception] = None
+        self._stop = False
+        self._taken = 0
+        self._thread = threading.Thread(target=self._work,
+                                        name="verify-draws")
+
+    def _stack(self, k: int) -> np.ndarray:
+        width = self._samplers[k].width
+        return self._slots[k % 2][:self._n * width].reshape(self._n, width)
+
+    def _work(self) -> None:
+        for k, sampler in enumerate(self._samplers):
+            self._free[k % 2].acquire()
+            if self._stop:
+                return
+            try:
+                sampler.fill_rows(self._rng, self._stack(k))
+            except Exception as exc:  # raised again in next_rows
+                self._error = exc
+                self._ready[k % 2].release()
+                return
+            self._ready[k % 2].release()
+
+    def next_rows(self, _rng, size: int) -> np.ndarray:
+        """The next stack: a sampler(rng, size) for the verifiers, which
+        ignores rng, since only the worker draws."""
+        k = self._taken
+        if size != self._n or k == len(self._samplers):
+            raise RuntimeError(f"draw {k} of {size} rows is not in the plan")
+        if k:
+            self._free[(k - 1) % 2].release()
+        self._ready[k % 2].acquire()
+        if self._error is not None:
+            raise self._error
+        self._taken += 1
+        return self._stack(k)
+
+    def __enter__(self) -> "_DrawAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        for free in self._free:
+            free.release()
+        self._thread.join()
 
 
 @dataclass(frozen=True)
@@ -726,31 +829,40 @@ class VerifyReport:
 
 
 def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
+    """A1 and A2 at every probe of the chosen fixtures.  Each probe draws
+    verify.samples rows for A1, then again for A2, all from one
+    make_rng(seed) generator; a worker thread makes those draws."""
     v = _values(config.raw)
     registry = builtin_fixtures()
     n_samples = v["verify.samples"]
+    names = _or(v["verify.fixtures"], tuple(registry))
+    for name in names:
+        if name not in registry:
+            raise ConfigError(f"unknown verify fixture {name!r}")
+    fixtures = [(name, registry[name]) for name in names]
+    plan = [fx.sampler for _, fx in fixtures
+            for _ in range(2 * len(fx.probes))]
     rng = models_mod.make_rng(config.seed)
     rows = []
     results = []
-    for name in _or(v["verify.fixtures"], tuple(registry)):
-        if name not in registry:
-            raise ConfigError(f"unknown verify fixture {name!r}")
-        fixture = registry[name]
-        report = bounds_mod.verify_A1_empirical(
-            fixture.gain_eval, fixture.sampler, fixture.theta,
-            fixture.probes, n_samples, rng,
-            lambda1=fixture.lambda1, lipschitz=fixture.lipschitz)
-        probe_rows = []
-        for res in report.probes:
-            a2 = bounds_mod.verify_A2_empirical(
-                fixture.gain_eval, fixture.sampler, res.probe, n_samples,
-                rng, c_g=fixture.c_g)
-            probe_rows.append((len(rows) + len(probe_rows), res.r_hat,
-                               res.r_se, res.g_norm_ratio, a2.second_moment,
-                               res.passed and a2.passed))
-        observed_pass = all(row[-1] for row in probe_rows)
-        results.append((name, fixture.expect_pass, observed_pass, probe_rows))
-        rows.extend(probe_rows)
+    with _DrawAhead(plan, n_samples, rng) as draws:
+        for name, fixture in fixtures:
+            report = bounds_mod.verify_A1_empirical(
+                fixture.gain_eval, draws.next_rows, fixture.theta,
+                fixture.probes, n_samples, None,
+                lambda1=fixture.lambda1, lipschitz=fixture.lipschitz)
+            probe_rows = []
+            for res in report.probes:
+                a2 = bounds_mod.verify_A2_empirical(
+                    fixture.gain_eval, draws.next_rows, res.probe, n_samples,
+                    None, c_g=fixture.c_g)
+                probe_rows.append((len(rows) + len(probe_rows), res.r_hat,
+                                   res.r_se, res.g_norm_ratio,
+                                   a2.second_moment, res.passed and a2.passed))
+            observed_pass = all(row[-1] for row in probe_rows)
+            results.append((name, fixture.expect_pass, observed_pass,
+                            probe_rows))
+            rows.extend(probe_rows)
     passed = all(expect == observed for _, expect, observed, _ in results)
     return VerifyReport(fixture_results=results, passed=passed, rows=rows)
 

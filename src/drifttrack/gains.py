@@ -353,6 +353,7 @@ def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):
         raise ValueError("mu must be positive")
     x_lags = np.asarray(x_lags, dtype=float)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    resid = np.asarray(x_k, dtype=float) - x_lags @ theta_hat
-    scale = 1.0 + mu * np.sum(x_lags * x_lags, axis=-1)
-    return x_lags * (resid / scale)[..., None]
+    resid = np.asarray(x_lags @ theta_hat)
+    np.subtract(np.asarray(x_k, dtype=float), resid, out=resid)
+    resid /= 1.0 + mu * linalg.row_sq_norms(x_lags)
+    return x_lags * resid[..., None]

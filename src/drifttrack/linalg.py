@@ -37,6 +37,7 @@ __all__ = [
     "lemma_eig_check",
     "abel_transform_check",
     "kp_constant",
+    "row_sq_norms",
 ]
 
 
@@ -349,6 +350,16 @@ def kp_constant(p, d: int) -> float:
     if p >= 2:
         return d ** ((p - 2) / (2 * p))
     return d ** ((2 - p) / (2 * p))
+
+
+def row_sq_norms(c: np.ndarray) -> np.ndarray:
+    """np.sum(c * c, axis=-1) as one pass per column: numpy adds a row's
+    squares in order below 8 columns, so the bits agree there, and no
+    temporary the size of c is made."""
+    sq = c[..., 0] * c[..., 0]
+    for j in range(1, c.shape[-1]):
+        sq += c[..., j] * c[..., j]
+    return sq
 
 
 def lemma_eig_check(m, gamma: float, tol: float = 1e-10) -> EigLemmaReport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drifttrack import bounds, gains
+from drifttrack import bounds, gains, linalg
 from drifttrack.bounds import (
     BoundInputs,
     bias_from_parameter_gap,
@@ -341,7 +341,15 @@ def test_row_sq_norms_match_numpy_bitwise(shape):
     c = _stack(shape)
     c -= c.mean(axis=0)
     want = np.sum(c * c, axis=1)
-    assert bounds._row_sq_norms(c).tobytes() == want.tobytes()
+    assert linalg.row_sq_norms(c).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("n", [1, bounds._SUM_BLOCK - 1, bounds._SUM_BLOCK,
+                               bounds._SUM_BLOCK + 1, 1_000_007])
+def test_column_sums_across_blocks_match_numpy_bitwise(n, d):
+    x = _stack((n, d))
+    assert bounds._column_sums(x).tobytes() == x.sum(axis=0).tobytes()
 
 
 def test_column_reductions_of_a_strided_stack():

@@ -495,3 +495,30 @@ class TestSpecs:
         x_k = float(x @ np.array([0.2, 0.1]))  # noiseless response
         got = gains.ar_normalized_vector_gain(est, x_k, x, mu=1.0)
         assert np.allclose(got, np.zeros(2), atol=1e-12)
+
+
+def _vector_gain_reference(theta_hat, x_k, x_lags, mu):
+    """ar_normalized_vector_gain as one expression, before the column
+    pass and the in-place divisions."""
+    x_lags = np.asarray(x_lags, dtype=float)
+    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    resid = np.asarray(x_k, dtype=float) - x_lags @ theta_hat
+    scale = 1.0 + mu * np.sum(x_lags * x_lags, axis=-1)
+    return x_lags * (resid / scale)[..., None]
+
+
+@pytest.mark.parametrize("n", [1, 100_000])
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_vector_normalized_gain_matches_reference_bitwise(width, n):
+    rng = np.random.default_rng(7 * width + n)
+    rows = rng.normal(size=(n, width + 1)) * 3.0
+    est = rng.normal(size=width)
+    cases = [(rows[:, 0], rows[:, 1:]),          # strided, as the fixture
+             (rows[:, 0].copy(), rows[:, 1:].copy()),
+             (rows[0, 0], rows[0, 1:])]          # one row
+    for x_k, x_lags in cases:
+        for mu in (1.0, 0.37):
+            want = _vector_gain_reference(est, x_k, x_lags, mu)
+            got = gains.ar_normalized_vector_gain(est, x_k, x_lags, mu)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -1,0 +1,289 @@
+"""The verify sweep's draw-ahead worker: same rows, same bytes, no leaks."""
+
+import dataclasses
+import hashlib
+import math
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from drifttrack import bounds
+from drifttrack import experiments as ex
+from drifttrack.experiments import (
+    FILL_ROWS,
+    ConfigError,
+    StackSampler,
+    experiment_config,
+    main,
+    parse_config_text,
+    run_condition_verify,
+)
+from drifttrack.models import make_rng
+
+
+# ---------------------------------------------------------------------
+# The fixture samplers as they were written before the fills: one call
+# on the whole stack, each allocating its rows.
+# ---------------------------------------------------------------------
+
+def _old_signal_noise(rng, size):
+    return 0.3 + rng.normal(0.0, 1.0, size)
+
+
+def _old_gaussian(rng, size):
+    rows = rng.normal(size=(size, 2))
+    rows *= np.sqrt(np.array([2.0, 4.0]))
+    rows += np.array([0.5, -0.3])
+    return rows
+
+
+def _old_quantile(rng, size):
+    return rng.uniform(0.0, 1.0, size)
+
+
+def _old_arch(rng, size):
+    rows = np.empty((size, 2))
+    np.multiply(math.sqrt(1.0 + 0.5 * 1.0 * 1.0), rng.normal(size=size),
+                out=rows[:, 0])
+    rows[:, 1] = 1.0
+    return rows
+
+
+def _old_ar1(rng, size):
+    rows = np.empty((size, 2))
+    np.add(0.5 * 1.5, rng.normal(size=size), out=rows[:, 0])
+    rows[:, 1] = 1.5
+    return rows
+
+
+def _old_moulines(rng, size):
+    lags = np.array([1.0, 0.5])
+    rows = np.empty((size, 3))
+    np.add(float(np.array([0.5, 0.2]) @ lags), rng.normal(size=size),
+           out=rows[:, 0])
+    rows[:, 1:] = lags
+    return rows
+
+
+OLD_SAMPLERS = {
+    "signal_noise": _old_signal_noise,
+    "gaussian": _old_gaussian,
+    "quantile": _old_quantile,
+    "arch1_truncated": _old_arch,
+    "ar1_truncated": _old_ar1,
+    "moulines_d2": _old_moulines,
+}
+
+
+def _serial_verify(config, samplers):
+    """The verify loop as it ran before the worker: every draw on this
+    thread, from one make_rng(seed), through each fixture's sampler."""
+    registry = ex.builtin_fixtures()
+    n_samples = int(config.raw.get("verify.samples", 20_000))
+    names = [n.strip() for n in config.raw["verify.fixtures"].split(",")]
+    rng = make_rng(config.seed)
+    rows = []
+    for name in names:
+        fixture = registry[name]
+        report = bounds.verify_A1_empirical(
+            fixture.gain_eval, samplers[name], fixture.theta,
+            fixture.probes, n_samples, rng,
+            lambda1=fixture.lambda1, lipschitz=fixture.lipschitz)
+        probe_rows = []
+        for res in report.probes:
+            a2 = bounds.verify_A2_empirical(
+                fixture.gain_eval, samplers[name], res.probe, n_samples,
+                rng, c_g=fixture.c_g)
+            probe_rows.append((len(rows) + len(probe_rows), res.r_hat,
+                               res.r_se, res.g_norm_ratio, a2.second_moment,
+                               res.passed and a2.passed))
+        rows.extend(probe_rows)
+    return rows
+
+
+def _config(text, seed=None):
+    overrides = {} if seed is None else {"seed": seed}
+    return experiment_config("verify", parse_config_text(text), overrides)
+
+
+@pytest.mark.parametrize("fixtures", ["moulines_d2, quantile", "gaussian"])
+@pytest.mark.parametrize("samples", [10_000, 10_007])
+@pytest.mark.parametrize("seed", [1, 7, 20260823])
+def test_rows_match_serial_loop(seed, samples, fixtures):
+    config = _config(f"verify.samples = {samples}\n"
+                     f"verify.fixtures = {fixtures}\n", seed)
+    want = _serial_verify(config, OLD_SAMPLERS)
+    got = run_condition_verify(config).rows
+    assert ex.format_csv(ex.VERIFY_HEADER, got) \
+        == ex.format_csv(ex.VERIFY_HEADER, want)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, FILL_ROWS - 1, FILL_ROWS, FILL_ROWS + 1,
+                                  10_007, 3 * FILL_ROWS + 5])
+@pytest.mark.parametrize("name", list(OLD_SAMPLERS))
+def test_fill_gives_old_sampler_bytes(name, size):
+    sampler = ex.builtin_fixtures()[name].sampler
+    want = OLD_SAMPLERS[name](make_rng(11), size)
+    got = sampler(make_rng(11), size)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # filling a given stack draws the same rows
+    stack = np.full((size, sampler.width), np.nan)
+    sampler.fill_rows(make_rng(11), stack)
+    assert stack.tobytes() == want.reshape(size, -1).tobytes()
+
+
+class _Boom(Exception):
+    pass
+
+
+def _failing_fixtures(monkeypatch, fail_at_fill):
+    """builtin_fixtures with the quantile fill raising on its
+    fail_at_fill-th call; returns the list the raised error lands in."""
+    real = ex.builtin_fixtures
+    raised = []
+    calls = []
+    quantile = real()["quantile"]
+
+    def fill(rng, rows):
+        calls.append(len(rows))
+        if len(calls) == fail_at_fill:
+            raised.append(_Boom(f"fill call {len(calls)}"))
+            raise raised[-1]
+        quantile.sampler.fill(rng, rows)
+
+    def patched():
+        fx = real()
+        fx["quantile"] = dataclasses.replace(
+            quantile, sampler=StackSampler(1, fill))
+        return fx
+
+    monkeypatch.setattr(ex, "builtin_fixtures", patched)
+    return raised, calls
+
+
+@pytest.mark.parametrize("fail_at_fill", [1, 2, 8, 20])
+def test_sampler_error_propagates_and_worker_ends(monkeypatch,
+                                                  fail_at_fill):
+    # 10_000 rows are three fills; the quantile fixture makes 8 draws
+    raised, _calls = _failing_fixtures(monkeypatch, fail_at_fill)
+    before = threading.active_count()
+    config = _config("verify.samples = 10000\n"
+                     "verify.fixtures = gaussian, quantile\n")
+    with pytest.raises(_Boom) as info:
+        run_condition_verify(config)
+    assert info.value is raised[0]
+    assert threading.active_count() == before
+
+
+def test_gain_error_on_caller_stops_worker(monkeypatch):
+    real = ex.builtin_fixtures
+    seen = []
+
+    def gain_eval(est, rows):
+        seen.append(1)
+        if len(seen) == 3:
+            raise _Boom("gain")
+        return real()["gaussian"].gain_eval(est, rows)
+
+    def patched():
+        fx = real()
+        fx["gaussian"] = dataclasses.replace(fx["gaussian"],
+                                             gain_eval=gain_eval)
+        return fx
+
+    monkeypatch.setattr(ex, "builtin_fixtures", patched)
+    before = threading.active_count()
+    with pytest.raises(_Boom):
+        run_condition_verify(_config("verify.samples = 10000\n"
+                                     "verify.fixtures = gaussian\n"))
+    assert threading.active_count() == before
+
+
+def test_unknown_fixture_after_valid_one_draws_nothing(monkeypatch,
+                                                       tmp_path, capsys):
+    _raised, calls = _failing_fixtures(monkeypatch, fail_at_fill=0)
+    text = "verify.samples = 10000\nverify.fixtures = quantile, nope\n"
+    with pytest.raises(ConfigError, match="nope"):
+        run_condition_verify(_config(text))
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg), "--quiet",
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    assert "unknown verify fixture 'nope'" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_stacks_stay_intact_until_the_next_draw():
+    # several draw-ahead workers at once, with a short switch interval,
+    # each caller checking that its stack is unchanged after working on
+    # it: a refill before the next request would change it
+    sampler = ex.builtin_fixtures()["moulines_d2"].sampler
+    n, draws_per_plan = 10_000, 12
+    rng = make_rng(5)
+    want = [hashlib.sha256(sampler(rng, n).tobytes()).hexdigest()
+            for _ in range(draws_per_plan)]
+    failures = []
+
+    def consume():
+        got = []
+        with ex._DrawAhead([sampler] * draws_per_plan, n,
+                           make_rng(5)) as draws:
+            for _ in range(draws_per_plan):
+                stack = draws.next_rows(None, n)
+                digest = hashlib.sha256(stack.tobytes()).hexdigest()
+                np.sort(stack, axis=0)  # work while the worker draws
+                if hashlib.sha256(stack.tobytes()).hexdigest() != digest:
+                    failures.append("stack changed under its reader")
+                got.append(digest)
+        if got != want:
+            failures.append("rows differ from a serial draw")
+
+    before = threading.active_count()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert threading.active_count() == before
+
+
+def test_draw_outside_the_plan_rejected():
+    sampler = ex.builtin_fixtures()["quantile"].sampler
+    with ex._DrawAhead([sampler], 10_000, make_rng(0)) as draws:
+        with pytest.raises(RuntimeError):
+            draws.next_rows(None, 10_001)
+        draws.next_rows(None, 10_000)
+        with pytest.raises(RuntimeError):
+            draws.next_rows(None, 10_000)
+
+
+# tracemalloc's peak over one run_condition_verify at verify.samples =
+# 100_000, all fixtures, seed 1, after one untraced warm-up run, measured
+# on the commit before the draw-ahead worker (max of three runs, numpy
+# 2.4, Python 3.11, Linux x86-64).
+SERIAL_TRACED_PEAK = 8_944_926
+
+
+def test_traced_peak_within_five_percent_of_serial():
+    config = _config("verify.samples = 100000\n")
+    run_condition_verify(config)
+    tracemalloc.start()
+    try:
+        run_condition_verify(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * SERIAL_TRACED_PEAK, peak
