@@ -8,6 +8,16 @@ the truncated-moment inequality used by the rescaled AR(1) gain.
 
 All statistical acceptance margins are 4 MC standard errors (false
 failure below 1e-4 per check).
+
+Memory of the A1/A2 verifiers: a probe's (N, w) row stack is the only
+stack of its size they hold.  They evaluate the gain on the leaves of
+numpy's pairwise-summation tree, in row order, and write each leaf's
+gains over rows already read, so the (N, d) gain stack is a view on
+the front of the row stack; a later pass re-reads the stored gains.
+The verifiers thus consume the stack their sampler hands them (the
+verify sweep keeps two such row-stack slots, one being drawn while the
+other is read).  Every statistic has the bits of numpy's own reductions
+over the full stacks.
 """
 
 from __future__ import annotations
@@ -212,72 +222,122 @@ def _check_sample_count(n_samples: int) -> None:
         raise ValueError(f"need at least {MIN_SAMPLES} MC samples")
 
 
-# Rows per block of _column_sums' running sum: a (16384, d) block stays
-# in cache, where a running sum over all N rows would be another (N, d).
-_SUM_BLOCK = 16384
+# Rows per leaf of _tree.  Any leaf of at least 128 rows gives numpy's
+# bits, since numpy halves a pairwise sum down to 128 terms; a
+# (16384, d) leaf and its temporaries stay in cache.
+_LEAF = 16384
 
 
-def _column_sums(x: np.ndarray):
-    """x.sum(axis=0), bit for bit.  numpy sums a 1-D array or a single
-    column pairwise, but adds the rows of a C-ordered stack of several
-    columns one at a time, in order.  A running sum over blocks of rows
-    makes the same additions: each block's first row takes the total so
-    far, then the block is summed in place, and its last row carries
-    the total on."""
-    if not (x.ndim == 2 and x.shape[1] > 1 and x.flags.c_contiguous):
-        return x.sum(axis=0)
-    block = np.empty((min(_SUM_BLOCK, x.shape[0]), x.shape[1]))
-    total = None
-    for start in range(0, x.shape[0], _SUM_BLOCK):
-        part = block[:min(_SUM_BLOCK, x.shape[0] - start)]
-        np.copyto(part, x[start:start + len(part)])
-        if total is not None:
-            part[0] += total
-        np.cumsum(part, axis=0, out=part)
-        total = part[-1].copy()
-    return total
+def _tree(a: int, b: int, leaf: Callable):
+    """leaf(i, j) on the leaves of numpy's pairwise-summation tree over
+    rows [a, b), in row order, each node adding its halves' results.
+
+    numpy splits a sum of more than 128 terms at n//2 - (n//2) % 8, so
+    when leaf returns np.add.reduce of a 1-D array over its rows, the
+    result has the bits of np.sum over rows [a, b).
+    """
+    if b - a <= _LEAF:
+        return leaf(a, b)
+    half = (b - a) // 2
+    half -= half % 8
+    return _tree(a, a + half, leaf) + _tree(a + half, b, leaf)
 
 
-def _column_means(x: np.ndarray):
-    """x.mean(axis=0), bit for bit."""
-    return _column_sums(x) / x.shape[0]
+class _ColumnSums:
+    """x.sum(axis=0), bit for bit, of an (N, d) C-ordered stack handed to
+    add() one _tree leaf at a time, in row order.
+
+    numpy sums a single column pairwise: add returns the leaf's sum for
+    _tree to combine, and total(combined) is that sum.  It adds the rows
+    of several columns one at a time, in order: add carries the total
+    from leaf to leaf, reducing the leaf below a first row that holds the
+    total so far, and returns nothing to combine.
+    """
+
+    def __init__(self, d: int):
+        self._carry = np.zeros(d)
+        self._buf = np.empty((_LEAF + 1, d)) if d > 1 else None
+
+    def add(self, x: np.ndarray) -> np.ndarray:
+        if self._buf is None:
+            return np.add.reduce(x[:, 0], keepdims=True)
+        part = self._buf[:len(x) + 1]
+        part[0] = self._carry
+        part[1:] = x
+        self._carry = np.add.reduce(part, axis=0)
+        return np.empty(0)
+
+    def total(self, combined: np.ndarray) -> np.ndarray:
+        return combined if self._buf is None else self._carry
 
 
-def _column_stds(x: np.ndarray, means):
-    """x.std(axis=0, ddof=1), bit for bit, about means already computed."""
-    sq = x - means
-    sq *= sq
-    return np.sqrt(_column_sums(sq) / (x.shape[0] - 1))
+def _project(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """g @ delta, bit for bit, whatever rows g holds.  At d = 1 gemv adds
+    the one product to a zeroed output: a single rounding, and a -0.0
+    product comes out +0.0."""
+    if delta.size > 1:
+        return g @ delta
+    out = g[:, 0] * delta[0]
+    out += 0.0
+    return out
 
 
-def _sampled_gains(gain_eval, sampler: Callable, probe: np.ndarray,
-                   n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """The gain at probe on n_samples fresh rows of sampler: gain_eval
-    returns a new (N, d) stack, as a GainSpec evaluator does."""
-    rows = np.asarray(sampler(rng, n_samples), dtype=float)
+def _consumed_stack(sampler: Callable, rng, n_samples: int, d: int):
+    """sampler's (N, w) row stack and the (N, d) gain stack on its front.
+
+    Gains written leaf by leaf in row order land on rows already read,
+    since d <= w.  The row stack is the sampler's own unless np.require
+    copies it (read-only or not C-contiguous).
+    """
+    rows = np.require(sampler(rng, n_samples), float, "CW")
     if rows.ndim == 1:
         rows = rows[:, None]
-    return np.asarray(gain_eval(probe, rows), dtype=float)
+    if rows.shape[0] != n_samples or rows.shape[1] < d:
+        raise ValueError(f"need {n_samples} rows at least {d} wide for the "
+                         f"gains written over them, got {rows.shape}")
+    return rows, rows.reshape(-1)[:n_samples * d].reshape(n_samples, d)
 
 
 def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
-              probe: np.ndarray, n_samples: int, rng: np.random.Generator,
+              probe: np.ndarray, n_samples: int,
+              rng: Optional[np.random.Generator],
               lambda1: Optional[float],
               lipschitz: Optional[float]) -> A1ProbeResult:
-    """One probe of verify_A1_empirical.  Its stacks are freed when it
-    returns, before the next probe draws its rows."""
+    """One probe of verify_A1_empirical: a first pass stores the gains
+    and sums them and their projections, a second re-reads them for the
+    squared deviations."""
     delta = probe - theta
     dist_sq = float(delta @ delta)
     if dist_sq < 1e-20:
         raise ValueError("probes must differ from the true parameter")
-    gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-    g_hat = _column_means(gains)
-    comp_se = _column_stds(gains, g_hat) / math.sqrt(n_samples)
-    # projection of each sampled gain onto the error direction
-    proj = gains @ delta
-    proj /= -dist_sq
-    r_hat = float(_column_means(proj))
-    r_se = float(_column_stds(proj, r_hat)) / math.sqrt(n_samples)
+    n = n_samples
+    rows, gains = _consumed_stack(sampler, rng, n, delta.size)
+    cols = _ColumnSums(delta.size)
+
+    def sums(a, b):
+        g = gains[a:b]
+        np.copyto(g, gain_eval(probe, rows[a:b]))
+        proj = _project(g, delta)
+        proj /= -dist_sq
+        return np.append(cols.add(g), np.add.reduce(proj))
+
+    first = _tree(0, n, sums)
+    g_hat = cols.total(first[:-1]) / n
+    r_hat = float(first[-1] / n)
+    sq_cols = _ColumnSums(delta.size)
+
+    def squares(a, b):
+        c = gains[a:b] - g_hat
+        c *= c
+        proj = _project(gains[a:b], delta)
+        proj /= -dist_sq
+        proj -= r_hat
+        proj *= proj
+        return np.append(sq_cols.add(c), np.add.reduce(proj))
+
+    second = _tree(0, n, squares)
+    comp_se = np.sqrt(sq_cols.total(second[:-1]) / (n - 1)) / math.sqrt(n)
+    r_se = float(np.sqrt(second[-1] / (n - 1))) / math.sqrt(n)
     dist = math.sqrt(dist_sq)
     ratio = float(np.linalg.norm(g_hat)) / dist
     ratio_se = float(np.linalg.norm(comp_se)) / dist
@@ -301,7 +361,8 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
     mean gain g_hat, and reports the contraction coefficient r(v) =
     -(v-theta)^T g_hat / ||v-theta||^2 and the magnitude ratio
     ||g_hat||/||v-theta||.  A probe passes when r >= lambda1 - 4 SE and
-    (if a Lipschitz constant is declared) the ratio <= L + 4 SE.
+    (if a Lipschitz constant is declared) the ratio <= L + 4 SE.  Each
+    row stack is consumed: the gains are written over it.
     """
     _check_sample_count(n_samples)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -325,14 +386,35 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
                         c_g: Optional[float] = None) -> A2Report:
     """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g.
 
-    The sampled gain stack is centred in place."""
+    The row stack is consumed: a first pass writes the gains over it, a
+    second their centred squared norms, and a third reads those back
+    for their spread."""
     _check_sample_count(n_samples)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
-    gains = _sampled_gains(gain_eval, sampler, probe, n_samples, rng)
-    gains -= _column_means(gains)
-    sq = row_sq_norms(gains)
-    moment = float(_column_means(sq))
-    se = float(_column_stds(sq, moment)) / math.sqrt(n_samples)
+    n = n_samples
+    rows, gains = _consumed_stack(sampler, rng, n, probe.size)
+    cols = _ColumnSums(probe.size)
+
+    def sums(a, b):
+        np.copyto(gains[a:b], gain_eval(probe, rows[a:b]))
+        return cols.add(gains[a:b])
+
+    mean = cols.total(_tree(0, n, sums)) / n
+    sq = rows.reshape(-1)[:n]
+
+    def norms(a, b):
+        # sq[a:b] overwrites only gains of rows below b, and this leaf's
+        # are centred into a new array first
+        sq[a:b] = row_sq_norms(gains[a:b] - mean)
+        return np.add.reduce(sq[a:b])
+
+    def spread(a, b):
+        dev = sq[a:b] - moment
+        dev *= dev
+        return np.add.reduce(dev)
+
+    moment = float(_tree(0, n, norms) / n)
+    se = float(np.sqrt(_tree(0, n, spread) / (n - 1))) / math.sqrt(n)
     passed = True if c_g is None else moment <= c_g + SE_MARGIN * se
     return A2Report(second_moment=moment, se=se, passed=passed)
 

@@ -315,15 +315,25 @@ class PoissonCountModel:
             return self.intensity(1.0)
         return n * adaptive_simpson(self.intensity, lo, hi, tol=1e-10)
 
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
+    def _cell_means(self, n: int) -> np.ndarray:
+        """The n + 1 cell means of horizon n.  They draw nothing from
+        rng, so they are computed once per n and shared."""
+        cached = getattr(self, "_means", None)
+        if cached is not None and cached[0] == n:
+            return cached[1]
         thetas = np.array([self.cell_mean(k, n) for k in range(n + 1)])
         if np.any(thetas < 0):
             raise ValueError("intensity must be nonnegative")
+        object.__setattr__(self, "_means", (n, thetas))
+        return thetas
+
+    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
+        thetas = self._cell_means(n)
         increments = rng.poisson(thetas[:n])
         counts = np.concatenate(([0], np.cumsum(increments)))
         obs = np.column_stack([counts[1:], counts[:-1]]).astype(float)
         return SimulatedPath(observations=obs,
-                             targets=thetas.reshape(-1, 1))
+                             targets=thetas.reshape(-1, 1).copy())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drifttrack import bounds, gains, linalg
 from drifttrack.bounds import (
@@ -317,11 +317,19 @@ def _stack(shape):
     return rng.normal(size=shape) * 1e3 + 0.3
 
 
+def _streamed_sums(x):
+    """x.sum(axis=0) as the verifiers take it, one leaf at a time."""
+    if x.ndim == 1:
+        return bounds._tree(0, len(x), lambda a, b: np.add.reduce(x[a:b]))
+    cols = bounds._ColumnSums(x.shape[1])
+    return cols.total(bounds._tree(0, len(x), lambda a, b: cols.add(x[a:b])))
+
+
 @pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
 def test_column_means_match_numpy_bitwise(shape):
     x = _stack(shape)
     want = x.mean(axis=0)
-    got = bounds._column_means(x)
+    got = _streamed_sums(x) / shape[0]
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -330,7 +338,9 @@ def test_column_means_match_numpy_bitwise(shape):
 def test_column_stds_match_numpy_bitwise(shape):
     x = _stack(shape)
     want = x.std(axis=0, ddof=1)
-    got = bounds._column_stds(x, bounds._column_means(x))
+    dev = x - _streamed_sums(x) / shape[0]
+    dev *= dev
+    got = np.sqrt(_streamed_sums(dev) / (shape[0] - 1))
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -345,20 +355,205 @@ def test_row_sq_norms_match_numpy_bitwise(shape):
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
-@pytest.mark.parametrize("n", [1, bounds._SUM_BLOCK - 1, bounds._SUM_BLOCK,
-                               bounds._SUM_BLOCK + 1, 1_000_007])
+@pytest.mark.parametrize("n", [1, bounds._LEAF - 1, bounds._LEAF,
+                               bounds._LEAF + 1, 1_000_007])
 def test_column_sums_across_blocks_match_numpy_bitwise(n, d):
     x = _stack((n, d))
-    assert bounds._column_sums(x).tobytes() == x.sum(axis=0).tobytes()
+    assert _streamed_sums(x).tobytes() == x.sum(axis=0).tobytes()
 
 
 def test_column_reductions_of_a_strided_stack():
-    # a column view is not C-contiguous; numpy sums it pairwise
-    x = _stack((10_000, 3))[:, :2]
-    means = bounds._column_means(x)
-    assert means.tobytes() == x.mean(axis=0).tobytes()
-    assert bounds._column_stds(x, means).tobytes() \
-        == x.std(axis=0, ddof=1).tobytes()
+    # a column view is not C-contiguous: the verifiers copy it, leave
+    # it as it was, and give the statistics of a contiguous stack
+    spec = gains.signal_noise_spec(2)
+    wide = _stack((20_001, 3))
+    before = wide.tobytes()
+
+    def stats(sampler):
+        a1 = verify_A1_empirical(spec.evaluator, sampler, [0.0, 0.0],
+                                 [[1.0, 2.0]], len(wide), None).probes[0]
+        a2 = verify_A2_empirical(spec.evaluator, sampler, [1.0, 2.0],
+                                 len(wide), None)
+        return (a1.r_hat, a1.r_se, a1.g_norm_ratio, a1.ratio_se,
+                a2.second_moment, a2.se)
+
+    got = stats(lambda r, n: wide[:, :2])
+    assert wide.tobytes() == before
+    assert got == stats(lambda r, n: wide[:, :2].copy())
+
+
+def _magnitudes(seed, n, d=None):
+    """n (or (n, d)) values whose exponents span 1e-12 to 1e12, with
+    signs, so that the order of the additions shows in the bits."""
+    rng = np.random.default_rng(seed)
+    shape = n if d is None else (n, d)
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+
+
+_TREE_N = st.integers(min_value=1, max_value=3 * bounds._LEAF + 5)
+
+
+@given(n=_TREE_N, seed=st.integers(0, 2 ** 32 - 1))
+@example(n=bounds._LEAF + 1, seed=0)
+@example(n=2 * bounds._LEAF + 8, seed=1)
+@example(n=3 * bounds._LEAF + 5, seed=2)
+@example(n=1_000_003, seed=3)
+@settings(max_examples=60, deadline=None)
+def test_leaf_tree_sum_is_numpy_sum_bitwise(n, seed):
+    x = _magnitudes(seed, n)
+    got = bounds._tree(0, n, lambda a, b: np.add.reduce(x[a:b]))
+    assert got.tobytes() == np.sum(x).tobytes()
+    column = x[:, None]
+    assert _streamed_sums(column).tobytes() \
+        == column.sum(axis=0).tobytes()
+
+
+@given(n=_TREE_N, d=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3 * bounds._LEAF + 5, d=2, seed=0)
+@example(n=3 * bounds._LEAF + 5, d=3, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_carried_column_sums_are_numpy_sums_bitwise(n, d, seed):
+    x = _magnitudes(seed, n, d)
+    assert _streamed_sums(x).tobytes() == x.sum(axis=0).tobytes()
+
+
+@given(n=_TREE_N, d=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3 * bounds._LEAF + 5, d=1, seed=0)
+@example(n=3 * bounds._LEAF + 5, d=2, seed=1)
+@example(n=3 * bounds._LEAF + 5, d=3, seed=2)
+@settings(max_examples=60, deadline=None)
+def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
+    g = _magnitudes(seed, n, d)
+    g[::7] = 0.0   # zero products: gemv gives +0.0 for a -0.0 product
+    g[::11] *= -1.0
+    delta = _magnitudes(seed + 1, d)
+    got = np.empty(n)
+
+    def leaf(a, b):
+        got[a:b] = bounds._project(g[a:b], delta)
+        return 0.0
+
+    bounds._tree(0, n, leaf)
+    assert got.tobytes() == (g @ delta).tobytes()
+
+
+# ---------------------------------------------------------------------
+# The verifiers as they were before they streamed the gains: each probe
+# held its full (N, d) gain, centred-square and projection stacks.
+# ---------------------------------------------------------------------
+
+_OLD_SUM_BLOCK = 16384
+
+
+def _old_column_sums(x):
+    if not (x.ndim == 2 and x.shape[1] > 1 and x.flags.c_contiguous):
+        return x.sum(axis=0)
+    block = np.empty((min(_OLD_SUM_BLOCK, x.shape[0]), x.shape[1]))
+    total = None
+    for start in range(0, x.shape[0], _OLD_SUM_BLOCK):
+        part = block[:min(_OLD_SUM_BLOCK, x.shape[0] - start)]
+        np.copyto(part, x[start:start + len(part)])
+        if total is not None:
+            part[0] += total
+        np.cumsum(part, axis=0, out=part)
+        total = part[-1].copy()
+    return total
+
+
+def _old_column_means(x):
+    return _old_column_sums(x) / x.shape[0]
+
+
+def _old_column_stds(x, means):
+    sq = x - means
+    sq *= sq
+    return np.sqrt(_old_column_sums(sq) / (x.shape[0] - 1))
+
+
+def _old_sampled_gains(gain_eval, sampler, probe, n_samples, rng):
+    rows = np.asarray(sampler(rng, n_samples), dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    return np.asarray(gain_eval(probe, rows), dtype=float)
+
+
+def _old_a1_probe(gain_eval, sampler, theta, probe, n_samples, rng):
+    delta = probe - theta
+    dist_sq = float(delta @ delta)
+    gains_ = _old_sampled_gains(gain_eval, sampler, probe, n_samples, rng)
+    g_hat = _old_column_means(gains_)
+    comp_se = _old_column_stds(gains_, g_hat) / math.sqrt(n_samples)
+    proj = gains_ @ delta
+    proj /= -dist_sq
+    r_hat = float(_old_column_means(proj))
+    r_se = float(_old_column_stds(proj, r_hat)) / math.sqrt(n_samples)
+    dist = math.sqrt(dist_sq)
+    return (r_hat, r_se, float(np.linalg.norm(g_hat)) / dist,
+            float(np.linalg.norm(comp_se)) / dist)
+
+
+def _old_verify_A2(gain_eval, sampler, probe, n_samples, rng):
+    gains_ = _old_sampled_gains(gain_eval, sampler, probe, n_samples, rng)
+    gains_ -= _old_column_means(gains_)
+    sq = linalg.row_sq_norms(gains_)
+    moment = float(_old_column_means(sq))
+    return moment, float(_old_column_stds(sq, moment)) / math.sqrt(n_samples)
+
+
+def _new_stats(gain_eval, sampler, theta, probe, n, seed):
+    a1 = verify_A1_empirical(gain_eval, sampler, theta, [probe], n,
+                             make_rng(seed)).probes[0]
+    a2 = verify_A2_empirical(gain_eval, sampler, probe, n, make_rng(seed))
+    return ((a1.r_hat, a1.r_se, a1.g_norm_ratio, a1.ratio_se),
+            (a2.second_moment, a2.se))
+
+
+def _old_stats(gain_eval, sampler, theta, probe, n, seed):
+    return (_old_a1_probe(gain_eval, sampler, theta, probe, n,
+                          make_rng(seed)),
+            _old_verify_A2(gain_eval, sampler, probe, n, make_rng(seed)))
+
+
+def _bits(stats):
+    return np.array([v for part in stats for v in part]).tobytes()
+
+
+_DIFF_N = 3 * bounds._LEAF + 5   # three full leaves and a 5-row tail
+
+
+@pytest.mark.parametrize("name", ["signal_noise", "gaussian", "quantile",
+                                  "arch1_truncated", "ar1_truncated",
+                                  "moulines_d2"])
+def test_streamed_verifiers_match_full_stacks_bitwise(name):
+    from drifttrack.experiments import builtin_fixtures
+    fx = builtin_fixtures()[name]
+    for i, probe in enumerate(fx.probes):
+        probe = np.asarray(probe, dtype=float)
+        args = (fx.gain_eval, fx.sampler, fx.theta, probe, _DIFF_N, 20 + i)
+        assert _bits(_new_stats(*args)) == _bits(_old_stats(*args))
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_streamed_verifiers_on_a_one_column_stack(writeable):
+    # a 1-D stack of width 1, handed over writeable (the verifiers write
+    # gains over it) or read-only (copied first, and left as it was)
+    spec = gains.quantile_spec(0.5)
+    draws = np.random.default_rng(9).uniform(size=_DIFF_N)
+    handed = []
+
+    def sampler(_rng, n):
+        stack = draws.copy()
+        stack.flags.writeable = writeable
+        handed.append(stack)
+        return stack
+
+    args = (spec.evaluator, [0.5], np.array([0.6]), _DIFF_N, 0)
+    new = _new_stats(args[0], sampler, *args[1:])
+    old = _old_stats(args[0], lambda _r, n: draws.copy(), *args[1:])
+    assert _bits(new) == _bits(old)
+    untouched = [h.tobytes() == draws.tobytes() for h in handed]
+    assert untouched == [not writeable] * 2
 
 
 def _verify_reference(gain_eval, sampler, theta, probe, n, seed):

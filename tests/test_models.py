@@ -216,6 +216,25 @@ class TestPoissonModel:
         with pytest.raises(ValueError):
             PoissonCountModel(intensity=lambda t: -1.0).simulate(5, make_rng(0))
 
+    def test_cell_means_computed_once_per_horizon(self):
+        calls = []
+
+        def intensity(t):
+            calls.append(t)
+            return 1.0 + t
+
+        model = PoissonCountModel(intensity=intensity)
+        first = model.simulate(50, make_rng(0))
+        per_horizon = len(calls)
+        first.targets[:] = -1.0  # a caller's targets are its own
+        again = model.simulate(50, make_rng(1))
+        assert len(calls) == per_horizon
+        fresh = PoissonCountModel(intensity=lambda t: 1.0 + t)
+        assert again.targets.tobytes() \
+            == fresh.simulate(50, make_rng(1)).targets.tobytes()
+        model.simulate(60, make_rng(2))
+        assert len(calls) > per_horizon
+
     def test_increment_mean(self):
         sim = PoissonCountModel(intensity=lambda t: 2.0).simulate(
             100_000, make_rng(2))

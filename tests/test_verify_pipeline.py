@@ -287,3 +287,21 @@ def test_traced_peak_within_five_percent_of_serial():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * SERIAL_TRACED_PEAK, peak
+
+
+def test_traced_peak_is_the_two_row_slots_and_leaf_temporaries():
+    # the verifiers write gains over the rows they consumed, so beside
+    # the two (N, 3) draw slots only leaf-sized temporaries remain:
+    # 0.98 MB over the slots at N = 100_000 (numpy 2.4, Python 3.11),
+    # where one more full (N,) stack would add 0.8 MB
+    n = 100_000
+    config = _config(f"verify.samples = {n}\n")
+    run_condition_verify(config)
+    tracemalloc.start()
+    try:
+        run_condition_verify(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = 2 * n * 3 * 8
+    assert peak <= slots + 1_250_000, peak - slots
