@@ -228,30 +228,34 @@ def _check_sample_count(n_samples: int) -> None:
 _LEAF = 16384
 
 
-def _tree(a: int, b: int, leaf: Callable):
+def _tree(a: int, b: int, leaf: Callable) -> tuple:
     """leaf(i, j) on the leaves of numpy's pairwise-summation tree over
-    rows [a, b), in row order, each node adding its halves' results.
+    rows [a, b), in row order; leaf returns a tuple of sums, and each
+    node adds its halves' tuples entry by entry.
 
     numpy splits a sum of more than 128 terms at n//2 - (n//2) % 8, so
-    when leaf returns np.add.reduce of a 1-D array over its rows, the
-    result has the bits of np.sum over rows [a, b).
+    an entry that leaf takes as np.add.reduce of a 1-D array over its
+    rows has the bits of np.sum over rows [a, b).
     """
     if b - a <= _LEAF:
         return leaf(a, b)
     half = (b - a) // 2
     half -= half % 8
-    return _tree(a, a + half, leaf) + _tree(a + half, b, leaf)
+    left, right = _tree(a, a + half, leaf), _tree(a + half, b, leaf)
+    return tuple(x + y for x, y in zip(left, right))
 
 
 class _ColumnSums:
     """x.sum(axis=0), bit for bit, of an (N, d) C-ordered stack handed to
     add() one _tree leaf at a time, in row order.
 
-    numpy sums a single column pairwise: add returns the leaf's sum for
-    _tree to combine, and total(combined) is that sum.  It adds the rows
-    of several columns one at a time, in order: add carries the total
-    from leaf to leaf, reducing the leaf below a first row that holds the
-    total so far, and returns nothing to combine.
+    add returns a length-d entry for _tree to combine, and total(entry)
+    takes the combined entry.  numpy sums a single column pairwise, so at
+    d = 1 the entry is the leaf's sum and total returns the combined one.
+    It adds the rows of several columns one at a time, in order, so at
+    d > 1 add carries the total from leaf to leaf (reducing the leaf
+    below a first row that holds the total so far), the entry is zero,
+    and total returns the carry.
     """
 
     def __init__(self, d: int):
@@ -265,21 +269,10 @@ class _ColumnSums:
         part[0] = self._carry
         part[1:] = x
         self._carry = np.add.reduce(part, axis=0)
-        return np.empty(0)
+        return np.zeros_like(self._carry)
 
     def total(self, combined: np.ndarray) -> np.ndarray:
         return combined if self._buf is None else self._carry
-
-
-def _project(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """g @ delta, bit for bit, whatever rows g holds.  At d = 1 gemv adds
-    the one product to a zeroed output: a single rounding, and a -0.0
-    product comes out +0.0."""
-    if delta.size > 1:
-        return g @ delta
-    out = g[:, 0] * delta[0]
-    out += 0.0
-    return out
 
 
 def _consumed_stack(sampler: Callable, rng, n_samples: int, d: int):
@@ -317,27 +310,27 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     def sums(a, b):
         g = gains[a:b]
         np.copyto(g, gain_eval(probe, rows[a:b]))
-        proj = _project(g, delta)
+        proj = g @ delta
         proj /= -dist_sq
-        return np.append(cols.add(g), np.add.reduce(proj))
+        return cols.add(g), np.add.reduce(proj)
 
-    first = _tree(0, n, sums)
-    g_hat = cols.total(first[:-1]) / n
-    r_hat = float(first[-1] / n)
+    col_sum, proj_sum = _tree(0, n, sums)
+    g_hat = cols.total(col_sum) / n
+    r_hat = float(proj_sum / n)
     sq_cols = _ColumnSums(delta.size)
 
     def squares(a, b):
         c = gains[a:b] - g_hat
         c *= c
-        proj = _project(gains[a:b], delta)
+        proj = gains[a:b] @ delta
         proj /= -dist_sq
         proj -= r_hat
         proj *= proj
-        return np.append(sq_cols.add(c), np.add.reduce(proj))
+        return sq_cols.add(c), np.add.reduce(proj)
 
-    second = _tree(0, n, squares)
-    comp_se = np.sqrt(sq_cols.total(second[:-1]) / (n - 1)) / math.sqrt(n)
-    r_se = float(np.sqrt(second[-1] / (n - 1))) / math.sqrt(n)
+    col_sq, proj_sq = _tree(0, n, squares)
+    comp_se = np.sqrt(sq_cols.total(col_sq) / (n - 1)) / math.sqrt(n)
+    r_se = float(np.sqrt(proj_sq / (n - 1))) / math.sqrt(n)
     dist = math.sqrt(dist_sq)
     ratio = float(np.linalg.norm(g_hat)) / dist
     ratio_se = float(np.linalg.norm(comp_se)) / dist
@@ -362,7 +355,9 @@ def verify_A1_empirical(gain_eval, sampler: Callable, theta, probes,
     -(v-theta)^T g_hat / ||v-theta||^2 and the magnitude ratio
     ||g_hat||/||v-theta||.  A probe passes when r >= lambda1 - 4 SE and
     (if a Lipschitz constant is declared) the ratio <= L + 4 SE.  Each
-    row stack is consumed: the gains are written over it.
+    row stack is consumed: the gains are written over it.  A sampler
+    that returns one stored array on every call has it overwritten, and
+    each later probe reads the gains of the one before.
     """
     _check_sample_count(n_samples)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -386,9 +381,9 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
                         c_g: Optional[float] = None) -> A2Report:
     """MC estimate of E||G - g_hat||^2 at a pinned past, vs declared C_g.
 
-    The row stack is consumed: a first pass writes the gains over it, a
-    second their centred squared norms, and a third reads those back
-    for their spread."""
+    The row stack is consumed, as in verify_A1_empirical: a first pass
+    writes the gains over it, and a second and a third re-read them for
+    their centred squared norms and the spread of those."""
     _check_sample_count(n_samples)
     probe = np.atleast_1d(np.asarray(probe, dtype=float))
     n = n_samples
@@ -397,24 +392,21 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
 
     def sums(a, b):
         np.copyto(gains[a:b], gain_eval(probe, rows[a:b]))
-        return cols.add(gains[a:b])
+        return (cols.add(gains[a:b]),)
 
-    mean = cols.total(_tree(0, n, sums)) / n
-    sq = rows.reshape(-1)[:n]
+    mean = cols.total(_tree(0, n, sums)[0]) / n
 
     def norms(a, b):
-        # sq[a:b] overwrites only gains of rows below b, and this leaf's
-        # are centred into a new array first
-        sq[a:b] = row_sq_norms(gains[a:b] - mean)
-        return np.add.reduce(sq[a:b])
+        return (np.add.reduce(row_sq_norms(gains[a:b] - mean)),)
 
     def spread(a, b):
-        dev = sq[a:b] - moment
+        dev = row_sq_norms(gains[a:b] - mean)
+        dev -= moment
         dev *= dev
-        return np.add.reduce(dev)
+        return (np.add.reduce(dev),)
 
-    moment = float(_tree(0, n, norms) / n)
-    se = float(np.sqrt(_tree(0, n, spread) / (n - 1))) / math.sqrt(n)
+    moment = float(_tree(0, n, norms)[0] / n)
+    se = float(np.sqrt(_tree(0, n, spread)[0] / (n - 1))) / math.sqrt(n)
     passed = True if c_g is None else moment <= c_g + SE_MARGIN * se
     return A2Report(second_moment=moment, se=se, passed=passed)
 

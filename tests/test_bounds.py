@@ -320,9 +320,16 @@ def _stack(shape):
 def _streamed_sums(x):
     """x.sum(axis=0) as the verifiers take it, one leaf at a time."""
     if x.ndim == 1:
-        return bounds._tree(0, len(x), lambda a, b: np.add.reduce(x[a:b]))
+        return _tree_sum(x)
     cols = bounds._ColumnSums(x.shape[1])
-    return cols.total(bounds._tree(0, len(x), lambda a, b: cols.add(x[a:b])))
+    (combined,) = bounds._tree(0, len(x), lambda a, b: (cols.add(x[a:b]),))
+    return cols.total(combined)
+
+
+def _tree_sum(x):
+    """np.sum of a 1-D x, one np.add.reduce per leaf."""
+    (total,) = bounds._tree(0, len(x), lambda a, b: (np.add.reduce(x[a:b]),))
+    return total
 
 
 @pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
@@ -401,8 +408,7 @@ _TREE_N = st.integers(min_value=1, max_value=3 * bounds._LEAF + 5)
 @settings(max_examples=60, deadline=None)
 def test_leaf_tree_sum_is_numpy_sum_bitwise(n, seed):
     x = _magnitudes(seed, n)
-    got = bounds._tree(0, n, lambda a, b: np.add.reduce(x[a:b]))
-    assert got.tobytes() == np.sum(x).tobytes()
+    assert _tree_sum(x).tobytes() == np.sum(x).tobytes()
     column = x[:, None]
     assert _streamed_sums(column).tobytes() \
         == column.sum(axis=0).tobytes()
@@ -424,15 +430,18 @@ def test_carried_column_sums_are_numpy_sums_bitwise(n, d, seed):
 @example(n=3 * bounds._LEAF + 5, d=3, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
+    # the verifiers project one leaf at a time: each leaf's g @ delta
+    # must have the bits of the whole stack's, zero and -0.0 rows too
     g = _magnitudes(seed, n, d)
-    g[::7] = 0.0   # zero products: gemv gives +0.0 for a -0.0 product
+    g[::7] = 0.0
+    g[::13] = -0.0
     g[::11] *= -1.0
     delta = _magnitudes(seed + 1, d)
     got = np.empty(n)
 
     def leaf(a, b):
-        got[a:b] = bounds._project(g[a:b], delta)
-        return 0.0
+        got[a:b] = g[a:b] @ delta
+        return ()
 
     bounds._tree(0, n, leaf)
     assert got.tobytes() == (g @ delta).tobytes()
@@ -554,6 +563,27 @@ def test_streamed_verifiers_on_a_one_column_stack(writeable):
     assert _bits(new) == _bits(old)
     untouched = [h.tobytes() == draws.tobytes() for h in handed]
     assert untouched == [not writeable] * 2
+
+
+def test_verifiers_overwrite_a_stack_handed_out_twice():
+    # the verifiers write gains over the stack their sampler hands them:
+    # a sampler that returns one stored array on every call has it
+    # overwritten, so only its first probe sees the rows
+    spec = gains.signal_noise_spec(1)
+    theta, probes = [0.0], [[0.5], [2.0]]
+    draws = np.random.default_rng(3).normal(size=bounds.MIN_SAMPLES)
+    pinned = draws.copy()
+
+    def run(sampler):
+        return verify_A1_empirical(spec.evaluator, sampler, theta, probes,
+                                   len(draws), None).probes
+
+    fresh = run(lambda _r, n: draws.copy())
+    shared = run(lambda _r, n: pinned)
+    assert shared[0].r_hat == fresh[0].r_hat
+    assert shared[1].r_hat != fresh[1].r_hat
+    # the second probe's gains, written over the first probe's gains
+    assert np.array_equal(pinned, draws - 0.5 - 2.0)
 
 
 def _verify_reference(gain_eval, sampler, theta, probe, n, seed):
