@@ -6,6 +6,12 @@ replications at once; the value stored at slot k+1 is compared against
 the target at the same slot.  run_replications simulates and tracks
 as many seeds as BLOCK_SLOTS holds at the horizon; run_tracking is it
 with one seed, and replay_updates re-runs track on stored observations.
+
+A block holds two stacks.  The time-major (n+1, B, max(w, d)) stack
+carries observation row k of every replication in slot k+1, and track
+writes estimate k+1 over that slot once step k has consumed the row;
+the rep-major (B, n+1, d) targets sit beside it.  The sweeps reduce
+each block in place, so no third (B, n+1, d) array is allocated.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ __all__ = [
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
 # Replication-slots per block: run_replications steps max(1, BLOCK_SLOTS //
-# (n+1)) replications together, so its buffers hold at most about
-# BLOCK_SLOTS * (w + 2d) * 8 bytes (150 MB at d = w = 1) unless a single
-# replication needs more.
+# (n+1)) replications together, so its two stacks hold at most about
+# BLOCK_SLOTS * (max(w, d) + d) * 8 bytes (102 MB at d = w = 1) unless a
+# single replication needs more.
 BLOCK_SLOTS = 64 * (100_000 + 1)
 _DIVERGED = "estimate left the guard region or gain went non-finite"
 
@@ -150,86 +156,106 @@ class TrackingRun:
 
 
 def track(initial, observations, gammas, evaluator,
-          projection: Optional[ProjectionRegion] = None) -> np.ndarray:
+          projection: Optional[ProjectionRegion] = None,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
     """The recursion on a block of B replications stepped together.
 
     initial is (B, d), observations (n, B, w) and gammas (n,); the gain
     evaluator maps (B, d) estimates and (B, w) rows to (B, d) directions.
-    Returns the (B, n+1, d) estimates.  Rows never mix, so every
-    replication's path equals the one a block of one gives, bit for bit.
+    Estimate k+1 goes to out[k+1] of the time-major (n+1, B, d) out, a
+    new array when None; out[k+1] may share memory with observations[k],
+    since the direction is taken out of the row before the slot is
+    written.  Returns out as the (B, n+1, d) estimates.  Rows never mix,
+    so every replication's path equals the one a block of one gives, bit
+    for bit.
     """
     est = np.array(initial, dtype=float)
     shape = est.shape
     n = observations.shape[0]
-    estimates = np.empty((shape[0], n + 1, shape[1]))
-    estimates[:, 0] = est
+    if out is None:
+        out = np.empty((n + 1,) + shape)
+    out[0] = est
+    step = np.empty(shape)
     guard_sq = (GUARD_FACTOR * (1.0 + np.sqrt(np.sum(est * est, axis=1)))) ** 2
     # the block's squared norm under half the smallest row guard clears
     # every row at once, rounding included; otherwise check row by row
     block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
     for k, gamma in enumerate(np.asarray(gammas, dtype=float).tolist()):
-        est = est + gamma * evaluator(est, observations[k])
+        # a direction that would broadcast the block raises ValueError
+        np.multiply(gamma, evaluator(est, observations[k]), out=step)
+        est = np.add(est, step, out=out[k + 1])
         if projection is not None:
-            est = projection.project(est)
-        if est.shape != shape:
-            raise ValueError(f"gain gave shape {est.shape}, expected {shape}")
+            est[...] = projection.project(est)
         if not np.vdot(est, est) <= block_sq_limit and \
                 not np.all(np.sum(est * est, axis=1) <= guard_sq):  # NaN too
             raise TrackingDiverged(k)
-        estimates[:, k + 1] = est
-    return estimates
+    return out.transpose(1, 0, 2)
 
 
-def _simulate(model, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Observations (n, B, w) and targets (B, n+1, d), one run per seed."""
-    obs = targets = None
+def _simulate(model, n: int, seeds):
+    """One run per seed, drawn into a time-major (n+1, B, max(w, d))
+    stack: observation row k of seed i goes to [k+1, i, :w].  Returns
+    the (n, B, w) observations and (n+1, B, d) estimate slots, both
+    views of the stack, and the (B, n+1, d) targets."""
+    stack = targets = None
     for i, seed in enumerate(seeds):
         sim: SimulatedPath = model.simulate(n, make_rng(seed))
-        if obs is None:
-            obs = np.empty((n, len(seeds), sim.observations.shape[1]))
+        w = sim.observations.shape[1]
+        if stack is None:
             targets = np.empty((len(seeds),) + sim.targets.shape)
-        obs[:, i] = sim.observations
+            d = targets.shape[2]
+            stack = np.empty((n + 1, len(seeds), max(w, d)))
+        stack[1:, i, :w] = sim.observations
         targets[i] = sim.targets
-    return obs, targets
+    return stack[1:, :, :w], stack[:, :, :d], targets
 
 
 def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                      gammas: Optional[np.ndarray] = None):
-    """Yield (estimates, targets) of one run per seed, in seed order.
+    """Yield (start, estimates, targets) per block of seeds, in seed order.
 
     Blocks of max(1, BLOCK_SLOTS // (n+1)) replications are simulated
-    and stepped together; each equals a block of one with its seed bit
-    for bit.  gammas defaults to the config's schedule.  A divergence
-    raises TrackingDiverged for the lowest-index replication that
-    diverges, at its own step, as a one-at-a-time loop would;
-    .replication is its index into seeds and .horizon the config's.
+    and stepped together; start is the block's first index into seeds,
+    and estimates and targets are (B, n+1, d), each row equal to a block
+    of one with its seed bit for bit.  estimates is a view of the spent
+    observation stack; the caller may overwrite both, and should drop
+    them before asking for the next block, as the generator does.
+    gammas defaults to the config's schedule.  A divergence raises
+    TrackingDiverged for the lowest-index replication that diverges, at
+    its own step, as a one-at-a-time loop would; .replication is its
+    index into seeds and .horizon the config's.
     """
     if getattr(model, "dim", config.dimension) != config.dimension:
         raise ValueError("model dimension does not match config")
     if gain.dim != config.dimension:
         raise ValueError("gain dimension does not match config")
+    n = config.horizon
     if gammas is None:
-        gammas = config.schedule.values_upto(config.horizon)
+        gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
-    size = max(1, BLOCK_SLOTS // (config.horizon + 1))
+    size = max(1, BLOCK_SLOTS // (n + 1))
     for start in range(0, len(seeds), size):
         block = seeds[start:start + size]
-        obs, targets = _simulate(model, config.horizon, block)
+        obs, slots, targets = _simulate(model, n, block)
         init = np.tile(config.initial_estimate, (len(block), 1))
         try:
             estimates = track(init, obs, gammas, gain.evaluator,
-                              config.projection)
+                              config.projection, out=slots)
         except TrackingDiverged:
-            for i in range(len(block)):  # the block trips at its earliest step
+            # the block trips at its earliest step, over rows it has
+            # overwritten: redraw each seed alone, lowest index first
+            del obs, slots, targets
+            for i, seed in enumerate(block):
+                sim = model.simulate(n, make_rng(seed))
                 try:
-                    track(init[i:i + 1], obs[:, i:i + 1], gammas,
+                    track(config.initial_estimate[None],
+                          sim.observations[:, None], gammas,
                           gain.evaluator, config.projection)
                 except TrackingDiverged as exc:
-                    raise TrackingDiverged(exc.step, config.horizon,
-                                           start + i) from None
+                    raise TrackingDiverged(exc.step, n, start + i) from None
             raise
-        for i in range(len(block)):
-            yield estimates[i], targets[i]
+        yield start, estimates, targets
+        del obs, slots, targets, estimates
 
 
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,
@@ -241,9 +267,9 @@ def run_tracking(config: TrackingConfig, model, gain: GainSpec,
     recursion consumes one row per step.  Deterministic given the seed.
     """
     gammas = config.schedule.values_upto(config.horizon)
-    [(estimates, targets)] = run_replications(config, model, gain,
-                                              [rng_seed], gammas)
-    return TrackingRun(estimates, targets, gammas)
+    [(_, estimates, targets)] = run_replications(config, model, gain,
+                                                 [rng_seed], gammas)
+    return TrackingRun(estimates[0], targets[0], gammas)
 
 
 def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,

@@ -445,18 +445,36 @@ def theoretical_slope_for(raw: dict) -> Optional[float]:
     return _or(v["experiment.theoretical_slope"], slope)
 
 
-def _norms(err: np.ndarray, p: float) -> tuple[float, float, float]:
-    ae = np.abs(err)
-    l1 = float(np.sum(ae))
-    l2 = float(np.sqrt(np.sum(ae * ae)))
-    lp = float(np.max(ae)) if p == math.inf else float(np.sum(ae ** p) ** (1.0 / p))
-    return l1, l2, lp
+def _norms(last: np.ndarray, p: float) -> np.ndarray:
+    """The l1, l2 and lp norms of each row of the (B, d) errors, (B, 3).
+
+    Each row sums on its own as a 1-D sum would; the lp root stays a
+    scalar power, whose bits numpy's vector power need not give.
+    """
+    ae = np.abs(last)
+    norms = np.empty((len(ae), 3))
+    norms[:, 0] = np.sum(ae, axis=1)
+    norms[:, 1] = np.sqrt(np.sum(ae * ae, axis=1))
+    norms[:, 2] = np.max(ae, axis=1) if p == math.inf else \
+        [s ** (1.0 / p) for s in np.sum(ae ** p, axis=1)]
+    return norms
 
 
-def _window_l2(errors: np.ndarray, k0: int) -> float:
-    """Per-step l2 norm averaged over the post-burn-in slots k0..n."""
-    window = errors[k0:]
-    return float(np.mean(np.sqrt(np.sum(window * window, axis=1))))
+def _window_l2(errors: np.ndarray, k0: int, spare: np.ndarray) -> np.ndarray:
+    """Per-step l2 norm averaged over the post-burn-in slots k0..n, for
+    each replication of the (B, n+1, d) errors.
+
+    Squares the window in place, and writes the (B, m) per-step norms
+    C-contiguous over the front of spare, an array of at least B*m
+    values whose contents are spent: each row then sums as the 1-D mean
+    of one replication does.
+    """
+    window = errors[:, k0:]
+    np.multiply(window, window, out=window)
+    shape = window.shape[:2]
+    norms = spare.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+    np.sqrt(np.sum(window, axis=2, out=norms), out=norms)
+    return np.mean(norms, axis=1)
 
 
 def _burn_in(fraction: float, n: int) -> int:
@@ -491,12 +509,15 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         windows = np.empty(reps)
         seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
         runs = run_replications(tracking, model, gain, seeds)
-        for rep, (estimates, targets) in enumerate(runs):
-            errors = estimates - targets
-            finals[rep] = _norms(errors[-1], config.p)
-            windows[rep] = _window_l2(errors, k0)
-            rows.append((n, rep, finals[rep, 0], finals[rep, 1],
-                         finals[rep, 2], config.p, seeds[rep]))
+        for start, estimates, targets in runs:
+            block = slice(start, start + len(targets))
+            errors = np.subtract(estimates, targets, out=targets)
+            finals[block] = _norms(errors[:, -1], config.p)
+            # the estimates' stack is spent: it takes the per-step norms
+            windows[block] = _window_l2(errors, k0, estimates.base)
+            del estimates, targets, errors  # before the next block's draw
+        rows.extend((n, rep, *finals[rep], config.p, seeds[rep])
+                    for rep in range(reps))
         # exact sums: aggregate independent of replication order
         stat = windows if statistic == "window" else finals[:, 1]
         means.append(math.fsum(stat) / reps)
@@ -564,14 +585,17 @@ def run_bound_check(config: ExperimentConfig,
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
     runs = run_replications(tracking, model, gain, seeds, gammas)
-    for rep, (estimates, targets) in enumerate(runs):
-        err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
-                                        axis=1)
-        drift = targets[k0 + 1:] - targets[k0]
-        osc_sum += np.linalg.norm(drift, axis=1)
-        est_sq_sum += np.sum(estimates ** 2, axis=1)
-        theta_sq_max = max(theta_sq_max,
-                           float(np.max(np.sum(targets ** 2, axis=1))))
+    for start, block_est, block_tgt in runs:
+        for rep, (estimates, targets) in enumerate(zip(block_est, block_tgt),
+                                                   start):
+            err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
+                                            axis=1)
+            drift = targets[k0 + 1:] - targets[k0]
+            osc_sum += np.linalg.norm(drift, axis=1)
+            est_sq_sum += np.sum(estimates ** 2, axis=1)
+            theta_sq_max = max(theta_sq_max,
+                               float(np.max(np.sum(targets ** 2, axis=1))))
+        del block_est, block_tgt, estimates, targets  # before the next draw
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants
     lam1 = _or(v["bounds.lambda1"], consts.lambda1)

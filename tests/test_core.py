@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from drifttrack import core, gains
+from drifttrack import core, experiments, gains
 from drifttrack.core import (
     Ball,
     Box,
@@ -272,8 +272,21 @@ _SPECS = {
     "arch1": lambda d: (gains.arch1_spec(trunc=1.0), 2),
     "ar1_normalized": lambda d: (gains.ar1_normalized_spec(mu=0.5), 2),
     "ar1_truncated": lambda d: (gains.ar1_truncated_spec(trunc=1.5), 2),
+    # a direction that is a view of the row: in run_replications' layout
+    # it is the very slot the step writes
+    "row_view": lambda d: (gains.GainSpec(
+        evaluator=lambda est, row: row[..., :d], dim=d), d + 1),
 }
-_VECTOR_SPECS = ("signal_noise", "gaussian", "ard_score")
+_VECTOR_SPECS = ("signal_noise", "gaussian", "ard_score", "row_view")
+
+
+def _aliased_layout(obs, d):
+    """run_replications' block: observation row k in slot k+1 of a
+    time-major (n+1, B, max(w, d)) stack, estimates written over it."""
+    n, blocks, width = obs.shape
+    stack = np.empty((n + 1, blocks, max(width, d)))
+    stack[1:, :, :width] = obs
+    return stack, stack[1:, :, :width], stack[:, :, :d]
 
 
 def _values(shape, low, high):
@@ -281,11 +294,9 @@ def _values(shape, low, high):
         low, high, allow_nan=False, allow_subnormal=False))
 
 
-@given(data=st.data(), name=st.sampled_from(sorted(_SPECS)),
-       blocks=st.integers(1, 5), d=st.integers(1, 3),
-       n=st.integers(1, 12), region=st.sampled_from(["none", "box", "ball"]))
-@settings(max_examples=150, deadline=None)
-def test_track_matches_plain_loop(data, name, blocks, d, n, region):
+def _check_track(data, name, blocks, d, n, region):
+    """track, alone and written over its observation rows, against the
+    plain loop, bit for bit."""
     d = d if name in _VECTOR_SPECS else 1
     spec, width = _SPECS[name](d)
     obs = data.draw(_values((n, blocks, width), -2.0, 2.0))
@@ -302,22 +313,60 @@ def test_track_matches_plain_loop(data, name, blocks, d, n, region):
     got = core.track(init, obs, gammas, spec.evaluator, projection)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # estimates written over the rows they consumed
+    stack, rows, slots = _aliased_layout(obs, d)
+    got = core.track(init, rows, gammas, spec.evaluator, projection,
+                     out=slots)
+    assert np.shares_memory(got, stack)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(_SPECS)),
+       blocks=st.integers(1, 5), d=st.integers(1, 3),
+       n=st.integers(1, 12), region=st.sampled_from(["none", "box", "ball"]))
+@settings(max_examples=150, deadline=None)
+def test_track_matches_plain_loop(data, name, blocks, d, n, region):
+    _check_track(data, name, blocks, d, n, region)
+
+
+@pytest.mark.parametrize("region", ["none", "box", "ball"])
+@pytest.mark.parametrize("name", sorted(_SPECS))
+@given(data=st.data(), blocks=st.integers(1, 5), d=st.integers(1, 3),
+       n=st.integers(1, 12))
+@settings(max_examples=8, deadline=None)
+def test_every_gain_and_region_written_over_its_rows(data, name, region,
+                                                     blocks, d, n):
+    _check_track(data, name, blocks, d, n, region)
 
 
 class _SpikeModel:
-    """Zero observations, except one huge row at step spikes[seed]."""
+    """scale * N(0, 1) observations, except one huge row at step
+    spikes[seed], of height heights.get(seed, 1e9)."""
 
     dim = 1
 
-    def __init__(self, spikes):
+    def __init__(self, spikes, heights=None, scale=0.0):
         self.spikes = spikes
+        self.heights = heights or {}
+        self.scale = scale
 
     def simulate(self, n, rng):
         seed = int(rng.bit_generator.state["state"]["key"][0])
-        obs = np.zeros((n, 1))
+        obs = self.scale * rng.standard_normal((n, 1))
         if seed in self.spikes:
-            obs[self.spikes[seed]] = 1e9
+            obs[self.spikes[seed]] = self.heights.get(seed, 1e9)
         return SimulatedPath(observations=obs, targets=np.zeros((n + 1, 1)))
+
+
+def _first_divergence(config, model, gain, seeds):
+    """(replication, step) where a one-at-a-time loop first diverges."""
+    for rep, seed in enumerate(seeds):
+        try:
+            run_tracking(config, model, gain, seed)
+        except TrackingDiverged as exc:
+            return rep, exc.step
+    return None
 
 
 class TestReplications:
@@ -327,12 +376,15 @@ class TestReplications:
         config, model, gain = _static_setup(noise="normal", n=40, d=2,
                                             schedule=sched)
         seeds = [11 ^ rep for rep in range(7)]  # blocks of 3, 3 and 1
-        runs = list(core.run_replications(config, model, gain, seeds))
-        assert len(runs) == len(seeds)
-        for seed, (estimates, targets) in zip(seeds, runs):
-            one = run_tracking(config, model, gain, seed)
-            assert estimates.tobytes() == one.estimates.tobytes()
-            assert targets.tobytes() == one.targets.tobytes()
+        blocks = list(core.run_replications(config, model, gain, seeds))
+        assert [(start, len(targets)) for start, _, targets in blocks] \
+            == [(0, 3), (3, 3), (6, 1)]
+        for start, estimates, targets in blocks:
+            assert estimates.shape == targets.shape == (len(targets), 41, 2)
+            for i, seed in enumerate(seeds[start:start + len(targets)]):
+                one = run_tracking(config, model, gain, seed)
+                assert estimates[i].tobytes() == one.estimates.tobytes()
+                assert targets[i].tobytes() == one.targets.tobytes()
 
     @pytest.mark.parametrize("slots, sizes", [
         (25, [2, 2, 1]),              # 25 // (9+1) = 2 replications a block
@@ -352,8 +404,10 @@ class TestReplications:
         track = core.track
         monkeypatch.setattr(core, "track", counting_track)
         config, model, gain = _static_setup(noise="normal", n=9)
-        runs = list(core.run_replications(config, model, gain, range(5)))
-        assert len(runs) == 5
+        blocks = list(core.run_replications(config, model, gain, range(5)))
+        assert [len(targets) for _, _, targets in blocks] == sizes
+        assert [start for start, _, _ in blocks] \
+            == [sum(sizes[:i]) for i in range(len(sizes))]
         assert [b for b, _ in calls] == sizes
         assert all(shape == (9, b) for b, shape in calls)
 
@@ -363,12 +417,7 @@ class TestReplications:
         model = _SpikeModel({1: 7, 3: 2})
         config, _, gain = _static_setup(n=20)
         seeds = list(range(5))
-        for seed in seeds:  # the sequential loop
-            try:
-                run_tracking(config, model, gain, seed)
-            except TrackingDiverged as exc:
-                want = (seed, exc.step)
-                break
+        want = _first_divergence(config, model, gain, seeds)
         assert want == (1, 7)
         with pytest.raises(TrackingDiverged) as info:
             list(core.run_replications(config, model, gain, seeds))
@@ -382,3 +431,42 @@ class TestReplications:
         config, model, _ = _static_setup(n=5)
         with pytest.raises(ValueError, match="shape"):
             list(core.run_replications(config, model, spec, [1, 2]))
+
+    def test_divergence_search_redraws_overwritten_rows(self):
+        # one block of five noisy replications trips at step 12, after
+        # it has written estimates over rows 0..12 of all five.
+        # Replication 1's spike is just tall enough to diverge alone; the
+        # estimate written over it is not, so a search over the block's
+        # rows would miss it and name replication 3
+        model = _SpikeModel({1: 12, 3: 12}, heights={1: 3e6}, scale=1.0)
+        config, _, gain = _static_setup(
+            n=30, schedule=StepSchedule(kind="constant", gamma=0.5))
+        seeds = list(range(5))
+        assert _first_divergence(config, model, gain, seeds) == (1, 12)
+        with pytest.raises(TrackingDiverged) as info:
+            list(core.run_replications(config, model, gain, seeds))
+        assert (info.value.replication, info.value.step,
+                info.value.horizon) == (1, 12, 30)
+
+    @pytest.mark.parametrize("command, horizon",
+                             [("rates", 30), ("bound-check", 60)])
+    def test_main_words_a_redrawn_divergence(self, monkeypatch, capsys,
+                                             tmp_path, command, horizon):
+        # the same block through the CLI; seed 0 makes replication r's
+        # seed r at the first horizon (rates) and at every one (bounds)
+        model = _SpikeModel({1: 12, 3: 12}, heights={1: 3e6}, scale=1.0)
+        build = experiments.build_components
+
+        def spiked(raw, n):
+            tracking, _model, gain, path = build(raw, n)
+            return tracking, model, gain, path
+
+        monkeypatch.setattr(experiments, "build_components", spiked)
+        cfg = tmp_path / "spike.cfg"
+        cfg.write_text("schedule.kind = constant\nschedule.gamma = 0.5\n"
+                       "experiment.horizons = 30,60\n", encoding="utf-8")
+        assert experiments.main([command, "--config", str(cfg), "--seed",
+                                 "0", "--replications", "5",
+                                 "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            f"diverged at step 12: horizon {horizon}, replication 1\n"

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drifttrack import experiments as ex
+from drifttrack import core, experiments as ex
 from drifttrack.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -226,6 +227,112 @@ class TestRateSweep:
         other = run_rate_sweep(experiment_config("rates", _SWEEP_RAW,
                                                  {"seed": 6}))
         assert base.rows != other.rows
+
+
+# =====================================================================
+# Block reductions against the per-replication ones they replace
+# =====================================================================
+
+def _norms_one(err, p):
+    """One replication's final-slot l1, l2 and lp norms, as rates
+    computed them replication by replication."""
+    ae = np.abs(err)
+    l1 = float(np.sum(ae))
+    l2 = float(np.sqrt(np.sum(ae * ae)))
+    lp = float(np.max(ae)) if p == math.inf \
+        else float(np.sum(ae ** p) ** (1.0 / p))
+    return l1, l2, lp
+
+
+def _window_l2_one(errors, k0):
+    """One replication's per-step l2 norm averaged over slots k0..n."""
+    window = errors[k0:]
+    return float(np.mean(np.sqrt(np.sum(window * window, axis=1))))
+
+
+def _spread_errors(seed, shape):
+    """Errors over 200 decades, of both signs, with +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    errors = rng.uniform(-10.0, 10.0, shape) \
+        * 10.0 ** rng.integers(-100, 101, shape)
+    zeros = rng.random(shape) < 0.1
+    errors[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    return errors
+
+
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 5),
+       d=st.integers(1, 9), n=st.integers(1, 300),
+       p=st.sampled_from([1.0, 2.0, 2.5, math.inf]),
+       at_end=st.booleans(), spare_width=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_block_reductions_match_per_replication_bitwise(
+        seed, blocks, d, n, p, at_end, spare_width):
+    # d up to 9 crosses the 8-way unrolling of numpy's pairwise sum, and
+    # n up to 300 its 128-element blocks
+    errors = _spread_errors(seed, (blocks, n + 1, d))
+    k0 = n if at_end else 1
+    want_norms = np.array([_norms_one(e[-1], p) for e in errors])
+    want_windows = np.array([_window_l2_one(e, k0) for e in errors])
+    got_norms = ex._norms(errors[:, -1], p)
+    assert got_norms.tobytes() == want_norms.tobytes()
+    # the spare is a spent time-major stack, as run_rate_sweep hands it
+    spare = np.empty((n + 1, blocks, spare_width))
+    got_windows = ex._window_l2(errors, k0, spare)
+    assert got_windows.tobytes() == want_windows.tobytes()
+
+
+_BLOCKS_RAW = {
+    "path.kind": "stabilizing",
+    "schedule.kind": "stabilizing",
+    "experiment.horizons": "100,200,400",
+    "experiment.replications": "7",
+    "experiment.seed": "9",
+}
+
+
+@pytest.mark.parametrize("command", ["rates", "bound-check"])
+def test_three_blocks_give_one_blocks_output(monkeypatch, command):
+    # 7 replications at n = 400 in blocks of 3, 3 and 1, against one
+    # block of all 7; the stabilizing walk draws each replication's
+    # targets at random
+    sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
+    config = experiment_config(command, _BLOCKS_RAW)
+    whole = sweep(config)
+    monkeypatch.setattr(core, "BLOCK_SLOTS", 3 * (400 + 1))
+    calls = []
+    track = core.track
+
+    def counting_track(initial, *args, **kwargs):
+        calls.append(initial.shape[0])
+        return track(initial, *args, **kwargs)
+
+    monkeypatch.setattr(core, "track", counting_track)
+    split = sweep(config)
+    assert calls[-3:] == [3, 3, 1]
+    assert split == whole
+    header = ex.RATE_HEADER if command == "rates" else ex.BOUND_HEADER
+    assert format_csv(header, split.rows) == format_csv(header, whole.rows)
+
+
+@pytest.mark.parametrize("command", ["rates", "bound-check"])
+def test_sweep_holds_one_block_of_two_stacks(monkeypatch, command):
+    # 100 replications at n = 10,000 in two blocks of 50.  A block is
+    # the observation stack the estimates are written over and the
+    # targets; a third stack, or the last block kept while the next is
+    # drawn, would pass 3 of its stacks
+    n, size = 10000, 50
+    monkeypatch.setattr(core, "BLOCK_SLOTS", size * (n + 1))
+    sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
+    config = experiment_config(command, {"experiment.horizons": f"2,{n}",
+                                         "experiment.replications": "100"})
+    stack = size * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stack
 
 
 @pytest.mark.parametrize("fraction, n, k0", [
