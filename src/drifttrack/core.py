@@ -225,7 +225,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     its own step, as a one-at-a-time loop would; .replication is its
     index into seeds and .horizon the config's.
     """
-    if getattr(model, "dim", config.dimension) != config.dimension:
+    if model.dim != config.dimension:
         raise ValueError("model dimension does not match config")
     if gain.dim != config.dimension:
         raise ValueError("gain dimension does not match config")

@@ -151,7 +151,7 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
     "bounds.lambda2": (_POSITIVE, None),
     "bounds.c_g": (float, None),
-    "bounds.c_theta": (float, None),  # the path's if read, else measured
+    "bounds.c_theta": (float, None),  # the model's path's
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
     "verify.samples": (_at_least(int, bounds_mod.MIN_SAMPLES), 20_000),
     "kalman.n": (_at_least(int, 1), None),  # the last horizon
@@ -244,21 +244,26 @@ _PATH_FUNCTIONS = {
 }
 
 
-def _lipschitz_path(v: dict) -> models_mod.ParameterPath:
+def _lipschitz_path(v: dict, n: int) -> models_mod.ParameterPath:
+    """The path.function target on the grid k/n of horizon n."""
+    if not 0.0 < v["path.beta"] <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
     amp = v["path.amplitude"]
+    func = _pick(_PATH_FUNCTIONS, "path.function", v)(amp)
+    table = np.empty((n + 1, v["model.d"]))
+    for k in range(n + 1):
+        table[k] = func(k / n)
     return models_mod.make_parameter_path(
-        "lipschitz", dim=v["model.d"],
-        func=_pick(_PATH_FUNCTIONS, "path.function", v)(amp),
-        beta=v["path.beta"],
+        "grid", table=table,
         c_theta=_or(v["path.c_theta"], max(amp * amp, 1.0)))
 
 
-# path.kind -> values -> ParameterPath
+# path.kind -> (values, horizon) -> ParameterPath
 _PATHS = {
-    "static": lambda v: models_mod.make_parameter_path(
+    "static": lambda v, n: models_mod.make_parameter_path(
         "static", value=_or(v["path.value"], (0.0,) * v["model.d"]),
         c_theta=v["path.c_theta"]),
-    "stabilizing": lambda v: models_mod.make_parameter_path(
+    "stabilizing": lambda v, n: models_mod.make_parameter_path(
         "stabilizing", dim=v["model.d"], c_rho=v["path.c_rho"],
         beta=v["path.beta"], c_theta=_or(v["path.c_theta"], 1.0),
         start=v["path.start"]),
@@ -273,18 +278,26 @@ _INTENSITIES = {
 }
 
 
-# model.kind -> (values, path, noise) -> simulator
+def _poisson_model(v: dict, n: int, _path, _noise):
+    """Poisson counts read from a grid of the intensity's cell means for
+    horizon n, not from the path.* path; c_theta is their largest
+    square."""
+    intensity = _pick(_INTENSITIES, "model.intensity", v)(
+        v["model.intensity.a"], v["model.intensity.b"])
+    return models_mod.PoissonCountModel(path=models_mod.make_parameter_path(
+        "grid", table=models_mod.poisson_targets(intensity, n)))
+
+
+# model.kind -> (values, horizon, path, noise) -> simulator
 _MODELS = {
-    "signal_noise": lambda v, path, noise: models_mod.SignalNoiseModel(
+    "signal_noise": lambda v, n, path, noise: models_mod.SignalNoiseModel(
         path=path, noise=noise),
-    "arch1": lambda v, path, noise: models_mod.Arch1Model(
+    "arch1": lambda v, n, path, noise: models_mod.Arch1Model(
         path=path, noise=noise, x0=v["model.x0"]),
-    "poisson": lambda v, path, noise: models_mod.PoissonCountModel(
-        intensity=_pick(_INTENSITIES, "model.intensity", v)(
-            v["model.intensity.a"], v["model.intensity.b"])),
-    "ar1": lambda v, path, noise: models_mod.ArdBatchModel(
+    "poisson": _poisson_model,
+    "ar1": lambda v, n, path, noise: models_mod.ArdBatchModel(
         path, 1, v["model.sigma"], v["model.rho"]),
-    "ard": lambda v, path, noise: models_mod.ArdBatchModel(
+    "ard": lambda v, n, path, noise: models_mod.ArdBatchModel(
         path, v["model.d"], v["model.sigma"], v["model.rho"]),
 }
 
@@ -337,15 +350,15 @@ def _build(section: str, raw: dict, build: Callable, *args,
 
 
 def build_components(raw: dict, n: int):
-    """(tracking config, model, gain, path) for one horizon; the path,
-    model and gain must have dimension model.d."""
+    """(tracking config, model, gain, model.path) for one horizon; the
+    path, model and gain must have dimension model.d."""
     v = _values(raw)
     d = v["model.d"]
     noise = _build("model.noise", raw, models_mod.NoiseSpec,
                    v["model.noise.kind"], v["model.noise.scale"])
-    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, dim=d)
+    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n, dim=d)
     model = _build("model", raw, _pick(_MODELS, "model.kind", v),
-                   v, path, noise, dim=d)
+                   v, n, path, noise, dim=d)
     gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise, dim=d)
     schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
     consts = gain.constants
@@ -358,7 +371,7 @@ def build_components(raw: dict, n: int):
     config = _build("tracking", raw, lambda: TrackingConfig(
         dimension=d, horizon=n, schedule=schedule,
         initial_estimate=_or(v["tracking.initial"], (0.0,) * d)))
-    return config, model, gain, path
+    return config, model, gain, model.path
 
 
 # =====================================================================
@@ -501,7 +514,7 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     if config.horizons[0] < 2:  # the fit's log log n needs n >= 2
         raise ConfigError("experiment.horizons: rates needs horizons of at "
                           f"least 2, got {config.horizons[0]}")
-    rows, means, final_means = [], [], []
+    rows, means, final_l2 = [], [], []
     for h_idx, n in enumerate(config.horizons):
         tracking, model, gain, _path = build_components(raw, n)
         k0 = _burn_in(config.burn_in_fraction, n)
@@ -521,13 +534,13 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         # exact sums: aggregate independent of replication order
         stat = windows if statistic == "window" else finals[:, 1]
         means.append(math.fsum(stat) / reps)
-        final_means.append(math.fsum(finals[:, 1]) / reps)
+        final_l2.append(math.fsum(finals[:, 1]) / reps)
     slope, half = fit_rate(list(zip(config.horizons, means)))
     theo = theoretical_slope_for(raw)
     tol = v["experiment.tolerance"]
     passed = theo is None or abs(slope - theo) <= tol
     return RateReport(horizons=config.horizons, mean_l2=tuple(means),
-                      final_mean_l2=tuple(final_means),
+                      final_mean_l2=tuple(final_l2),
                       p=config.p, statistic=statistic, slope=slope,
                       half_width=half, theoretical_slope=theo, tolerance=tol,
                       passed=passed, rows=rows)
@@ -581,7 +594,6 @@ def run_bound_check(config: ExperimentConfig,
     err_norms = np.empty((reps, slots.size))
     osc_sum = np.zeros(n - k0)          # sum over reps of ||theta_{i+1} - theta_{k0}||
     est_sq_sum = np.zeros(n + 1)        # sum over reps of ||theta_hat_k||^2
-    theta_sq_max = 0.0
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
     runs = run_replications(tracking, model, gain, seeds, gammas)
@@ -593,8 +605,6 @@ def run_bound_check(config: ExperimentConfig,
             drift = targets[k0 + 1:] - targets[k0]
             osc_sum += np.linalg.norm(drift, axis=1)
             est_sq_sum += np.sum(estimates ** 2, axis=1)
-            theta_sq_max = max(theta_sq_max,
-                               float(np.max(np.sum(targets ** 2, axis=1))))
         del block_est, block_tgt, estimates, targets  # before the next draw
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants
@@ -604,11 +614,7 @@ def run_bound_check(config: ExperimentConfig,
     if lam1 is None or lam2 is None or c_g is None:
         raise ConfigError("bound check needs lambda1, lambda2 and c_g "
                           "(declared by the gain or set under bounds.*)")
-    # the path's c_theta bounds the targets only if the model reads them
-    # from it (a Poisson model draws its own)
-    from_path = getattr(model, "path", None) is path
-    c_theta = max(_or(v["bounds.c_theta"],
-                      path.c_theta if from_path else theta_sq_max), 1e-12)
+    c_theta = max(_or(v["bounds.c_theta"], path.c_theta), 1e-12)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
     checks = []
     for j, slot in enumerate(slots):

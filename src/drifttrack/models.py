@@ -26,6 +26,7 @@ __all__ = [
     "SimulatedPath",
     "SignalNoiseModel",
     "PoissonCountModel",
+    "poisson_targets",
     "CondGaussianModel",
     "Arch1Model",
     "ArdBatchModel",
@@ -94,10 +95,12 @@ class ParameterPath:
     """Generator of the drifting target sequence.
 
     kinds: "static" (constant vector), "stabilizing" (random walk with
-    increment budget c_rho * i^{-beta}), "lipschitz" (func sampled on
-    the grid k/n of horizon n), "predictable" (user rule reading a
-    bounded window of the realized past, run by feed).  Every emitted
-    value keeps ||theta||^2 <= c_theta.
+    increment budget c_rho * i^{-beta}), "grid" (an (n+1, d) table of
+    theta_0..theta_n for horizon n, built by the caller for that
+    horizon), "predictable" (user rule reading a bounded window of the
+    realized past, run by feed).  Every emitted value keeps
+    ||theta||^2 <= c_theta; a static value and a grid table are checked
+    when the path is built.
     """
 
     kind: str
@@ -105,24 +108,26 @@ class ParameterPath:
     c_theta: float = 1.0
     value: Optional[np.ndarray] = None          # static
     c_rho: float = 1.0                          # stabilizing
-    beta: float = 1.0                           # stabilizing / lipschitz
+    beta: float = 1.0                           # stabilizing
     start: Optional[np.ndarray] = None          # stabilizing
-    func: Optional[Callable] = None             # lipschitz: t in [0,1] -> vec
+    table: Optional[np.ndarray] = None          # grid: (n+1, d)
     rule: Optional[Callable] = None             # predictable: (k, window) -> vec
     window_depth: int = 1                       # predictable
 
     def __post_init__(self):
-        if self.kind not in ("static", "stabilizing", "lipschitz",
-                             "predictable"):
+        if self.kind not in ("static", "stabilizing", "grid", "predictable"):
             raise ValueError(f"unknown path kind {self.kind!r}")
         if self.kind == "stabilizing" and self.c_rho <= 0:
             raise ValueError("c_rho must be positive")
         if self.kind == "stabilizing" and self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.kind == "lipschitz" and not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
         if self.window_depth < 1:
             raise ValueError("window_depth must be at least 1")
+        if self.kind == "static":
+            self.value = self._check(
+                np.atleast_1d(np.asarray(self.value, dtype=float)))
+        if self.kind == "grid":
+            self.table = self._check(np.asarray(self.table, dtype=float))
         if self.kind == "stabilizing" and self.start is not None:
             start = self._check(np.atleast_1d(np.asarray(self.start, dtype=float)))
             if start.size != self.dim:
@@ -138,28 +143,18 @@ class ParameterPath:
         return theta
 
     def sample(self, n: int, rng: np.random.Generator) -> Optional[np.ndarray]:
-        """Realize theta_0..theta_n up front; None for predictable paths."""
+        """Realize theta_0..theta_n up front; None for predictable paths.
+        A grid path gives a copy of its table, whose horizon n must be."""
         if self.kind == "static":
-            theta = self._check(np.atleast_1d(np.asarray(self.value, dtype=float)))
-            return np.tile(theta, (n + 1, 1))
+            return np.tile(self.value, (n + 1, 1))
         if self.kind == "stabilizing":
             return self._sample_stabilizing(n, rng)
-        if self.kind == "lipschitz":
-            return self._lipschitz_grid(n).copy()
+        if self.kind == "grid":
+            if n != len(self.table) - 1:
+                raise ValueError(f"grid path built for horizon "
+                                 f"{len(self.table) - 1}, not {n}")
+            return self.table.copy()
         return None  # predictable
-
-    def _lipschitz_grid(self, n: int) -> np.ndarray:
-        """func on the grid of horizon n.  It draws nothing from rng, so
-        it is evaluated once per key and shared; callers get copies."""
-        key = (n, self.dim, self.c_theta, self.func)
-        cached = getattr(self, "_grid", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        out = np.empty((n + 1, self.dim))
-        for k in range(n + 1):
-            out[k] = self.func(k / n)
-        self._grid = (key, self._check(out))
-        return out
 
     def _sample_stabilizing(self, n: int, rng: np.random.Generator) -> np.ndarray:
         radius = math.sqrt(self.c_theta)
@@ -227,13 +222,19 @@ class ParameterPath:
 
 
 def make_parameter_path(kind: str, **params) -> ParameterPath:
-    """ParameterPath(kind, **params); a static value also sets dim and,
-    when c_theta is not given, c_theta = ||value||^2."""
+    """ParameterPath(kind, **params); a static value or a grid table also
+    sets dim and, when c_theta is not given, c_theta: ||value||^2 (plus
+    1e-12) for a value, the largest ||theta_k||^2 for a table."""
     if kind == "static":
         value = np.atleast_1d(np.asarray(params["value"], dtype=float))
         if params.get("c_theta") is None:
             params["c_theta"] = float(value @ value) + 1e-12
         params.update(value=value, dim=value.size)
+    if kind == "grid":
+        table = np.asarray(params["table"], dtype=float)
+        if params.get("c_theta") is None:
+            params["c_theta"] = float(np.max(np.sum(table * table, axis=1)))
+        params.update(table=table, dim=table.shape[1])
     return ParameterPath(kind=kind, **params)
 
 
@@ -294,46 +295,37 @@ def adaptive_simpson(func, a: float, b: float, tol: float = 1e-10,
     return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
+def poisson_targets(intensity: Callable[[float], float], n: int) -> np.ndarray:
+    """The (n+1, 1) Poisson targets of horizon n: n times the integral of
+    the intensity over grid cell k for k < n, and intensity(1.0) at slot
+    n, the intensity being extended constantly beyond t = 1."""
+    means = [n * adaptive_simpson(intensity, k / n, (k + 1) / n, tol=1e-10)
+             for k in range(n)]
+    table = np.array(means + [intensity(1.0)], dtype=float).reshape(-1, 1)
+    if np.any(table < 0):
+        raise ValueError("intensity must be nonnegative")
+    return table
+
+
 @dataclass(frozen=True)
 class PoissonCountModel:
     """Counting process on [0,1] observed on an n-point grid.
 
-    Increment k is Poisson with mean n * integral of the intensity over
-    the k-th grid cell; observation rows are (N_k, N_{k-1}) count pairs.
-    The intensity is extended constantly beyond t = 1 so the target at
-    the final slot is defined.
+    Increment k is Poisson with mean theta_k, read from the path (a grid
+    of poisson_targets for the horizon); observation rows are
+    (N_k, N_{k-1}) count pairs.
     """
 
-    intensity: Callable[[float], float]
+    path: ParameterPath
 
     dim = 1
 
-    def cell_mean(self, k: int, n: int) -> float:
-        lo = min(k / n, 1.0)
-        hi = min((k + 1) / n, 1.0)
-        if hi <= lo:  # past the end of the unit interval
-            return self.intensity(1.0)
-        return n * adaptive_simpson(self.intensity, lo, hi, tol=1e-10)
-
-    def _cell_means(self, n: int) -> np.ndarray:
-        """The n + 1 cell means of horizon n.  They draw nothing from
-        rng, so they are computed once per n and shared."""
-        cached = getattr(self, "_means", None)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        thetas = np.array([self.cell_mean(k, n) for k in range(n + 1)])
-        if np.any(thetas < 0):
-            raise ValueError("intensity must be nonnegative")
-        object.__setattr__(self, "_means", (n, thetas))
-        return thetas
-
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        thetas = self._cell_means(n)
-        increments = rng.poisson(thetas[:n])
+        thetas = self.path.sample(n, rng)
+        increments = rng.poisson(thetas[:n, 0])
         counts = np.concatenate(([0], np.cumsum(increments)))
         obs = np.column_stack([counts[1:], counts[:-1]]).astype(float)
-        return SimulatedPath(observations=obs,
-                             targets=thetas.reshape(-1, 1).copy())
+        return SimulatedPath(observations=obs, targets=thetas)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drifttrack import core, experiments as ex
+from drifttrack import core, experiments as ex, models
 from drifttrack.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -349,23 +349,77 @@ def test_bound_check_burn_in_rounds_up(fraction, n, k0):
 
 
 def test_poisson_bound_check_measures_c_theta():
-    # a Poisson model draws its own targets, so the static path the
-    # harness builds beside it bounds nothing: c_theta is the measured
-    # max ||theta_k||^2 (the cell means reach lambda(t)^2 = 16)
+    # a Poisson model reads its targets from its own grid path, whose
+    # c_theta is the max ||theta_k||^2 over them (the cell means reach
+    # lambda(t)^2 = 16), and bound-check takes that c_theta
     raw = {"model.kind": "poisson", "gain.kind": "poisson",
            "model.intensity": "sine", "model.intensity.a": "3",
            "model.intensity.b": "1", "gain.intensity_bound": "4",
            "experiment.horizons": "400"}
-    _, model, _, _ = build_components(raw, 400)
+    _, model, _, path = build_components(raw, 400)
+    assert path is model.path and path.kind == "grid"
     targets = model.simulate(400, make_rng(0)).targets
     measured = float(np.max(np.sum(targets ** 2, axis=1)))
     assert 15.9 < measured <= 16.0
+    assert model.path.c_theta == measured
     overrides = {"replications": 20}
     table = ex.run_bound_check(experiment_config("bound-check", raw,
                                                  overrides))
     pinned = ex.run_bound_check(experiment_config(
         "bound-check", {**raw, "bounds.c_theta": repr(measured)}, overrides))
     assert table.bound_rhs == pinned.bound_rhs
+
+
+def _lipschitz_grid_reference(func, n, dim):
+    """The lazily cached Lipschitz grid the grid table replaced."""
+    out = np.empty((n + 1, dim))
+    for k in range(n + 1):
+        out[k] = func(k / n)
+    return out
+
+
+def _cell_means_reference(intensity, n):
+    """The per-model Poisson cell means the grid table replaced; slot n
+    is intensity(1.0), not n times an integral."""
+    def cell_mean(k):
+        lo = min(k / n, 1.0)
+        hi = min((k + 1) / n, 1.0)
+        if hi <= lo:  # past the end of the unit interval
+            return intensity(1.0)
+        return n * models.adaptive_simpson(intensity, lo, hi, tol=1e-10)
+
+    return np.array([cell_mean(k) for k in range(n + 1)]).reshape(-1, 1)
+
+
+@given(n=st.integers(1, 300), d=st.integers(1, 3),
+       function=st.sampled_from(["sine", "linear"]),
+       amp=st.floats(-1.0, 1.0, allow_subnormal=False))
+@settings(max_examples=60, deadline=None)
+def test_lipschitz_table_matches_cached_grid(n, d, function, amp):
+    raw = {"path.kind": "lipschitz", "path.function": function,
+           "path.amplitude": repr(amp), "model.d": str(d),
+           "path.c_theta": str(d)}  # amp in [-1, 1]: each square <= 1
+    _, model, _, path = build_components(raw, n)
+    want = _lipschitz_grid_reference(ex._PATH_FUNCTIONS[function](amp), n, d)
+    assert path.table.tobytes() == want.tobytes()
+    assert model.simulate(n, make_rng(0)).targets.tobytes() == want.tobytes()
+
+
+@given(n=st.integers(1, 200), kind=st.sampled_from(["constant", "linear",
+                                                    "sine"]),
+       a=st.floats(0.0, 5.0), frac=st.floats(-1.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_poisson_table_matches_cell_means(n, kind, a, frac):
+    b = frac * a  # a + b * sin or a + b * t stays nonnegative
+    raw = {"model.kind": "poisson", "gain.kind": "poisson",
+           "model.intensity": kind, "model.intensity.a": repr(a),
+           "model.intensity.b": repr(b)}
+    _, model, _, path = build_components(raw, n)
+    want = _cell_means_reference(ex._INTENSITIES[kind](a, b), n)
+    assert path.table.tobytes() == want.tobytes()
+    assert model.simulate(n, make_rng(0)).targets.tobytes() == want.tobytes()
+    # the bound-check's c_theta, as the per-replication maximum measured it
+    assert path.c_theta == float(np.max(np.sum(want ** 2, axis=1)))
 
 
 class TestKalmanCompare:
@@ -548,6 +602,14 @@ class TestRanges:
         ("path.start", "0.1,0.2", {"path.kind": "stabilizing"}),
         ("gain.sigma_diag", "1,2,3", {"model.d": "2", "gain.kind": "gaussian"}),
         ("model.kind", "ar1", {"model.d": "2", "gain.kind": "ar1_normalized"}),
+        # a table or value checked against c_theta when it is built
+        ("path.value", "2", {"path.c_theta": "1"}),
+        ("path.amplitude", "2", {"path.kind": "lipschitz",
+                                 "path.c_theta": "1"}),
+        ("model.intensity.b", "-2", {"model.kind": "poisson",
+                                     "gain.kind": "poisson",
+                                     "model.intensity": "linear",
+                                     "model.intensity.a": "1"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):

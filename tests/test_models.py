@@ -17,7 +17,16 @@ from drifttrack.models import (
     adaptive_simpson,
     make_parameter_path,
     make_rng,
+    poisson_targets,
 )
+
+
+def _grid_path(func, n, dim=1, **params):
+    """A grid path holding func on the grid k/n of horizon n."""
+    table = np.empty((n + 1, dim))
+    for k in range(n + 1):
+        table[k] = func(k / n)
+    return make_parameter_path("grid", table=table, **params)
 
 
 class TestNoiseSpec:
@@ -69,9 +78,9 @@ class TestStaticPath:
         assert np.all(out == [1.0, 2.0])
 
     def test_compactness_enforced(self):
-        path = make_parameter_path("static", value=[2.0], c_theta=1.0)
-        with pytest.raises(ValueError):
-            path.sample(3, make_rng(0))
+        # checked once, when the path is built, not in every sample
+        with pytest.raises(ValueError, match="compact set"):
+            make_parameter_path("static", value=[2.0], c_theta=1.0)
 
 
 class TestStabilizingPath:
@@ -102,38 +111,50 @@ class TestStabilizingPath:
             make_parameter_path("stabilizing", beta=-0.5)
 
 
+def _lipschitz_path(n):
+    """The path build_components makes for path.kind = lipschitz at its
+    defaults: sin(2 pi t)/2 on the grid k/n."""
+    from drifttrack.experiments import build_components
+
+    return build_components({"path.kind": "lipschitz"}, n)[3]
+
+
 class TestLipschitzPath:
     def test_grid_evaluation(self):
-        path = make_parameter_path(
-            "lipschitz", func=lambda t: 0.5 * math.sin(2.0 * math.pi * t))
-        out = path.sample(100, make_rng(0))
+        out = _lipschitz_path(100).sample(100, make_rng(0))
         assert abs(out[50, 0]) < 1e-12  # sin(pi)/2 = 0
         assert math.isclose(out[25, 0], 0.5)
 
     def test_holder_increments_on_grid(self):
         n = 1000
-        path = make_parameter_path(
-            "lipschitz", func=lambda t: 0.5 * math.sin(2.0 * math.pi * t),
-            beta=1.0)
-        out = path.sample(n, make_rng(0))[:, 0]
+        out = _lipschitz_path(n).sample(n, make_rng(0))[:, 0]
         lip = math.pi  # |d/dt sin(2 pi t)/2| <= pi
         assert np.max(np.abs(np.diff(out))) <= lip / n + 1e-12
 
     def test_beta_domain(self):
-        with pytest.raises(ValueError):
-            make_parameter_path("lipschitz", func=lambda t: 0.0, beta=1.5)
+        from drifttrack.experiments import ConfigError, build_components
 
-    def test_grid_evaluated_once_per_horizon(self):
-        # the grid draws nothing at random: 200 replications share one
-        # evaluation, and each gets an array of its own
+        with pytest.raises(ConfigError, match="path.beta"):
+            build_components({"path.kind": "lipschitz", "path.beta": "1.5"},
+                             10)
+
+    def test_grid_evaluated_once_per_horizon(self, monkeypatch):
+        # the table draws nothing at random: the path's function runs
+        # n + 1 times when build_components builds the path, never in
+        # sample, and 200 replications each get an array of their own
+        from drifttrack import experiments
+
         n, points = 50, []
 
         def func(t):
             points.append(t)
             return 0.5 * t
 
-        path = make_parameter_path("lipschitz", func=func)
-        model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 1.0))
+        monkeypatch.setitem(experiments._PATH_FUNCTIONS, "linear",
+                            lambda amp: func)
+        _, model, _, path = experiments.build_components(
+            {"path.kind": "lipschitz", "path.function": "linear"}, n)
+        assert points == [k / n for k in range(n + 1)]
         first = model.simulate(n, make_rng(0)).targets
         want = first.copy()
         first[:] = 99.0
@@ -141,8 +162,14 @@ class TestLipschitzPath:
             out = model.simulate(n, make_rng(rep)).targets
             assert out.tobytes() == want.tobytes()
         assert len(points) == n + 1
-        assert path.sample(2 * n, make_rng(0)).shape == (2 * n + 1, 1)
-        assert len(points) == n + 1 + 2 * n + 1  # a new horizon, a new grid
+        with pytest.raises(ValueError, match="horizon 50, not 100"):
+            path.sample(2 * n, make_rng(0))
+
+    def test_table_checked_when_built(self):
+        with pytest.raises(ValueError, match="compact set"):
+            _grid_path(lambda t: 2.0 * t, 10, c_theta=1.0)
+        path = _grid_path(lambda t: [2.0 * t, -t], 10, dim=2)
+        assert path.dim == 2 and path.c_theta == 5.0  # the largest square
 
 
 class TestSignalNoiseModel:
@@ -163,8 +190,7 @@ class TestSignalNoiseModel:
 
     def test_alignment(self):
         # row k carries target k: with zero noise obs[k] == targets[k]
-        path = make_parameter_path(
-            "lipschitz", func=lambda t: t, c_theta=1.0)
+        path = _grid_path(lambda t: t, 10, c_theta=1.0)
         sim = SignalNoiseModel(path=path, noise=NoiseSpec("zero")).simulate(
             10, make_rng(0))
         assert np.allclose(sim.observations[:, 0], sim.targets[:10, 0])
@@ -193,51 +219,58 @@ class TestAdaptiveSimpson:
         assert abs(got - want) < 1e-9
 
 
+def _poisson(intensity, n):
+    return PoissonCountModel(path=make_parameter_path(
+        "grid", table=poisson_targets(intensity, n)))
+
+
 class TestPoissonModel:
     def test_constant_intensity_cells(self):
-        model = PoissonCountModel(intensity=lambda t: 2.0)
-        assert math.isclose(model.cell_mean(3, 10), 2.0, abs_tol=1e-10)
+        assert math.isclose(poisson_targets(lambda t: 2.0, 10)[3, 0], 2.0,
+                            abs_tol=1e-10)
 
     def test_linear_intensity_exact(self):
-        # lambda(t) = t, n = 2: cell means 0.25 and 0.75
-        model = PoissonCountModel(intensity=lambda t: t)
-        assert math.isclose(model.cell_mean(0, 2), 0.25, abs_tol=1e-10)
-        assert math.isclose(model.cell_mean(1, 2), 0.75, abs_tol=1e-10)
+        # lambda(t) = t, n = 2: cell means 0.25 and 0.75, then lambda(1)
+        got = poisson_targets(lambda t: t, 2)[:, 0]
+        assert np.allclose(got, [0.25, 0.75, 1.0], rtol=0.0, atol=1e-10)
 
     def test_zero_intensity(self):
-        sim = PoissonCountModel(intensity=lambda t: 0.0).simulate(20, make_rng(0))
+        sim = _poisson(lambda t: 0.0, 20).simulate(20, make_rng(0))
         assert np.all(sim.observations == 0.0)
 
     def test_counts_nondecreasing(self):
-        sim = PoissonCountModel(intensity=lambda t: 3.0).simulate(200, make_rng(1))
+        sim = _poisson(lambda t: 3.0, 200).simulate(200, make_rng(1))
         assert np.all(sim.observations[:, 0] >= sim.observations[:, 1])
 
     def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonCountModel(intensity=lambda t: -1.0).simulate(5, make_rng(0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            poisson_targets(lambda t: -1.0, 5)
 
     def test_cell_means_computed_once_per_horizon(self):
+        # the intensity runs when the table is built, never in simulate,
+        # and each simulate returns targets of its own
         calls = []
 
         def intensity(t):
             calls.append(t)
             return 1.0 + t
 
-        model = PoissonCountModel(intensity=intensity)
-        first = model.simulate(50, make_rng(0))
+        model = _poisson(intensity, 50)
         per_horizon = len(calls)
+        assert per_horizon > 51
+        first = model.simulate(50, make_rng(0))
+        assert len(calls) == per_horizon
         first.targets[:] = -1.0  # a caller's targets are its own
         again = model.simulate(50, make_rng(1))
         assert len(calls) == per_horizon
-        fresh = PoissonCountModel(intensity=lambda t: 1.0 + t)
+        fresh = _poisson(lambda t: 1.0 + t, 50)
         assert again.targets.tobytes() \
             == fresh.simulate(50, make_rng(1)).targets.tobytes()
-        model.simulate(60, make_rng(2))
-        assert len(calls) > per_horizon
+        with pytest.raises(ValueError, match="horizon"):
+            model.simulate(60, make_rng(2))
 
     def test_increment_mean(self):
-        sim = PoissonCountModel(intensity=lambda t: 2.0).simulate(
-            100_000, make_rng(2))
+        sim = _poisson(lambda t: 2.0, 100_000).simulate(100_000, make_rng(2))
         inc = sim.observations[:, 0] - sim.observations[:, 1]
         se = math.sqrt(2.0 / inc.size)
         assert abs(float(np.mean(inc)) - 2.0) <= 4.0 * se
@@ -363,16 +396,14 @@ class TestArdModel:
 
     @pytest.mark.parametrize("path", [
         # drifts for half the run, then holds still
-        make_parameter_path("lipschitz", dim=2, c_theta=1.0,
-                            func=lambda t: np.array(
-                                [0.6 * math.sin(3.0 * min(t, 0.5)), -0.2])),
+        _grid_path(lambda t: [0.6 * math.sin(3.0 * min(t, 0.5)), -0.2], 300,
+                   dim=2, c_theta=1.0),
         # reflects and gets trapped at the boundary, so it also holds still
         make_parameter_path("stabilizing", dim=2, c_rho=0.3, beta=0.25,
                             c_theta=0.09, start=[0.25, 0.1]),
         # d = 1 skips the triangular solve: A is the 1x1 identity
-        make_parameter_path("lipschitz", dim=1, c_theta=1.0,
-                            func=lambda t: np.array(
-                                [0.6 * math.sin(3.0 * min(t, 0.5))])),
+        _grid_path(lambda t: 0.6 * math.sin(3.0 * min(t, 0.5)), 300,
+                   c_theta=1.0),
     ])
     def test_drifting_d2_matches_per_step_loop(self, path):
         model = ArdBatchModel(path=path, d=path.dim, sigma=1.0)
@@ -384,8 +415,7 @@ class TestArdModel:
         assert sim.targets.tobytes() == want_thetas.tobytes()
 
     def test_path_leaving_region_names_first_unstable_step(self):
-        path = make_parameter_path("lipschitz", dim=1, c_theta=4.0,
-                                   func=lambda t: np.array([1.5 * t]))
+        path = _grid_path(lambda t: 1.5 * t, 100, c_theta=4.0)
         model = ArdBatchModel(path=path, d=1, sigma=1.0)
         thetas = path.sample(100, make_rng(0))
         first = next(k for k in range(100) if not
@@ -522,8 +552,8 @@ def test_signal_noise_predictable_matches_rolled_window(d, depth):
                         rule=lambda k, w: 0.1 + 0.2 * np.tanh(
                             w[0] ** 2 + w[-1] ** 2 + 0.01 * k)),
     make_parameter_path("static", value=[0.4]),
-    make_parameter_path("lipschitz", c_theta=1.0,
-                        func=lambda t: 0.3 + 0.2 * math.sin(2.0 * math.pi * t)),
+    _grid_path(lambda t: 0.3 + 0.2 * math.sin(2.0 * math.pi * t), 200,
+               c_theta=1.0),
 ])
 def test_arch1_matches_plain_loop(path):
     model = Arch1Model(path=path, noise=NoiseSpec("normal", 1.0), x0=0.5)
