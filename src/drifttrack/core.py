@@ -4,20 +4,23 @@ Projection regions plus one kernel, track, that runs the recursion
 theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
 replications at once; the value stored at slot k+1 is compared against
 the target at the same slot.  run_replications simulates and tracks
-as many seeds as BLOCK_SLOTS holds at the horizon; run_tracking is it
+as many seeds as BLOCK_BYTES holds at the horizon; run_tracking is it
 with one seed, and replay_updates re-runs track on stored observations.
 
-A block holds two stacks.  The time-major (n+1, B, max(w, d)) stack
-carries observation row k of every replication in slot k+1, and track
-writes estimate k+1 over that slot once step k has consumed the row;
-the rep-major (B, n+1, d) targets sit beside it.  The sweeps reduce
-each block in place, so no third (B, n+1, d) array is allocated.
+A block holds one time-major (n+1, B, max(w, d)) stack: it carries
+observation row k of every replication in slot k+1, and track writes
+estimate k+1 over that slot once step k has consumed the row.  Targets
+that draw nothing (a static or grid path) are one read-only (n+1, d)
+table the seeds share, seen as a (B, n+1, d) broadcast; targets drawn
+per seed take a second, rep-major (B, n+1, d) stack.  The sweeps reduce
+each block in place, so no further (B, n+1, d) array is allocated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -34,7 +37,7 @@ __all__ = [
     "TrackingRun",
     "TrackingDiverged",
     "GUARD_FACTOR",
-    "BLOCK_SLOTS",
+    "BLOCK_BYTES",
     "track",
     "run_replications",
     "run_tracking",
@@ -42,11 +45,11 @@ __all__ = [
 ]
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
-# Replication-slots per block: run_replications steps max(1, BLOCK_SLOTS //
-# (n+1)) replications together, so its two stacks hold at most about
-# BLOCK_SLOTS * (max(w, d) + d) * 8 bytes (102 MB at d = w = 1) unless a
-# single replication needs more.
-BLOCK_SLOTS = 64 * (100_000 + 1)
+# Bytes of stack per block: a replication costs (n+1) * (max(w, d) + d) * 8
+# bytes, or (n+1) * max(w, d) * 8 when its targets are a shared table, and
+# run_replications steps as many together as fit, at least one.  That is
+# 160 MB: 200 replications at n = 1e5 and d = w = 1 with shared targets.
+BLOCK_BYTES = 200 * (100_000 + 1) * 8
 _DIVERGED = "estimate left the guard region or gain went non-finite"
 
 
@@ -180,7 +183,7 @@ def track(initial, observations, gammas, evaluator,
     # the block's squared norm under half the smallest row guard clears
     # every row at once, rounding included; otherwise check row by row
     block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
-    for k, gamma in enumerate(np.asarray(gammas, dtype=float).tolist()):
+    for k, gamma in enumerate(np.asarray(gammas, dtype=float)):
         # a direction that would broadcast the block raises ValueError
         np.multiply(gamma, evaluator(est, observations[k]), out=step)
         est = np.add(est, step, out=out[k + 1])
@@ -192,51 +195,64 @@ def track(initial, observations, gammas, evaluator,
     return out.transpose(1, 0, 2)
 
 
-def _simulate(model, n: int, seeds):
-    """One run per seed, drawn into a time-major (n+1, B, max(w, d))
-    stack: observation row k of seed i goes to [k+1, i, :w].  Returns
-    the (n, B, w) observations and (n+1, B, d) estimate slots, both
-    views of the stack, and the (B, n+1, d) targets."""
+def _simulate(sims, n: int, size: int, table=None):
+    """The next size runs of sims, drawn into a time-major
+    (n+1, B, max(w, d)) stack: observation row k of run i goes to
+    [k+1, i, :w].  Returns the (n, B, w) observations and (n+1, B, d)
+    estimate slots, both views of the stack, and the (B, n+1, d)
+    targets: a read-only broadcast of table when given, else a stack of
+    each run's own."""
     stack = targets = None
-    for i, seed in enumerate(seeds):
-        sim: SimulatedPath = model.simulate(n, make_rng(seed))
+    for i, sim in enumerate(islice(sims, size)):
         w = sim.observations.shape[1]
         if stack is None:
-            targets = np.empty((len(seeds),) + sim.targets.shape)
-            d = targets.shape[2]
-            stack = np.empty((n + 1, len(seeds), max(w, d)))
+            d = sim.targets.shape[1]
+            stack = np.empty((n + 1, size, max(w, d)))
+            targets = np.empty((size, n + 1, d)) if table is None \
+                else np.broadcast_to(table, (size, n + 1, d))
         stack[1:, i, :w] = sim.observations
-        targets[i] = sim.targets
+        if table is None:
+            targets[i] = sim.targets
+        del sim  # before the next run is drawn
     return stack[1:, :, :w], stack[:, :, :d], targets
 
 
 def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
-                     gammas: Optional[np.ndarray] = None):
+                     gammas: Optional[np.ndarray] = None,
+                     table: Optional[np.ndarray] = None):
     """Yield (start, estimates, targets) per block of seeds, in seed order.
 
-    Blocks of max(1, BLOCK_SLOTS // (n+1)) replications are simulated
+    Blocks of as many replications as BLOCK_BYTES holds are simulated
     and stepped together; start is the block's first index into seeds,
     and estimates and targets are (B, n+1, d), each row equal to a block
     of one with its seed bit for bit.  estimates is a view of the spent
-    observation stack; the caller may overwrite both, and should drop
-    them before asking for the next block, as the generator does.
-    gammas defaults to the config's schedule.  A divergence raises
-    TrackingDiverged for the lowest-index replication that diverges, at
-    its own step, as a one-at-a-time loop would; .replication is its
-    index into seeds and .horizon the config's.
+    observation stack, which the caller may overwrite; it should drop
+    both before asking for the next block, as the generator does.
+    table, the (n+1, d) targets every seed shares when the model's path
+    draws nothing (its table_for(n)), makes targets a read-only
+    broadcast of it.  gammas defaults to the config's schedule.  A
+    divergence raises TrackingDiverged for the lowest-index replication
+    that diverges, at its own step, as a one-at-a-time loop would;
+    .replication is its index into seeds and .horizon the config's.
     """
     if model.dim != config.dimension:
         raise ValueError("model dimension does not match config")
     if gain.dim != config.dimension:
         raise ValueError("gain dimension does not match config")
-    n = config.horizon
+    n, d = config.horizon, config.dimension
     if gammas is None:
         gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
-    size = max(1, BLOCK_SLOTS // (n + 1))
-    for start in range(0, len(seeds), size):
+    sims = (model.simulate(n, make_rng(seed)) for seed in seeds)
+    start = 0
+    for first in sims:  # one pass a block; the first run gives its width
+        width = max(first.observations.shape[1], d) \
+            + (d if table is None else 0)
+        size = max(1, BLOCK_BYTES // ((n + 1) * width * 8))
         block = seeds[start:start + size]
-        obs, slots, targets = _simulate(model, n, block)
+        runs = chain([first], sims)
+        del first  # the block's draw holds it until it is copied
+        obs, slots, targets = _simulate(runs, n, len(block), table)
         init = np.tile(config.initial_estimate, (len(block), 1))
         try:
             estimates = track(init, obs, gammas, gain.evaluator,
@@ -256,6 +272,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
             raise
         yield start, estimates, targets
         del obs, slots, targets, estimates
+        start += len(block)
 
 
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,

@@ -280,7 +280,7 @@ _INTENSITIES = {
 
 def _poisson_model(v: dict, n: int, _path, _noise):
     """Poisson counts read from a grid of the intensity's cell means for
-    horizon n, not from the path.* path; c_theta is their largest
+    horizon n, not from a path.* path; c_theta is their largest
     square."""
     intensity = _pick(_INTENSITIES, "model.intensity", v)(
         v["model.intensity.a"], v["model.intensity.b"])
@@ -300,6 +300,9 @@ _MODELS = {
     "ard": lambda v, n, path, noise: models_mod.ArdBatchModel(
         path, v["model.d"], v["model.sigma"], v["model.rho"]),
 }
+# model kinds that build their own targets: they get path None, and a
+# path.* key set beside them is an error
+_OWN_TARGETS = frozenset({"poisson"})
 
 # gain.kind -> (values, noise) -> GainSpec
 _GAINS = {
@@ -356,9 +359,17 @@ def build_components(raw: dict, n: int):
     d = v["model.d"]
     noise = _build("model.noise", raw, models_mod.NoiseSpec,
                    v["model.noise.kind"], v["model.noise.scale"])
-    path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n, dim=d)
-    model = _build("model", raw, _pick(_MODELS, "model.kind", v),
-                   v, n, path, noise, dim=d)
+    build_model = _pick(_MODELS, "model.kind", v)
+    if v["model.kind"] in _OWN_TARGETS:
+        stray = [key for key in raw if key.startswith("path.")]
+        if stray:
+            raise ConfigError(f"{', '.join(stray)}: model.kind = "
+                              f"{v['model.kind']} reads no path.* key")
+        path = None
+    else:
+        path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n,
+                      dim=d)
+    model = _build("model", raw, build_model, v, n, path, noise, dim=d)
     gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise, dim=d)
     schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
     consts = gain.constants
@@ -473,21 +484,22 @@ def _norms(last: np.ndarray, p: float) -> np.ndarray:
     return norms
 
 
-def _window_l2(errors: np.ndarray, k0: int, spare: np.ndarray) -> np.ndarray:
+def _window_l2(errors: np.ndarray, k0: int) -> np.ndarray:
     """Per-step l2 norm averaged over the post-burn-in slots k0..n, for
     each replication of the (B, n+1, d) errors.
 
-    Squares the window in place, and writes the (B, m) per-step norms
-    C-contiguous over the front of spare, an array of at least B*m
-    values whose contents are spent: each row then sums as the 1-D mean
-    of one replication does.
+    Squares the window in place; each replication's per-step norms go to
+    one contiguous 1-D temporary, whose mean is one replication's 1-D
+    mean.
     """
     window = errors[:, k0:]
     np.multiply(window, window, out=window)
-    shape = window.shape[:2]
-    norms = spare.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
-    np.sqrt(np.sum(window, axis=2, out=norms), out=norms)
-    return np.mean(norms, axis=1)
+    norms = np.empty(window.shape[1])
+    means = np.empty(len(window))
+    for i, rep in enumerate(window):
+        np.sqrt(np.sum(rep, axis=1, out=norms), out=norms)
+        means[i] = np.mean(norms)
+    return means
 
 
 def _burn_in(fraction: float, n: int) -> int:
@@ -516,18 +528,18 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
                           f"least 2, got {config.horizons[0]}")
     rows, means, final_l2 = [], [], []
     for h_idx, n in enumerate(config.horizons):
-        tracking, model, gain, _path = build_components(raw, n)
+        tracking, model, gain, path = build_components(raw, n)
         k0 = _burn_in(config.burn_in_fraction, n)
         finals = np.empty((reps, 3))
         windows = np.empty(reps)
         seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
-        runs = run_replications(tracking, model, gain, seeds)
+        runs = run_replications(tracking, model, gain, seeds,
+                                table=path.table_for(n))
         for start, estimates, targets in runs:
             block = slice(start, start + len(targets))
-            errors = np.subtract(estimates, targets, out=targets)
+            errors = np.subtract(estimates, targets, out=estimates)
             finals[block] = _norms(errors[:, -1], config.p)
-            # the estimates' stack is spent: it takes the per-step norms
-            windows[block] = _window_l2(errors, k0, estimates.base)
+            windows[block] = _window_l2(errors, k0)
             del estimates, targets, errors  # before the next block's draw
         rows.extend((n, rep, *finals[rep], config.p, seeds[rep])
                     for rep in range(reps))
@@ -568,6 +580,11 @@ class BoundTable:
                         self.bound_rhs, self.flags))
 
 
+def _drift_norms(targets: np.ndarray, k0: int) -> np.ndarray:
+    """||theta_{i+1} - theta_{k0}|| for i = k0..n-1 of (n+1, d) targets."""
+    return np.linalg.norm(targets[k0 + 1:] - targets[k0], axis=1)
+
+
 def run_bound_check(config: ExperimentConfig,
                     n: Optional[int] = None) -> BoundTable:
     """Compare the MC mean error against the first-moment bound at
@@ -596,14 +613,17 @@ def run_bound_check(config: ExperimentConfig,
     est_sq_sum = np.zeros(n + 1)        # sum over reps of ||theta_hat_k||^2
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
-    runs = run_replications(tracking, model, gain, seeds, gammas)
+    table = path.table_for(n)
+    # shared targets drift alike: their norms are one vector, added once
+    # per replication as each replication's own would be
+    shared = None if table is None else _drift_norms(table, k0)
+    runs = run_replications(tracking, model, gain, seeds, gammas, table)
     for start, block_est, block_tgt in runs:
         for rep, (estimates, targets) in enumerate(zip(block_est, block_tgt),
                                                    start):
             err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
                                             axis=1)
-            drift = targets[k0 + 1:] - targets[k0]
-            osc_sum += np.linalg.norm(drift, axis=1)
+            osc_sum += _drift_norms(targets, k0) if shared is None else shared
             est_sq_sum += np.sum(estimates ** 2, axis=1)
         del block_est, block_tgt, estimates, targets  # before the next draw
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)

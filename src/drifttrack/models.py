@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+_WALK_CHUNK = 4096  # steps of the d = 1 stabilizing walk read as floats at once
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -142,21 +143,34 @@ class ParameterPath:
                              f"(||theta||^2 > {self.c_theta})")
         return theta
 
-    def sample(self, n: int, rng: np.random.Generator) -> Optional[np.ndarray]:
-        """Realize theta_0..theta_n up front; None for predictable paths.
-        A grid path gives a copy of its table, whose horizon n must be."""
+    def table_for(self, n: int) -> Optional[np.ndarray]:
+        """theta_0..theta_n as one read-only (n+1, d) table when the path
+        draws nothing (static, grid), else None.  A grid path's horizon
+        must be n."""
         if self.kind == "static":
-            return np.tile(self.value, (n + 1, 1))
+            return np.broadcast_to(self.value, (n + 1, self.value.size))
+        if self.kind != "grid":
+            return None
+        if n != len(self.table) - 1:
+            raise ValueError(f"grid path built for horizon "
+                             f"{len(self.table) - 1}, not {n}")
+        table = self.table.view()
+        table.flags.writeable = False
+        return table
+
+    def sample(self, n: int, rng: np.random.Generator) -> Optional[np.ndarray]:
+        """Realize theta_0..theta_n up front, a copy of table_for(n) when
+        the path draws nothing; None for predictable paths."""
+        table = self.table_for(n)
+        if table is not None:
+            return table.copy()
         if self.kind == "stabilizing":
-            return self._sample_stabilizing(n, rng)
-        if self.kind == "grid":
-            if n != len(self.table) - 1:
-                raise ValueError(f"grid path built for horizon "
-                                 f"{len(self.table) - 1}, not {n}")
-            return self.table.copy()
+            # checked once the walk's temporaries are freed
+            return self._check(self._walk(n, rng))
         return None  # predictable
 
-    def _sample_stabilizing(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _walk(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The stabilizing walk theta_0..theta_n, unchecked."""
         radius = math.sqrt(self.c_theta)
         theta = np.zeros(self.dim) if self.start is None \
             else np.atleast_1d(np.asarray(self.start, dtype=float)).copy()
@@ -168,19 +182,24 @@ class ParameterPath:
         steps = np.arange(n, dtype=float)
         steps[0] = 1.0
         budgets = self.c_rho * steps ** (-self.beta)
+        del steps
         if self.dim == 1:
-            # scalar fast path: direction is just the sign of the draw
+            # scalar fast path: direction is just the sign of the draw,
+            # read as Python floats a chunk at a time to keep lists short
             t = float(theta[0])
             col = out[:, 0]
-            signs = np.where(draws[:, 0] >= 0.0, 1.0, -1.0).tolist()
-            for i, (b, s) in enumerate(zip(budgets.tolist(), signs)):
-                if abs(t + b * s) > radius:
-                    s = -s  # reflect back toward the interior
-                if abs(t + b * s) <= radius:
-                    t = t + b * s
-                # else trapped near the boundary; stay put this round
-                col[i + 1] = t
-            return self._check(out)
+            for lo in range(0, n, _WALK_CHUNK):
+                chunk = slice(lo, lo + _WALK_CHUNK)
+                signs = np.where(draws[chunk, 0] >= 0.0, 1.0, -1.0).tolist()
+                for i, (b, s) in enumerate(zip(budgets[chunk].tolist(),
+                                               signs), lo):
+                    if abs(t + b * s) > radius:
+                        s = -s  # reflect back toward the interior
+                    if abs(t + b * s) <= radius:
+                        t = t + b * s
+                    # else trapped near the boundary; stay put this round
+                    col[i + 1] = t
+            return out
         norms = np.linalg.norm(draws, axis=1)
         tiny = norms < 1e-12
         if np.any(tiny):
@@ -197,7 +216,7 @@ class ParameterPath:
                     cand = theta  # trapped near the boundary; stay put
             theta = cand
             out[i + 1] = theta
-        return self._check(out)
+        return out
 
     def feed(self, n: int, step: Callable,
              rule: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:

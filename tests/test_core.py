@@ -371,7 +371,9 @@ def _first_divergence(config, model, gain, seeds):
 
 class TestReplications:
     def test_blocks_equal_run_tracking(self, monkeypatch):
-        monkeypatch.setattr(core, "BLOCK_SLOTS", 3 * (40 + 1))
+        # three replications of two stacks, each 41 slots of max(w, d) + d
+        # = 4 values
+        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (40 + 1) * 4 * 8)
         sched = StepSchedule(kind="static", c_gamma=2.0)
         config, model, gain = _static_setup(noise="normal", n=40, d=2,
                                             schedule=sched)
@@ -386,6 +388,8 @@ class TestReplications:
                 assert estimates[i].tobytes() == one.estimates.tobytes()
                 assert targets[i].tobytes() == one.targets.tobytes()
 
+    # a budget of slots replication-slots, each a value of the observation
+    # stack and one of the targets' (w = d = 1): 16 bytes
     @pytest.mark.parametrize("slots, sizes", [
         (25, [2, 2, 1]),              # 25 // (9+1) = 2 replications a block
         (50, [5]),
@@ -394,7 +398,7 @@ class TestReplications:
         (3, [1, 1, 1, 1, 1]),         # fewer than n+1 slots: still one
     ])
     def test_block_size_follows_slot_budget(self, monkeypatch, slots, sizes):
-        monkeypatch.setattr(core, "BLOCK_SLOTS", slots)
+        monkeypatch.setattr(core, "BLOCK_BYTES", slots * 16)
         calls = []
 
         def counting_track(initial, observations, *args, **kwargs):
@@ -410,6 +414,30 @@ class TestReplications:
             == [sum(sizes[:i]) for i in range(len(sizes))]
         assert [b for b, _ in calls] == sizes
         assert all(shape == (9, b) for b, shape in calls)
+
+    def test_shared_table_blocks_hold_one_stack(self, monkeypatch):
+        # with the path's table, a replication costs its observation
+        # stack alone: the budget of two replications of two stacks
+        # holds four, and every block's targets are one read-only view
+        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (9 + 1) * 2 * 8)
+        config, model, gain = _static_setup(theta=0.3, noise="normal", n=9)
+        table = model.path.table_for(9)
+        seeds = list(range(7))
+        alone = [len(t) for _, _, t in
+                 core.run_replications(config, model, gain, seeds)]
+        blocks = list(core.run_replications(config, model, gain, seeds,
+                                            table=table))
+        assert alone == [2, 2, 2, 1]
+        assert [len(t) for _, _, t in blocks] == [4, 3]
+        for start, estimates, targets in blocks:
+            assert not targets.flags.writeable
+            assert np.shares_memory(targets, table)
+            with pytest.raises(ValueError, match="read-only"):
+                targets[0, 0, 0] = 1.0
+            for i, seed in enumerate(seeds[start:start + len(targets)]):
+                one = run_tracking(config, model, gain, seed)
+                assert estimates[i].tobytes() == one.estimates.tobytes()
+                assert targets[i].tobytes() == one.targets.tobytes()
 
     def test_divergence_names_lowest_replication(self):
         # in one block, replication 3 diverges at step 2 and replication

@@ -263,7 +263,7 @@ def _spread_errors(seed, shape):
 @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 5),
        d=st.integers(1, 9), n=st.integers(1, 300),
        p=st.sampled_from([1.0, 2.0, 2.5, math.inf]),
-       at_end=st.booleans(), spare_width=st.integers(1, 3))
+       at_end=st.booleans(), spare_width=st.integers(0, 2))
 @settings(max_examples=300, deadline=None)
 def test_block_reductions_match_per_replication_bitwise(
         seed, blocks, d, n, p, at_end, spare_width):
@@ -273,11 +273,14 @@ def test_block_reductions_match_per_replication_bitwise(
     k0 = n if at_end else 1
     want_norms = np.array([_norms_one(e[-1], p) for e in errors])
     want_windows = np.array([_window_l2_one(e, k0) for e in errors])
+    # the errors as run_rate_sweep hands them: written over the estimates,
+    # a (B, n+1, d) view of a time-major stack up to spare_width wider
+    stack = np.empty((n + 1, blocks, d + spare_width))
+    stack[:, :, :d] = errors.transpose(1, 0, 2)
+    errors = stack[:, :, :d].transpose(1, 0, 2)
     got_norms = ex._norms(errors[:, -1], p)
     assert got_norms.tobytes() == want_norms.tobytes()
-    # the spare is a spent time-major stack, as run_rate_sweep hands it
-    spare = np.empty((n + 1, blocks, spare_width))
-    got_windows = ex._window_l2(errors, k0, spare)
+    got_windows = ex._window_l2(errors, k0)
     assert got_windows.tobytes() == want_windows.tobytes()
 
 
@@ -298,7 +301,8 @@ def test_three_blocks_give_one_blocks_output(monkeypatch, command):
     sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
     config = experiment_config(command, _BLOCKS_RAW)
     whole = sweep(config)
-    monkeypatch.setattr(core, "BLOCK_SLOTS", 3 * (400 + 1))
+    # three replications of two stacks at n = 400, d = w = 1
+    monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (400 + 1) * 2 * 8)
     calls = []
     track = core.track
 
@@ -314,25 +318,53 @@ def test_three_blocks_give_one_blocks_output(monkeypatch, command):
     assert format_csv(header, split.rows) == format_csv(header, whole.rows)
 
 
-@pytest.mark.parametrize("command", ["rates", "bound-check"])
-def test_sweep_holds_one_block_of_two_stacks(monkeypatch, command):
-    # 100 replications at n = 10,000 in two blocks of 50.  A block is
-    # the observation stack the estimates are written over and the
-    # targets; a third stack, or the last block kept while the next is
-    # drawn, would pass 3 of its stacks
-    n, size = 10000, 50
-    monkeypatch.setattr(core, "BLOCK_SLOTS", size * (n + 1))
+def _traced_peak(monkeypatch, command, raw, budget):
+    """tracemalloc's peak over a sweep of 100 replications at horizons 2
+    and 10,000 in blocks of budget bytes."""
+    monkeypatch.setattr(core, "BLOCK_BYTES", budget)
     sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
-    config = experiment_config(command, {"experiment.horizons": f"2,{n}",
+    # a small sweep first, so what numpy imports lazily (np.unique loads
+    # numpy.ma) is not traced as the sweep's
+    sweep(experiment_config(command, {**raw, "experiment.horizons": "2,10",
+                                      "experiment.replications": "2"}))
+    config = experiment_config(command, {**raw,
+                                         "experiment.horizons": "2,10000",
                                          "experiment.replications": "100"})
-    stack = size * (n + 1) * 8
     tracemalloc.start()
     try:
         sweep(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["rates", "bound-check"])
+def test_sweep_holds_one_block_of_two_stacks(monkeypatch, command):
+    # 100 replications at n = 10,000 in two blocks of 50.  A stabilizing
+    # walk's block is the observation stack the estimates are written
+    # over and the targets; a third stack, or the last block kept while
+    # the next is drawn, would pass 3 of its stacks
+    n, size = 10000, 50
+    stack = size * (n + 1) * 8
+    # a draw per seed without the walk's Python loop, which tracemalloc
+    # slows some fifty-fold
+    monkeypatch.setattr(models.ParameterPath, "_walk",
+                        lambda path, n, rng: rng.uniform(-0.5, 0.5,
+                                                         (n + 1, path.dim)))
+    peak = _traced_peak(monkeypatch, command, {
+        "path.kind": "stabilizing", "schedule.kind": "stabilizing"},
+        2 * stack)
     assert peak <= 2.5 * stack
+
+
+@pytest.mark.parametrize("command", ["rates", "bound-check"])
+def test_static_sweep_holds_one_block_of_one_stack(monkeypatch, command):
+    # the same sweep on a static path: the seeds share one read-only
+    # targets table, so a block of 50 is the observation stack alone
+    n, size = 10000, 50
+    stack = size * (n + 1) * 8
+    peak = _traced_peak(monkeypatch, command, {}, stack)
+    assert peak <= 1.5 * stack
 
 
 @pytest.mark.parametrize("fraction, n, k0", [
@@ -610,6 +642,16 @@ class TestRanges:
                                      "gain.kind": "poisson",
                                      "model.intensity": "linear",
                                      "model.intensity.a": "1"}),
+        # a Poisson model reads its own grid, so any path.* key is one
+        # that does nothing, valid or not
+        ("path.kind", "stabilizing", {"model.kind": "poisson",
+                                      "gain.kind": "poisson"}),
+        ("path.value", "0.5", {"model.kind": "poisson",
+                               "gain.kind": "poisson"}),
+        ("path.amplitude", "3", {"model.kind": "poisson",
+                                 "gain.kind": "poisson",
+                                 "path.kind": "lipschitz",
+                                 "path.c_theta": "1"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):

@@ -457,6 +457,66 @@ def test_simulators_deterministic(seed, n):
 
 
 # ---------------------------------------------------------------------
+# Targets that draw nothing: one read-only table for every seed
+# ---------------------------------------------------------------------
+
+# model.kind -> keys beside a static or lipschitz path that keep its
+# simulator valid (arch1 needs theta >= 0, AR a stable polynomial whose
+# roots the stability check finds: sin(pi) ~ 1e-16 entries defeat it)
+_DRAW_FREE = {
+    "signal_noise": {"gain.kind": "signal_noise"},
+    "arch1": {"gain.kind": "arch1", "path.value": "0.3",
+              "path.function": "linear"},
+    "ar1": {"gain.kind": "ar1_normalized", "path.value": "0.4",
+            "path.function": "linear", "path.amplitude": "0.4"},
+    "ard": {"gain.kind": "ard_score", "model.d": "2", "path.value": "0.3,0.2",
+            "path.function": "linear", "path.amplitude": "0.3"},
+}
+
+
+@given(model=st.sampled_from(sorted(_DRAW_FREE) + ["poisson"]),
+       path=st.sampled_from(["static", "lipschitz"]),
+       n=st.integers(1, 60), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_draw_free_targets_are_the_shared_table(model, path, n, seed):
+    from drifttrack.experiments import build_components
+
+    raw = {"model.kind": model, "gain.kind": "poisson",
+           "model.intensity": "sine", "model.intensity.b": "0.5"} \
+        if model == "poisson" else {"model.kind": model, "path.kind": path,
+                                    **_DRAW_FREE[model]}
+    _, sim_model, _, built = build_components(raw, n)
+    table = built.table_for(n)
+    assert table.shape == (n + 1, sim_model.dim)
+    targets = sim_model.simulate(n, make_rng(seed)).targets
+    assert targets.shape == table.shape
+    assert targets.tobytes() == table.tobytes()
+
+
+def test_shared_table_is_read_only():
+    static = make_parameter_path("static", value=[0.3, -0.2])
+    grid = _lipschitz_path(20)
+    for path in (static, grid):
+        table = path.table_for(20)
+        with pytest.raises(ValueError, match="read-only"):
+            table[3] = 0.0
+        # a sample is the run's own copy
+        sample = path.sample(20, make_rng(0))
+        sample[3] = 0.0
+        assert table[3, 0] != 0.0
+    assert grid.table.flags.writeable  # the path's own table is untouched
+    with pytest.raises(ValueError, match="horizon 20, not 21"):
+        grid.table_for(21)
+
+
+def test_drawn_paths_have_no_table():
+    stabilizing = make_parameter_path("stabilizing", dim=1)
+    predictable = make_parameter_path("predictable", rule=lambda k, w: 0.0)
+    assert stabilizing.table_for(10) is None
+    assert predictable.table_for(10) is None
+
+
+# ---------------------------------------------------------------------
 # Predictable paths: the one feedback loop against the per-model loops
 # it replaced, kept here as plain references that roll their window
 # ---------------------------------------------------------------------

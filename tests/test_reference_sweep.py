@@ -20,7 +20,8 @@ _MODEL_GAINS = {
 }
 # model.kind -> the path kinds drawn for it, and the largest |theta| entry
 # that keeps its simulator valid (arch1 needs theta >= 0, AR a stable
-# polynomial)
+# polynomial; arch1 and AR take the linear function, since the AR
+# stability check fails to converge on the ~1e-16 entries of sin(pi))
 _MODEL_PATHS = {
     "signal_noise": (("static", "stabilizing", "lipschitz"), 0.7),
     "arch1": (("static", "lipschitz"), 0.9),
@@ -52,7 +53,7 @@ def _path_keys(draw, model, d):
                 draw(_floats(-top, top)) for _ in range(d)) if d == 1 \
                 else ",".join(["0.0"] * d)
     else:
-        keys["path.function"] = "linear" if model == "arch1" \
+        keys["path.function"] = "linear" if model != "signal_noise" \
             else draw(st.sampled_from(["sine", "linear"]))
         keys["path.amplitude"] = draw(_floats(low, top))
     return keys
@@ -125,13 +126,13 @@ def test_cases_cover_every_component_kind():
         == set(ex._PATHS)
 
 
-@given(raw=sweep_configs(), per_block=st.integers(1, 5))
+@given(raw=sweep_configs(), slots=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
-def test_sweeps_match_the_reference(raw, per_block):
-    # blocks of per_block replications at the last horizon, and no fewer
-    # at the others
+def test_sweeps_match_the_reference(raw, slots):
+    # a budget of slots values per step at the last horizon: blocks of
+    # one replication up to all of them, as the stacks' width allows
     n = int(raw["experiment.horizons"].split(",")[-1])
-    with mock.patch.object(core, "BLOCK_SLOTS", per_block * (n + 1)):
+    with mock.patch.object(core, "BLOCK_BYTES", slots * (n + 1) * 8):
         for command, sweep, header, reference in [
                 ("rates", ex.run_rate_sweep, ex.RATE_HEADER,
                  reference_rates),
