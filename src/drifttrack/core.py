@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gains import GainSpec
-from .models import SimulatedPath, make_rng
+from .models import make_rng
 from .schedules import StepSchedule
 
 __all__ = [
@@ -250,9 +250,8 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
             + (d if table is None else 0)
         size = max(1, BLOCK_BYTES // ((n + 1) * width * 8))
         block = seeds[start:start + size]
-        runs = chain([first], sims)
-        del first  # the block's draw holds it until it is copied
-        obs, slots, targets = _simulate(runs, n, len(block), table)
+        obs, slots, targets = _simulate(chain([first], sims), n, len(block),
+                                        table)
         init = np.tile(config.initial_estimate, (len(block), 1))
         try:
             estimates = track(init, obs, gammas, gain.evaluator,

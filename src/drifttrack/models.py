@@ -182,7 +182,7 @@ class ParameterPath:
         steps = np.arange(n, dtype=float)
         steps[0] = 1.0
         budgets = self.c_rho * steps ** (-self.beta)
-        del steps
+        del steps  # not read again: one temporary fewer beside the block
         if self.dim == 1:
             # scalar fast path: direction is just the sign of the draw,
             # read as Python floats a chunk at a time to keep lists short
