@@ -32,9 +32,6 @@ __all__ = [
     "gain_spsa",
     "gain_ard_score",
     "average_gain_ard",
-    "modifier_soft_normalize",
-    "modifier_norm_truncate",
-    "modifier_predictable_rescale",
     "signal_noise_spec",
     "quantile_spec",
     "poisson_spec",
@@ -162,34 +159,6 @@ def average_gain_ard(theta_hat, theta, y_batch, sigma: float):
 
 
 # =====================================================================
-# Modifiers (all direction preserving)
-# =====================================================================
-
-def modifier_soft_normalize(g):
-    """G / (1 + ||G||); output norm strictly below 1."""
-    g = np.asarray(g, dtype=float)
-    return g / (1.0 + np.linalg.norm(g))
-
-
-def modifier_norm_truncate(g, kappa: float):
-    """Rescale G onto the ball of radius kappa when it sticks out."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    g = np.asarray(g, dtype=float)
-    norm = np.linalg.norm(g)
-    return g if norm <= kappa else g * (kappa / norm)
-
-
-def modifier_predictable_rescale(g, s: float, kappa: float):
-    """G * min(s, kappa)/s for a predictable scale s > 0."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return np.asarray(g, dtype=float) * (min(s, kappa) / s)
-
-
-# =====================================================================
 # GainSpec factories for the tracking engine
 #
 # Observation-row layouts (matching the simulators in models.py):
@@ -254,7 +223,7 @@ def gaussian_known_cov_spec(sigma) -> GainSpec:
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = sigma.shape[0]
-    eigs = linalg.sym_eigenvalues(sigma)
+    eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] <= 1e-12:
         raise ValueError("covariance not positive definite")
     upper = np.linalg.cholesky(sigma).T

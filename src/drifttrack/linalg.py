@@ -1,14 +1,14 @@
 """Dense matrix helpers for autoregressive tracking.
 
 Toeplitz and companion constructions, unit upper-triangular
-back-substitution, a Durand-Kerner polynomial root finder, a cyclic
-Jacobi eigenvalue solver, Gaussian KL divergence, and the quadratic
-form that the batched AR(d) average gain is built from.
+back-substitution, the AR stability check, Gaussian KL divergence, the
+quadratic form that the batched AR(d) average gain is built from, and
+the eigenvalue and summation-by-parts lemmas.
 
-The root finder and the Jacobi sweep are deliberately hand-rolled: the
-companion spectrum must agree with the reciprocal polynomial roots, and
-keeping both routes independent lets the test suite check one against
-the other.
+Eigenvalues come from numpy: the stability check takes the companion
+spectral radius from np.linalg.eigvals, and the symmetric lemmas use
+np.linalg.eigvalsh.  The tests check the stability check against their
+own Durand-Kerner root finder on the reciprocal polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StabilityRegion",
     "ArdQuadraticForm",
     "toeplitz_from_vector",
     "shift_matrix",
@@ -27,13 +26,10 @@ __all__ = [
     "ar_matrix_b",
     "companion_matrix",
     "solve_unit_upper",
-    "durand_kerner_roots",
     "ar_stability_check",
     "stability_inner_radius",
-    "stability_outer_radius",
     "kl_gaussians",
     "ard_quadratic_matrix",
-    "sym_eigenvalues",
     "lemma_eig_check",
     "abel_transform_check",
     "kp_constant",
@@ -111,99 +107,27 @@ def solve_unit_upper(a, b) -> np.ndarray:
 
 
 # =====================================================================
-# Polynomial roots and the AR stability region
+# The AR stability region
 # =====================================================================
-
-class RootFindingError(RuntimeError):
-    """Durand-Kerner failed to converge; carries the last residuals."""
-
-    def __init__(self, message: str, residuals: np.ndarray):
-        super().__init__(message)
-        self.residuals = residuals
-
-
-def durand_kerner_roots(coeffs, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
-    """All complex roots of sum_j coeffs[j] z^j (ascending order, c[-1] != 0).
-
-    Simultaneous iteration with initial guesses on a circle of radius
-    1 + max |c_j / c_m|, slightly rotated to break symmetry.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.size < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    if c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    c = c / c[-1]
-    m = c.size - 1
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    roots = radius * np.exp(2j * np.pi * (np.arange(m) + 0.357) / m)
-    desc = c[::-1]  # descending for polyval
-    for _ in range(max_sweeps):
-        shift = np.zeros(m, dtype=complex)
-        for i in range(m):
-            diff = roots[i] - np.delete(roots, i)
-            denom = np.prod(diff)
-            shift[i] = np.polyval(desc, roots[i]) / denom
-        roots = roots - shift
-        if np.max(np.abs(shift)) < tol:
-            return roots
-    residuals = np.abs(np.polyval(desc, roots))
-    if np.max(residuals) < 1e-10:  # converged in value if not in step
-        return roots
-    raise RootFindingError("root iteration did not converge", residuals)
-
-
-@dataclass(frozen=True)
-class StabilityRegion:
-    """AR(d) coefficient vectors whose polynomial 1 - sum theta_i z^i has
-    no zero inside the disc of radius 1/rho; equivalently the companion
-    spectral radius is at most rho."""
-
-    rho: float
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.d < 1:
-            raise ValueError("d must be positive")
-
-    def contains(self, theta) -> bool:
-        member, _ = ar_stability_check(theta, self.rho)
-        return member
-
 
 def stability_inner_radius(rho: float, d: int) -> float:
     """Sup-norm ball radius guaranteed inside the stability region."""
     return sum(rho ** (-2 * i) for i in range(1, d + 1)) ** -0.5
 
 
-def stability_outer_radius(rho: float, d: int) -> float:
-    """Sup-norm ball radius guaranteed to contain the stability region."""
-    return (1.0 + rho) ** d - 1.0
-
-
 def ar_stability_check(theta, rho: float) -> tuple[bool, float]:
     """Membership of theta in the rho-stability region.
 
-    Returns (member, spectral_radius) where spectral_radius is the
-    reciprocal of the smallest root modulus of 1 - sum theta_i z^i
-    (zero for the all-zero coefficient vector, which has no roots).
+    The region holds the coefficient vectors whose polynomial
+    1 - sum theta_i z^i has no zero inside the disc of radius 1/rho:
+    equivalently, the companion spectral radius is at most rho.  Returns
+    (member, spectral_radius); the all-zero vector has radius 0.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    # trailing zero coefficients drop the degree (roots escape to infinity)
-    nz = np.nonzero(theta)[0]
-    if nz.size == 0:
-        return True, 0.0
-    eff = theta[: nz[-1] + 1]
-    coeffs = np.concatenate(([1.0], -eff))
-    roots = durand_kerner_roots(coeffs)
-    min_mod = float(np.min(np.abs(roots)))
-    spectral_radius = 1.0 / min_mod
-    member = min_mod >= 1.0 / rho - 1e-9
-    return member, spectral_radius
+    radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(theta)))))
+    member = radius == 0.0 or 1.0 / radius >= 1.0 / rho - 1e-9
+    return member, radius
 
 
 # =====================================================================
@@ -278,49 +202,8 @@ def ard_quadratic_matrix(theta, y, sigma: float) -> ArdQuadraticForm:
 
 
 # =====================================================================
-# Symmetric eigenvalues (cyclic Jacobi) and the eigenvalue lemma
+# The eigenvalue lemma
 # =====================================================================
-
-def sym_eigenvalues(m, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-12
-    relative to the matrix scale.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(a, a.T, atol=1e-10 * (1.0 + np.abs(a).max())):
-        raise ValueError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    d = a.shape[0]
-    if d == 1:
-        return a[0].copy()
-    scale = max(1.0, float(np.linalg.norm(a)))
-    tol = 1e-12 * scale
-    for _ in range(max_sweeps):
-        off_entries = a - np.diag(np.diag(a))
-        off = math.sqrt(float(np.sum(off_entries * off_entries)))
-        if off < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # similarity by J with J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s
-                left = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = left @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ left.T
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a))
-
 
 @dataclass(frozen=True)
 class EigLemmaReport:
@@ -337,7 +220,7 @@ def _induced_norm(m: np.ndarray, p) -> float:
     if p == math.inf:
         return float(np.max(np.abs(m).sum(axis=1)))
     if p == 2:
-        return float(np.max(np.abs(sym_eigenvalues(m))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     raise ValueError("only p in {1, 2, inf} supported")
 
 
@@ -371,14 +254,14 @@ def lemma_eig_check(m, gamma: float, tol: float = 1e-10) -> EigLemmaReport:
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[0]
-    eigs = sym_eigenvalues(m)
+    eigs = np.linalg.eigvalsh(m)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_min <= 0:
         raise ValueError("matrix must be positive definite")
     if gamma * lam_max >= 1.0:
         raise ValueError("gamma * lambda_max must be below 1")
     contraction = np.eye(d) - gamma * m
-    c_eigs = sym_eigenvalues(contraction)
+    c_eigs = np.linalg.eigvalsh(contraction)
     norm_disc = abs(_induced_norm(contraction, 2) - (1.0 - gamma * lam_min))
     ordering_disc = max(
         abs(float(c_eigs[0]) - (1.0 - gamma * lam_max)),

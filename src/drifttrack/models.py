@@ -431,7 +431,10 @@ class ArdBatchModel:
     rho: float = 0.9
 
     def __post_init__(self):
-        linalg.StabilityRegion(self.rho, self.d)  # rho in (0, 1), d >= 1
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
+        if self.d < 1:
+            raise ValueError("d must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.path.kind == "static":

@@ -281,8 +281,11 @@ class TestVerifyA2:
     def test_truncated_gain_bounded_by_4_kappa_sq(self):
         kappa = 0.7
         spec = gains.signal_noise_spec(1)
-        evaluator = lambda est, rows: gains.modifier_norm_truncate(
-            np.atleast_1d(spec.evaluator(est, rows)), kappa)
+        def evaluator(est, rows):
+            # one norm over the whole stack, rescaled onto the kappa-ball
+            g = np.atleast_1d(spec.evaluator(est, rows))
+            norm = np.linalg.norm(g)
+            return g if norm <= kappa else g * (kappa / norm)
         sampler = lambda rng, n: rng.standard_normal(n) * 10.0
         report = verify_A2_empirical(evaluator, sampler, [0.0],
                                      20_000, make_rng(2),

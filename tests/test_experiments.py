@@ -732,6 +732,21 @@ def test_cli_prints_no_runtime_warning(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_ar_model_on_a_sine_path_exits_by_its_verdict(tmp_path):
+    # sin(pi) puts a ~4e-17 entry in the coefficients: the stability
+    # check must take it like any other value
+    path = tmp_path / "sine.cfg"
+    path.write_text("model.kind = ard\nmodel.d = 2\ngain.kind = ard_score\n"
+                    "path.kind = lipschitz\npath.function = sine\n"
+                    "path.amplitude = 0.3\nexperiment.horizons = 2,4\n",
+                    encoding="utf-8")
+    proc = _python("-m", "drifttrack.experiments", "rates", "--config",
+                   str(path), "--replications", "5", "--out",
+                   str(tmp_path / "r.csv"), "--quiet")
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _DIVERGING = ("schedule.kind = constant\nschedule.gamma = 3\n"
               "schedule.lambda2_guard = 0.1\nexperiment.horizons = 100,200\n")
 

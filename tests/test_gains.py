@@ -1,4 +1,4 @@
-"""Gain catalog: closed-form values, conditional means, modifiers."""
+"""Gain catalog: closed-form values, conditional means, row stacks."""
 
 import math
 
@@ -122,6 +122,13 @@ def test_gaussian_diagonal_matches_cho_solve_bitwise(diag, size):
     want = _cho_solve_gain(sigma, est, rows)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@given(diag=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6))
+def test_gaussian_constants_are_reciprocal_diagonal_extremes_bitwise(diag):
+    consts = gains.gaussian_known_cov_spec(np.diag(diag)).constants
+    assert consts.lambda1 == 1.0 / max(diag)
+    assert consts.lambda2 == 1.0 / min(diag)
 
 
 def test_gaussian_full_covariance_matches_cho_solve():
@@ -392,77 +399,6 @@ class TestAverageGainArd:
         want = gains.average_gain_ard(est, theta, y, sigma)
         se = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(samples.mean(axis=0) - want) <= 3.0 * se + 1e-9)
-
-
-class TestModifiers:
-    def test_soft_normalize_values(self):
-        assert np.array_equal(gains.modifier_soft_normalize(np.zeros(2)),
-                              np.zeros(2))
-        assert math.isclose(
-            np.linalg.norm(gains.modifier_soft_normalize([1.0])), 0.5)
-        assert math.isclose(
-            np.linalg.norm(gains.modifier_soft_normalize([3.0])), 0.75)
-
-    def test_norm_truncate_values(self):
-        assert np.allclose(gains.modifier_norm_truncate([3.0, 4.0], 1.0),
-                           [0.6, 0.8])
-        small = np.array([0.1, 0.2])
-        assert np.array_equal(gains.modifier_norm_truncate(small, 1.0), small)
-        big = np.array([3.0, 4.0])
-        assert np.array_equal(gains.modifier_norm_truncate(big, 1e12), big)
-
-    def test_predictable_rescale_values(self):
-        g = np.array([2.0, -2.0])
-        assert np.array_equal(gains.modifier_predictable_rescale(g, 1.0, 2.0), g)
-        assert np.allclose(gains.modifier_predictable_rescale(g, 4.0, 2.0),
-                           g / 2.0)
-        assert np.array_equal(gains.modifier_predictable_rescale(g, 2.0, 2.0), g)
-
-
-finite_vectors = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(min_value=1, max_value=6),
-    elements=st.floats(min_value=-1e6, max_value=1e6,
-                       allow_nan=False, allow_infinity=False),
-)
-
-
-def _direction_factor(out, g):
-    """Scalar t with out = t*g, or None if not collinear."""
-    g = np.asarray(g, dtype=float)
-    norm_g = float(np.linalg.norm(g))
-    norm_out = float(np.linalg.norm(out))
-    if norm_g == 0.0:
-        return 1.0 if norm_out == 0.0 else None
-    if norm_out == 0.0:
-        return None
-    if not np.allclose(out / norm_out, g / norm_g, atol=1e-12):
-        return None
-    return norm_out / norm_g
-
-
-TOL = 1e-12  # collinearity factor may exceed 1 by rounding only
-
-
-@given(g=finite_vectors)
-def test_soft_normalize_preserves_direction(g):
-    t = _direction_factor(gains.modifier_soft_normalize(g), g)
-    assert t is not None and 0.0 < t <= 1.0 + TOL
-
-
-@given(g=finite_vectors, kappa=st.floats(min_value=1e-6, max_value=1e9))
-def test_norm_truncate_preserves_direction(g, kappa):
-    out = gains.modifier_norm_truncate(g, kappa)
-    t = _direction_factor(out, g)
-    assert t is not None and 0.0 < t <= 1.0 + TOL
-    assert float(np.linalg.norm(out)) <= kappa * (1.0 + 1e-12)
-
-
-@given(g=finite_vectors, s=st.floats(min_value=1e-6, max_value=1e9),
-       kappa=st.floats(min_value=1e-6, max_value=1e9))
-def test_predictable_rescale_preserves_direction(g, s, kappa):
-    t = _direction_factor(gains.modifier_predictable_rescale(g, s, kappa), g)
-    assert t is not None and 0.0 < t <= 1.0 + TOL
 
 
 class TestSpecs:

@@ -1,4 +1,4 @@
-"""Matrix utilities: construction, roots, eigenvalues, KL keystone."""
+"""Matrix utilities: construction, stability region, eigenvalues, KL keystone."""
 
 import math
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from drifttrack import linalg
+from drifttrack import gains, linalg
+from reference_roots import durand_kerner_roots, reference_spectral_radius
 
 
 def random_stable_coeffs(rng, d, rho=0.9):
@@ -108,21 +109,25 @@ class TestCompanion:
 
 
 class TestRoots:
+    """ar_stability_check against reference_roots: the radius from the
+    reciprocal polynomial's Durand-Kerner roots, an independent route to
+    the companion eigenvalues."""
+
     def test_quadratic(self):
-        roots = np.sort_complex(linalg.durand_kerner_roots([-2.0, 0.0, 1.0]))
+        roots = np.sort_complex(durand_kerner_roots([-2.0, 0.0, 1.0]))
         assert np.allclose(roots, [-math.sqrt(2), math.sqrt(2)], atol=1e-10)
 
     def test_high_degree_random(self):
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=9)
         coeffs[-1] = 1.0
-        roots = linalg.durand_kerner_roots(coeffs)
+        roots = durand_kerner_roots(coeffs)
         vals = np.polyval(coeffs[::-1], roots)
         assert np.max(np.abs(vals)) < 1e-8
 
     def test_companion_root_duality_random(self):
-        # spectral radius from the root finder equals the companion
-        # spectral radius from an independent eigensolver
+        # the companion spectral radius equals the reciprocal of the
+        # smallest root modulus of 1 - sum theta_i z^i
         rng = np.random.default_rng(3)
         for _ in range(100):
             d = int(rng.integers(1, 6))
@@ -130,9 +135,28 @@ class TestRoots:
             if not np.any(theta):
                 continue
             _, radius = linalg.ar_stability_check(theta, 0.9)
-            eigs = np.linalg.eigvals(linalg.companion_matrix(theta))
-            assert math.isclose(radius, float(np.max(np.abs(eigs))),
+            assert math.isclose(radius, reference_spectral_radius(theta),
                                 rel_tol=1e-8, abs_tol=1e-10)
+
+    @pytest.mark.parametrize("roots, member", [
+        ([0.5], True),
+        ([0.95], False),
+        ([0.5, -0.25, 0.8], True),
+        ([0.3, -0.8], True),
+        ([0.6 * np.exp(1j * np.pi / 3), 0.6 * np.exp(-1j * np.pi / 3), 0.3],
+         True),
+        ([0.2, 0.92 * np.exp(2j), 0.92 * np.exp(-2j), -0.4], False),
+    ])
+    def test_exact_radius_from_chosen_roots(self, roots, member):
+        # np.poly gives z^d + c_1 z^(d-1) + ... + c_d with the chosen
+        # zeros, the companion polynomial of theta = -c[1:]
+        theta = -np.real(np.poly(roots))[1:]
+        got_member, radius = linalg.ar_stability_check(theta, 0.9)
+        want = float(np.max(np.abs(roots)))
+        assert got_member == member
+        assert math.isclose(radius, want, rel_tol=1e-12)
+        assert math.isclose(reference_spectral_radius(theta), want,
+                            rel_tol=1e-10)
 
 
 class TestStabilityRegion:
@@ -142,22 +166,33 @@ class TestStabilityRegion:
 
     def test_inner_ball_always_member(self):
         rng = np.random.default_rng(4)
-        region = linalg.StabilityRegion(rho=0.9, d=3)
         for _ in range(50):
-            assert region.contains(random_stable_coeffs(rng, 3))
+            assert linalg.ar_stability_check(random_stable_coeffs(rng, 3),
+                                             0.9)[0]
 
     def test_outside_outer_ball_never_member(self):
+        # every member has |theta_i| <= binom(d, i) rho^i, so the sup-norm
+        # ball of radius (1 + rho)^d - 1 holds the region
         rng = np.random.default_rng(5)
-        outer = linalg.stability_outer_radius(0.9, 3)
-        region = linalg.StabilityRegion(rho=0.9, d=3)
+        outer = (1.0 + 0.9) ** 3 - 1.0
         for _ in range(50):
             theta = rng.uniform(outer + 0.01, outer + 2.0, 3)
             theta *= rng.choice([-1.0, 1.0], 3)
-            assert not region.contains(theta)
+            assert not linalg.ar_stability_check(theta, 0.9)[0]
 
     def test_zero_vector_member(self):
         member, radius = linalg.ar_stability_check(np.zeros(4), 0.9)
         assert member and radius == 0.0
+
+    @pytest.mark.parametrize("theta, want", [
+        ([0.0, 1e-200], 1e-100),
+        # the second coefficient of a sine path at t = pi, about 4e-17
+        ([0.3, 0.3 * math.sin(math.pi)], 0.3),
+    ])
+    def test_tiny_nonzero_entries(self, theta, want):
+        member, radius = linalg.ar_stability_check(theta, 0.9)
+        assert member
+        assert math.isclose(radius, want, rel_tol=1e-12)
 
 
 class TestKlGaussians:
@@ -230,7 +265,7 @@ class TestArdQuadraticForm:
             form = linalg.ard_quadratic_matrix(theta, y, rng.uniform(0.5, 2))
             m = form.matrix
             assert np.allclose(m, m.T, atol=1e-12)
-            eigs = linalg.sym_eigenvalues(m)
+            eigs = np.linalg.eigvalsh(m)
             assert eigs[0] >= -1e-10
 
     def test_strictly_positive_definite_for_nonzero_y(self):
@@ -240,7 +275,7 @@ class TestArdQuadraticForm:
             theta = random_stable_coeffs(rng, d)
             y = rng.uniform(0.5, 3.0, d) * rng.choice([-1.0, 1.0], d)
             form = linalg.ard_quadratic_matrix(theta, y, 1.0)
-            assert linalg.sym_eigenvalues(form.matrix)[0] > 0.0
+            assert np.linalg.eigvalsh(form.matrix)[0] > 0.0
 
     def test_quadratic_growth_in_y(self):
         # M(theta, cY) = (1 - c^2) M(theta, 0) + c^2 M(theta, Y): the
@@ -260,33 +295,24 @@ class TestArdQuadraticForm:
 
 
 class TestSymEigenvalues:
+    """The ascending symmetric eigenvalues that the lemma report and the
+    Gaussian gain's constants read."""
+
     def test_diagonal(self):
-        assert np.allclose(linalg.sym_eigenvalues(np.diag([3.0, 1.0])),
-                           [1.0, 3.0])
+        report = linalg.lemma_eig_check(np.diag([3.0, 1.0]), 0.25)
+        assert np.array_equal(report.eigenvalues, [1.0, 3.0])
 
     def test_identity(self):
-        assert np.allclose(linalg.sym_eigenvalues(np.eye(4)), np.ones(4))
+        consts = gains.gaussian_known_cov_spec(np.eye(4)).constants
+        assert consts.lambda1 == consts.lambda2 == 1.0
 
     def test_trace_identity_random(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4))
-        m = a + a.T
-        eigs = linalg.sym_eigenvalues(m)
+        m = a @ a.T + 0.1 * np.eye(4)
+        eigs = linalg.lemma_eig_check(m, 0.5 / np.trace(m)).eigenvalues
         assert math.isclose(float(np.sum(eigs)), float(np.trace(m)),
                             abs_tol=1e-10)
-
-    def test_against_library_solver(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            d = int(rng.integers(2, 7))
-            a = rng.normal(size=(d, d))
-            m = a @ a.T
-            assert np.allclose(linalg.sym_eigenvalues(m),
-                               np.linalg.eigvalsh(m), atol=1e-9)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            linalg.sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestEigLemma:
@@ -305,7 +331,7 @@ class TestEigLemma:
             d = int(rng.integers(1, 6))
             a = rng.normal(size=(d, d))
             m = a @ a.T + 0.05 * np.eye(d)
-            lam_max = float(linalg.sym_eigenvalues(m)[-1])
+            lam_max = float(np.linalg.eigvalsh(m)[-1])
             gamma = rng.uniform(0.05, 0.95) / lam_max
             report = linalg.lemma_eig_check(m, gamma)
             assert report.ok

@@ -20,8 +20,8 @@ _MODEL_GAINS = {
 }
 # model.kind -> the path kinds drawn for it, and the largest |theta| entry
 # that keeps its simulator valid (arch1 needs theta >= 0, AR a stable
-# polynomial; arch1 and AR take the linear function, since the AR
-# stability check fails to converge on the ~1e-16 entries of sin(pi))
+# polynomial; arch1 takes the linear function, since a sine path goes
+# negative on its second half)
 _MODEL_PATHS = {
     "signal_noise": (("static", "stabilizing", "lipschitz"), 0.7),
     "arch1": (("static", "lipschitz"), 0.9),
@@ -31,8 +31,7 @@ _MODEL_PATHS = {
 
 
 def _floats(lo, hi):
-    # six decimals: AR stability roots are not sought for 1e-230 entries
-    return st.floats(lo, hi).map(lambda x: repr(round(x, 6)))
+    return st.floats(lo, hi).map(repr)
 
 
 @st.composite
@@ -53,7 +52,7 @@ def _path_keys(draw, model, d):
                 draw(_floats(-top, top)) for _ in range(d)) if d == 1 \
                 else ",".join(["0.0"] * d)
     else:
-        keys["path.function"] = "linear" if model != "signal_noise" \
+        keys["path.function"] = "linear" if model == "arch1" \
             else draw(st.sampled_from(["sine", "linear"]))
         keys["path.amplitude"] = draw(_floats(low, top))
     return keys
