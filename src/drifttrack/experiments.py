@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -324,15 +323,15 @@ _GAINS = {
         v["model.d"], sigma=v["model.sigma"]),
 }
 
-# schedule.kind -> ((values, horizon) -> StepSchedule arguments beyond
-# c_gamma, cap and guard;  beta -> theoretical log n slope, or None)
+# schedule.kind -> (values -> StepSchedule arguments beyond c_gamma,
+# cap and guard;  beta -> theoretical log n slope, or None)
 _SCHEDULES = {
-    "static": (lambda v, n: {}, lambda beta: -0.5),
-    "stabilizing": (lambda v, n: {"beta": v["schedule.beta"]},
+    "static": (lambda v: {}, lambda beta: -0.5),
+    "stabilizing": (lambda v: {"beta": v["schedule.beta"]},
                     lambda beta: -beta / 3.0),
-    "lipschitz": (lambda v, n: {"beta": v["schedule.beta"], "horizon": n},
+    "lipschitz": (lambda v: {"beta": v["schedule.beta"]},
                   lambda beta: -beta / (2.0 * beta + 1.0)),
-    "constant": (lambda v, n: {"gamma": v["schedule.gamma"]},
+    "constant": (lambda v: {"gamma": v["schedule.gamma"]},
                  lambda beta: None),
 }
 
@@ -378,7 +377,7 @@ def build_components(raw: dict, n: int):
         c_gamma=_or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1)),
         cap=v["schedule.cap"],
         lambda2_guard=_or(v["schedule.lambda2_guard"], consts.lambda2),
-        **schedule_args(v, n)))
+        **schedule_args(v)))
     config = _build("tracking", raw, lambda: TrackingConfig(
         dimension=d, horizon=n, schedule=schedule,
         initial_estimate=_or(v["tracking.initial"], (0.0,) * d)))
@@ -789,9 +788,8 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
         rows[:, 1:] = lags
 
     def moulines_eval(est, rows):
-        rows = np.atleast_2d(rows)
         return gains_mod.ar_normalized_vector_gain(
-            est, rows[..., 0], rows[..., 1:], mu=1.0)
+            est, rows[:, 0], rows[:, 1:], mu=1.0)
 
     fx["moulines_d2"] = VerifyFixture(
         gain_eval=moulines_eval, sampler=StackSampler(3, moulines_fill),
@@ -801,74 +799,40 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     return fx
 
 
-class _DrawAhead:
-    """The row stacks of a fixed list of samplers, drawn in that order
-    from one generator on a worker thread, one stack ahead of the caller.
+def _draw_ahead(pool, samplers: Sequence[StackSampler], n: int,
+                rng: np.random.Generator) -> Callable:
+    """The sampler(rng, size) the verifiers take, handing out the row
+    stacks of a fixed list of samplers, drawn in that order from one
+    generator on pool's one worker, one stack ahead of the caller.  It
+    ignores rng, since only the worker draws.
 
     numpy's draws release the GIL, so the worker draws the next stack
-    while the caller evaluates gains on this one.  It fills two (n, w)
-    stacks allocated here and allocates nothing large itself: glibc gives
-    a second thread its own malloc arena, which would hold the memory it
-    frees.  It refills a stack only once the caller has asked for the
-    next, so a stack stays intact until then.  Use it in a with block:
-    leaving the block stops the worker and joins it.
+    while the caller evaluates gains on this one.  The worker fills two
+    (n, w) stacks allocated here and allocates nothing large itself: glibc
+    gives a second thread its own malloc arena, which would hold the
+    memory it frees.  Asking for stack k submits the fills up to stack
+    k + 1, which goes over stack k - 1, so a stack stays intact until the
+    next is asked for.
     """
+    width = max((s.width for s in samplers), default=1)
+    slots = [np.empty(n * width) for _ in range(2)]
+    stacks = [slots[k % 2][:n * s.width].reshape(n, s.width)
+              for k, s in enumerate(samplers)]
+    fills = []
+    taken = 0
 
-    def __init__(self, samplers: Sequence[StackSampler], n: int,
-                 rng: np.random.Generator):
-        self._samplers = list(samplers)
-        self._n = n
-        self._rng = rng
-        width = max((s.width for s in self._samplers), default=1)
-        self._slots = [np.empty(n * width) for _ in range(2)]
-        self._free = [threading.Semaphore(1) for _ in range(2)]
-        self._ready = [threading.Semaphore(0) for _ in range(2)]
-        self._error: Optional[Exception] = None
-        self._stop = False
-        self._taken = 0
-        self._thread = threading.Thread(target=self._work,
-                                        name="verify-draws")
-
-    def _stack(self, k: int) -> np.ndarray:
-        width = self._samplers[k].width
-        return self._slots[k % 2][:self._n * width].reshape(self._n, width)
-
-    def _work(self) -> None:
-        for k, sampler in enumerate(self._samplers):
-            self._free[k % 2].acquire()
-            if self._stop:
-                return
-            try:
-                sampler.fill_rows(self._rng, self._stack(k))
-            except Exception as exc:  # raised again in next_rows
-                self._error = exc
-                self._ready[k % 2].release()
-                return
-            self._ready[k % 2].release()
-
-    def next_rows(self, _rng, size: int) -> np.ndarray:
-        """The next stack: a sampler(rng, size) for the verifiers, which
-        ignores rng, since only the worker draws."""
-        k = self._taken
-        if size != self._n or k == len(self._samplers):
+    def next_rows(_rng, size: int) -> np.ndarray:
+        nonlocal taken
+        k = taken
+        if size != n or k == len(stacks):
             raise RuntimeError(f"draw {k} of {size} rows is not in the plan")
-        if k:
-            self._free[(k - 1) % 2].release()
-        self._ready[k % 2].acquire()
-        if self._error is not None:
-            raise self._error
-        self._taken += 1
-        return self._stack(k)
+        for j in range(len(fills), min(k + 2, len(stacks))):
+            fills.append(pool.submit(samplers[j].fill_rows, rng, stacks[j]))
+        fills[k].result()  # raises a worker's error here
+        taken += 1
+        return stacks[k]
 
-    def __enter__(self) -> "_DrawAhead":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        for free in self._free:
-            free.release()
-        self._thread.join()
+    return next_rows
 
 
 @dataclass(frozen=True)
@@ -882,6 +846,7 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
     """A1 and A2 at every probe of the chosen fixtures.  Each probe draws
     verify.samples rows for A1, then again for A2, all from one
     make_rng(seed) generator; a worker thread makes those draws."""
+    from concurrent.futures import ThreadPoolExecutor  # 9 ms, mostly logging
     v = _values(config.raw)
     registry = builtin_fixtures()
     n_samples = v["verify.samples"]
@@ -895,16 +860,19 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
     rng = models_mod.make_rng(config.seed)
     rows = []
     results = []
-    with _DrawAhead(plan, n_samples, rng) as draws:
+    # leaving the block joins the worker, on an error too
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="verify-draws") as pool:
+        next_rows = _draw_ahead(pool, plan, n_samples, rng)
         for name, fixture in fixtures:
             report = bounds_mod.verify_A1_empirical(
-                fixture.gain_eval, draws.next_rows, fixture.theta,
+                fixture.gain_eval, next_rows, fixture.theta,
                 fixture.probes, n_samples, None,
                 lambda1=fixture.lambda1, lipschitz=fixture.lipschitz)
             probe_rows = []
             for res in report.probes:
                 a2 = bounds_mod.verify_A2_empirical(
-                    fixture.gain_eval, draws.next_rows, res.probe, n_samples,
+                    fixture.gain_eval, next_rows, res.probe, n_samples,
                     None, c_g=fixture.c_g)
                 probe_rows.append((len(rows) + len(probe_rows), res.r_hat,
                                    res.r_se, res.g_norm_ratio,

@@ -70,12 +70,13 @@ def schedule_constant(gamma: float) -> float:
     return gamma
 
 
-# kind -> (schedule, k) -> the uncapped step gamma_k
+# kind -> (schedule, k) -> the uncapped step gamma_k; a lipschitz or
+# constant step is one value for all k < n, and is given n for k
 _TERMS = {
     "static": lambda s, k: schedule_static(s.c_gamma, k),
     "stabilizing": lambda s, k: schedule_stabilizing(s.c_gamma, s.beta, k),
-    "lipschitz": lambda s, k: schedule_lipschitz(s.c_gamma, s.beta, s.horizon),
-    "constant": lambda s, k: schedule_constant(s.gamma),
+    "lipschitz": lambda s, n: schedule_lipschitz(s.c_gamma, s.beta, n),
+    "constant": lambda s, n: schedule_constant(s.gamma),
 }
 
 
@@ -83,14 +84,13 @@ _TERMS = {
 class StepSchedule:
     """A step sequence gamma_k with cap and contraction guard.
 
-    kind: "static" | "stabilizing" | "lipschitz" | "constant".  horizon
-    is required for "lipschitz".
+    kind: "static" | "stabilizing" | "lipschitz" | "constant".  A
+    lipschitz step is tuned to the n given to values_upto.
     """
 
     kind: str
     c_gamma: float = 1.0
     beta: float | None = None
-    horizon: int | None = None
     gamma: float | None = None
     cap: float = math.inf
     lambda2_guard: float | None = None
@@ -100,8 +100,6 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind in ("stabilizing", "lipschitz") and self.beta is None:
             raise ValueError("beta required for this kind")
-        if self.kind == "lipschitz" and self.horizon is None:
-            raise ValueError("horizon required for the lipschitz kind")
         if self.kind == "constant" and self.gamma is None:
             raise ValueError("gamma required for the constant kind")
         if self.cap <= 0:
@@ -115,5 +113,5 @@ class StepSchedule:
         if self.lambda2_guard:
             ceiling = min(ceiling, 1.0 / self.lambda2_guard)
         if self.kind in ("lipschitz", "constant"):
-            return np.full(n, min(term(self, 0), ceiling))
+            return np.full(n, min(term(self, n), ceiling))
         return np.array([min(term(self, k), ceiling) for k in range(n)])

@@ -106,14 +106,9 @@ class TestStepScheduleObject:
         assert sched.values_upto(11)[10] == 0.25
 
     def test_lipschitz_constant_in_k(self):
-        sched = StepSchedule(kind="lipschitz", beta=1.0, horizon=500,
-                             c_gamma=2.0)
+        sched = StepSchedule(kind="lipschitz", beta=1.0, c_gamma=2.0)
         vals = sched.values_upto(500)
         assert len({vals[k] for k in (0, 1, 7, 499)}) == 1
-
-    def test_lipschitz_requires_horizon(self):
-        with pytest.raises(ValueError):
-            StepSchedule(kind="lipschitz", beta=1.0)
 
     def test_values_upto_matches_value(self):
         # every kind, against the public schedule_* functions capped by
@@ -123,7 +118,7 @@ class TestStepScheduleObject:
             "static": (dict(c_gamma=2.0), lambda k: schedule_static(2.0, k)),
             "stabilizing": (dict(c_gamma=0.5, beta=0.75),
                             lambda k: schedule_stabilizing(0.5, 0.75, k)),
-            "lipschitz": (dict(c_gamma=2.0, beta=1.0, horizon=n),
+            "lipschitz": (dict(c_gamma=2.0, beta=1.0),
                           lambda k: schedule_lipschitz(2.0, 1.0, n)),
             "constant": (dict(gamma=0.9), lambda k: schedule_constant(0.9)),
         }

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -232,10 +233,11 @@ def test_stacks_stay_intact_until_the_next_draw():
 
     def consume():
         got = []
-        with ex._DrawAhead([sampler] * draws_per_plan, n,
-                           make_rng(5)) as draws:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            next_rows = ex._draw_ahead(pool, [sampler] * draws_per_plan, n,
+                                       make_rng(5))
             for _ in range(draws_per_plan):
-                stack = draws.next_rows(None, n)
+                stack = next_rows(None, n)
                 digest = hashlib.sha256(stack.tobytes()).hexdigest()
                 np.sort(stack, axis=0)  # work while the worker draws
                 if hashlib.sha256(stack.tobytes()).hexdigest() != digest:
@@ -262,12 +264,13 @@ def test_stacks_stay_intact_until_the_next_draw():
 
 def test_draw_outside_the_plan_rejected():
     sampler = ex.builtin_fixtures()["quantile"].sampler
-    with ex._DrawAhead([sampler], 10_000, make_rng(0)) as draws:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        next_rows = ex._draw_ahead(pool, [sampler], 10_000, make_rng(0))
         with pytest.raises(RuntimeError):
-            draws.next_rows(None, 10_001)
-        draws.next_rows(None, 10_000)
+            next_rows(None, 10_001)
+        next_rows(None, 10_000)
         with pytest.raises(RuntimeError):
-            draws.next_rows(None, 10_000)
+            next_rows(None, 10_000)
 
 
 # tracemalloc's peak over one run_condition_verify at verify.samples =
