@@ -18,6 +18,11 @@ The verifiers thus consume the stack their sampler hands them (the
 verify sweep keeps two such row-stack slots, one being drawn while the
 other is read).  Every statistic has the bits of numpy's own reductions
 over the full stacks.
+
+On a leaf, numpy's per-row loops over a few columns and OpenBLAS's gemv
+on one column cost several times their arithmetic, so the leaf work
+goes column by column (_ColumnSums, _centred, _project), with the bits
+of the numpy call each replaces.
 """
 
 from __future__ import annotations
@@ -253,26 +258,50 @@ class _ColumnSums:
     takes the combined entry.  numpy sums a single column pairwise, so at
     d = 1 the entry is the leaf's sum and total returns the combined one.
     It adds the rows of several columns one at a time, in order, so at
-    d > 1 add carries the total from leaf to leaf (reducing the leaf
-    below a first row that holds the total so far), the entry is zero,
-    and total returns the carry.
+    d > 1 add copies the leaf below a first row that holds the total so
+    far and runs a sum down each column in place (np.add.accumulate on a
+    column is that same sequence of additions, and far quicker than
+    numpy's axis-0 reduce, whose inner loop is one d-wide row); the last
+    row is the new total, carried to row 0.  The entry is then zero, and
+    total returns the carry.
     """
 
     def __init__(self, d: int):
-        self._carry = np.zeros(d)
-        self._buf = np.empty((_LEAF + 1, d)) if d > 1 else None
+        self._buf = np.zeros((_LEAF + 1, d)) if d > 1 else None
 
     def add(self, x: np.ndarray) -> np.ndarray:
         if self._buf is None:
             return np.add.reduce(x[:, 0], keepdims=True)
         part = self._buf[:len(x) + 1]
-        part[0] = self._carry
         part[1:] = x
-        self._carry = np.add.reduce(part, axis=0)
-        return np.zeros_like(self._carry)
+        for col in part.T:
+            np.add.accumulate(col, out=col)
+        part[0] = part[-1]
+        return np.zeros(x.shape[1])
 
     def total(self, combined: np.ndarray) -> np.ndarray:
-        return combined if self._buf is None else self._carry
+        return combined if self._buf is None else self._buf[0].copy()
+
+
+def _project(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """g @ delta, bit for bit.  At d = 1 it is one product per row rather
+    than OpenBLAS's gemv, which takes several times as long on a leaf;
+    gemv adds the product to +0.0, so a -0.0 product becomes +0.0 here
+    too."""
+    if delta.size > 1:
+        return g @ delta
+    proj = g[:, 0] * delta[0]
+    proj += 0.0
+    return proj
+
+
+def _centred(g: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """g - mean, bit for bit, as one subtraction per column: numpy's
+    broadcast of a (d,) vector over (m, d) rows is several times slower."""
+    out = np.empty_like(g)
+    for j, m in enumerate(mean):
+        np.subtract(g[:, j], m, out=out[:, j])
+    return out
 
 
 def _consumed_stack(sampler: Callable, rng, n_samples: int, d: int):
@@ -310,7 +339,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     def sums(a, b):
         g = gains[a:b]
         np.copyto(g, gain_eval(probe, rows[a:b]))
-        proj = g @ delta
+        proj = _project(g, delta)
         proj /= -dist_sq
         return cols.add(g), np.add.reduce(proj)
 
@@ -320,9 +349,9 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     sq_cols = _ColumnSums(delta.size)
 
     def squares(a, b):
-        c = gains[a:b] - g_hat
+        c = _centred(gains[a:b], g_hat)
         c *= c
-        proj = gains[a:b] @ delta
+        proj = _project(gains[a:b], delta)
         proj /= -dist_sq
         proj -= r_hat
         proj *= proj
@@ -397,10 +426,10 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
     mean = cols.total(_tree(0, n, sums)[0]) / n
 
     def norms(a, b):
-        return (np.add.reduce(row_sq_norms(gains[a:b] - mean)),)
+        return (np.add.reduce(row_sq_norms(_centred(gains[a:b], mean))),)
 
     def spread(a, b):
-        dev = row_sq_norms(gains[a:b] - mean)
+        dev = row_sq_norms(_centred(gains[a:b], mean))
         dev -= moment
         dev *= dev
         return (np.add.reduce(dev),)

@@ -405,12 +405,16 @@ def format_csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(header: Sequence[str], rows, path: Optional[str]) -> str:
-    """Write (or print) CSV: UTF-8, LF endings, 17-digit floats."""
+def emit_csv(header: Sequence[str], rows, path: Optional[str],
+             echo: bool = False) -> str:
+    """Write CSV to path, or print it to stdout when there is no path and
+    echo is set: UTF-8, LF endings, 17-digit floats."""
     text = format_csv(header, rows)
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    elif echo:
+        sys.stdout.write(text)
     return text
 
 
@@ -662,9 +666,10 @@ VERIFY_HEADER = ["probe_index", "r_hat", "r_se", "g_norm_ratio", "c_g_hat",
                  "pass"]
 
 
-# Rows a fixture's fill draws per call: a one-column draw then makes a
-# 32 KB temporary, small beside the (N, w) stack it fills.
-FILL_ROWS = 4096
+# Rows a fixture's fill draws per call: a fill that does not draw in
+# place then makes a 128 KB one-column temporary, small beside the (N, w)
+# stack it fills.
+FILL_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -716,7 +721,8 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     theta = np.array([0.3])
 
     def signal_noise_fill(rng, rows):
-        np.add(theta[0], rng.normal(0.0, 1.0, len(rows)), out=rows[:, 0])
+        rng.standard_normal(out=rows[:, 0])
+        rows += theta[0]
 
     fx["signal_noise"] = VerifyFixture(
         gain_eval=gains_mod.signal_noise_spec(1).evaluator,
@@ -729,8 +735,10 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     root = np.sqrt(sigma_diag)
 
     def gaussian_fill(rng, rows):
-        np.multiply(rng.normal(size=rows.shape), root, out=rows)
-        rows += theta_g
+        rng.standard_normal(out=rows)
+        for col, r, t in zip(rows.T, root, theta_g):  # quicker than broadcasts
+            col *= r
+            col += t
 
     fx["gaussian"] = VerifyFixture(
         gain_eval=gains_mod.gaussian_known_cov_spec(np.diag(sigma_diag)).evaluator,
@@ -741,7 +749,7 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     theta_q = np.array([0.5])
 
     def quantile_fill(rng, rows):
-        rows[:, 0] = rng.uniform(0.0, 1.0, len(rows))
+        rng.random(out=rows[:, 0])
 
     fx["quantile"] = VerifyFixture(
         gain_eval=gains_mod.quantile_spec(0.5).evaluator,
@@ -808,11 +816,11 @@ def _draw_ahead(pool, samplers: Sequence[StackSampler], n: int,
 
     numpy's draws release the GIL, so the worker draws the next stack
     while the caller evaluates gains on this one.  The worker fills two
-    (n, w) stacks allocated here and allocates nothing large itself: glibc
-    gives a second thread its own malloc arena, which would hold the
-    memory it frees.  Asking for stack k submits the fills up to stack
-    k + 1, which goes over stack k - 1, so a stack stays intact until the
-    next is asked for.
+    (n, w) stacks allocated here and allocates no more itself than a
+    fill's one-column temporary: glibc gives a second thread its own
+    malloc arena, which would hold the memory it frees.  Asking for
+    stack k submits the fills up to stack k + 1, which goes over stack
+    k - 1, so a stack stays intact until the next is asked for.
     """
     width = max((s.width for s in samplers), default=1)
     slots = [np.empty(n * width) for _ in range(2)]
@@ -968,9 +976,7 @@ def _print(config: ExperimentConfig, message: str) -> None:
 
 def _cmd_rates(config: ExperimentConfig) -> int:
     report = run_rate_sweep(config)
-    text = emit_csv(RATE_HEADER, report.rows, config.out)
-    if config.out is None and config.quiet:
-        sys.stdout.write(text)
+    emit_csv(RATE_HEADER, report.rows, config.out, echo=config.quiet)
     theo = "n/a" if report.theoretical_slope is None \
         else f"{report.theoretical_slope:+.4f}"
     _print(config, f"slope {report.slope:+.4f} (+-{report.half_width:.4f}), "
@@ -981,7 +987,7 @@ def _cmd_rates(config: ExperimentConfig) -> int:
 
 def _cmd_bound_check(config: ExperimentConfig) -> int:
     table = run_bound_check(config)
-    emit_csv(BOUND_HEADER, table.rows, config.out)
+    emit_csv(BOUND_HEADER, table.rows, config.out, echo=config.quiet)
     _print(config, f"bound dominance at {len(table.ks)} checkpoints: "
                    f"{'PASS' if table.passed else 'FAIL'}")
     return 0 if table.passed else 1
@@ -989,7 +995,7 @@ def _cmd_bound_check(config: ExperimentConfig) -> int:
 
 def _cmd_verify(config: ExperimentConfig) -> int:
     report = run_condition_verify(config)
-    emit_csv(VERIFY_HEADER, report.rows, config.out)
+    emit_csv(VERIFY_HEADER, report.rows, config.out, echo=config.quiet)
     for name, expected, observed, _rows in report.fixture_results:
         verdict = "PASS" if observed == expected else "FAIL"
         _print(config, f"{name}: observed "
@@ -1000,7 +1006,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
 
 def _cmd_kalman(config: ExperimentConfig) -> int:
     result = run_kalman_compare(config)
-    emit_csv(KALMAN_HEADER, result.rows, config.out)
+    emit_csv(KALMAN_HEADER, result.rows, config.out, echo=config.quiet)
     _print(config, f"max |kalman - tracker| = {result.max_abs_diff:.3e}, "
                    f"max |kalman - running mean| = {result.max_mean_diff:.3e}"
                    f" -> {'PASS' if result.passed else 'FAIL'}")
@@ -1009,9 +1015,7 @@ def _cmd_kalman(config: ExperimentConfig) -> int:
 
 def _cmd_run(config: ExperimentConfig) -> int:
     header, rows = run_single(config)
-    text = emit_csv(header, rows, config.out)
-    if config.out is None:
-        sys.stdout.write(text)
+    emit_csv(header, rows, config.out, echo=True)  # no summary line to print
     return 0
 
 

@@ -436,8 +436,9 @@ def test_carried_column_sums_are_numpy_sums_bitwise(n, d, seed):
 @example(n=3 * bounds._LEAF + 5, d=3, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
-    # the verifiers project one leaf at a time: each leaf's g @ delta
-    # must have the bits of the whole stack's, zero and -0.0 rows too
+    # the verifiers project one leaf at a time, elementwise at d = 1:
+    # each leaf's projection must have the bits of the whole stack's
+    # g @ delta, zero and -0.0 rows too
     g = _magnitudes(seed, n, d)
     g[::7] = 0.0
     g[::13] = -0.0
@@ -446,11 +447,34 @@ def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
     got = np.empty(n)
 
     def leaf(a, b):
-        got[a:b] = g[a:b] @ delta
+        got[a:b] = bounds._project(g[a:b], delta)
         return ()
 
     bounds._tree(0, n, leaf)
     assert got.tobytes() == (g @ delta).tobytes()
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@given(data=st.data(), m=st.integers(1, 40), d=st.sampled_from([1, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_columnwise_centring_is_the_broadcast_bitwise(data, m, d):
+    # the verifiers centre a leaf one column at a time; the bits must be
+    # those of g - mean, for signed zeros, infinities and NaNs too
+    value = st.one_of(_SPECIALS, st.floats(width=64))
+    g = np.array(data.draw(st.lists(value, min_size=m * d,
+                                    max_size=m * d))).reshape(m, d)
+    mean = np.array(data.draw(st.lists(value, min_size=d, max_size=d)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert bounds._centred(g, mean).tobytes() == (g - mean).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_columnwise_centring_of_a_leaf(d):
+    g = _magnitudes(d, bounds._LEAF, d)
+    mean = _magnitudes(d + 1, d)
+    assert bounds._centred(g, mean).tobytes() == (g - mean).tobytes()
 
 
 # ---------------------------------------------------------------------

@@ -525,6 +525,30 @@ class TestCli:
         header = captured.out.splitlines()[0]
         assert header.startswith("k,estimate_0,target_0")
 
+    @pytest.mark.parametrize("command", ["rates", "bound-check", "verify",
+                                         "kalman-compare"])
+    def test_quiet_without_out_prints_the_csv(self, tmp_path, capsys,
+                                              command):
+        # --quiet drops the summary line; with no --out the CSV is then
+        # the whole of stdout, as run prints it
+        raw = {**_SWEEP_RAW, "verify.samples": "10000",
+               "verify.fixtures": "quantile", "kalman.n": "300"}
+        cfg = self._write(tmp_path, "\n".join(
+            f"{k} = {v}" for k, v in raw.items()))
+        config = experiment_config(command, raw)
+        header, rows = {
+            "rates": lambda: (ex.RATE_HEADER, run_rate_sweep(config).rows),
+            "bound-check": lambda: (ex.BOUND_HEADER,
+                                    ex.run_bound_check(config).rows),
+            "verify": lambda: (ex.VERIFY_HEADER,
+                               ex.run_condition_verify(config).rows),
+            "kalman-compare": lambda: (ex.KALMAN_HEADER,
+                                       run_kalman_compare(config).rows),
+        }[command]()
+        main([command, "--config", cfg, "--quiet"])
+        captured = capsys.readouterr()
+        assert captured.out == format_csv(header, rows)
+
     def test_out_files_byte_identical(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "\n".join(
             f"{k} = {v}" for k, v in _SWEEP_RAW.items()))

@@ -123,8 +123,11 @@ def test_rows_match_serial_loop(seed, samples, fixtures):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("size", [1, FILL_ROWS - 1, FILL_ROWS, FILL_ROWS + 1,
-                                  10_007, 3 * FILL_ROWS + 5])
+# sizes at the edges of a 4,096-row and a FILL_ROWS-row fill, and over
+# several fills
+@pytest.mark.parametrize("size", sorted({
+    1, 4095, 4096, 4097, 10_007, 12_293, FILL_ROWS - 1, FILL_ROWS,
+    FILL_ROWS + 1, 3 * FILL_ROWS + 5}))
 @pytest.mark.parametrize("name", list(OLD_SAMPLERS))
 def test_fill_gives_old_sampler_bytes(name, size):
     sampler = ex.builtin_fixtures()[name].sampler
@@ -167,17 +170,25 @@ def _failing_fixtures(monkeypatch, fail_at_fill):
     return raised, calls
 
 
-@pytest.mark.parametrize("fail_at_fill", [1, 2, 8, 20])
+# a stack of _FAIL_SAMPLES rows is three fills; the quantile fixture,
+# second in the plan, draws 4 A1 stacks and then 4 A2 stacks, so the
+# cases fail its first fill, a later fill of its first stack, its third
+# A1 stack and its third A2 stack
+_FAIL_SAMPLES = 2 * FILL_ROWS + 1
+
+
+@pytest.mark.parametrize("fail_at_fill", [1, 2, 2 * 3 + 2, 6 * 3 + 2])
 def test_sampler_error_propagates_and_worker_ends(monkeypatch,
                                                   fail_at_fill):
-    # 10_000 rows are three fills; the quantile fixture makes 8 draws
-    raised, _calls = _failing_fixtures(monkeypatch, fail_at_fill)
+    raised, calls = _failing_fixtures(monkeypatch, fail_at_fill)
     before = threading.active_count()
-    config = _config("verify.samples = 10000\n"
+    config = _config(f"verify.samples = {_FAIL_SAMPLES}\n"
                      "verify.fixtures = gaussian, quantile\n")
     with pytest.raises(_Boom) as info:
         run_condition_verify(config)
     assert info.value is raised[0]
+    assert calls[:fail_at_fill] \
+        == ([FILL_ROWS, FILL_ROWS, 1] * 8)[:fail_at_fill]
     assert threading.active_count() == before
 
 
