@@ -19,10 +19,10 @@ verify sweep keeps two such row-stack slots, one being drawn while the
 other is read).  Every statistic has the bits of numpy's own reductions
 over the full stacks.
 
-On a leaf, numpy's per-row loops over a few columns and OpenBLAS's gemv
-on one column cost several times their arithmetic, so the leaf work
-goes column by column (_ColumnSums, _centred, _project), with the bits
-of the numpy call each replaces.
+On a leaf, numpy's per-row loops over a few columns cost several times
+their arithmetic, so the column sums and the centring go column by
+column (_ColumnSums, _centred), with the bits of the numpy call each
+replaces.
 """
 
 from __future__ import annotations
@@ -283,18 +283,6 @@ class _ColumnSums:
         return combined if self._buf is None else self._buf[0].copy()
 
 
-def _project(g: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """g @ delta, bit for bit.  At d = 1 it is one product per row rather
-    than OpenBLAS's gemv, which takes several times as long on a leaf;
-    gemv adds the product to +0.0, so a -0.0 product becomes +0.0 here
-    too."""
-    if delta.size > 1:
-        return g @ delta
-    proj = g[:, 0] * delta[0]
-    proj += 0.0
-    return proj
-
-
 def _centred(g: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """g - mean, bit for bit, as one subtraction per column: numpy's
     broadcast of a (d,) vector over (m, d) rows is several times slower."""
@@ -339,7 +327,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     def sums(a, b):
         g = gains[a:b]
         np.copyto(g, gain_eval(probe, rows[a:b]))
-        proj = _project(g, delta)
+        proj = g @ delta
         proj /= -dist_sq
         return cols.add(g), np.add.reduce(proj)
 
@@ -351,7 +339,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     def squares(a, b):
         c = _centred(gains[a:b], g_hat)
         c *= c
-        proj = _project(gains[a:b], delta)
+        proj = gains[a:b] @ delta
         proj /= -dist_sq
         proj -= r_hat
         proj *= proj

@@ -436,9 +436,8 @@ def test_carried_column_sums_are_numpy_sums_bitwise(n, d, seed):
 @example(n=3 * bounds._LEAF + 5, d=3, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
-    # the verifiers project one leaf at a time, elementwise at d = 1:
-    # each leaf's projection must have the bits of the whole stack's
-    # g @ delta, zero and -0.0 rows too
+    # the verifiers project one leaf at a time: each leaf's g @ delta
+    # must have the bits of the whole stack's, zero and -0.0 rows too
     g = _magnitudes(seed, n, d)
     g[::7] = 0.0
     g[::13] = -0.0
@@ -447,7 +446,7 @@ def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
     got = np.empty(n)
 
     def leaf(a, b):
-        got[a:b] = bounds._project(g[a:b], delta)
+        got[a:b] = g[a:b] @ delta
         return ()
 
     bounds._tree(0, n, leaf)
