@@ -13,6 +13,9 @@ Evaluators attached to a GainSpec map a (B, d) estimate stack and a
 steps B replications at once.  They also take a single (d,) estimate
 with a single row, and the Monte-Carlo condition verifiers feed one
 estimate with a stack of rows (leading axis = sample index).
+
+The Robbins-Monro, Kiefer-Wolfowitz and SPSA gains, which no subcommand
+runs, are in tests/paper_checks.py.
 """
 
 from __future__ import annotations
@@ -27,11 +30,7 @@ from . import linalg
 __all__ = [
     "GainConstants",
     "GainSpec",
-    "gain_robbins_monro",
-    "gain_kw_finite_difference",
-    "gain_spsa",
     "gain_ard_score",
-    "average_gain_ard",
     "signal_noise_spec",
     "quantile_spec",
     "poisson_spec",
@@ -66,59 +65,7 @@ class GainSpec:
 
 
 # =====================================================================
-# Catalog: direct observation gains
-# =====================================================================
-
-def gain_robbins_monro(x, alpha):
-    """Root finding: -(x - alpha) pushes F(estimate) toward level alpha."""
-    return -(np.asarray(x, dtype=float) - np.asarray(alpha, dtype=float))
-
-
-# =====================================================================
-# Catalog: derivative-free gains
-# =====================================================================
-
-def gain_kw_finite_difference(theta_hat, c: float, oracle, rng):
-    """Coordinate central differences from 2d noisy oracle queries."""
-    if c <= 0:
-        raise ValueError("difference step c must be positive")
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    d = theta_hat.size
-    out = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = c
-        try:
-            up = oracle(theta_hat + e, rng)
-            down = oracle(theta_hat - e, rng)
-        except Exception as exc:
-            raise RuntimeError(
-                f"oracle failed near query point {theta_hat + e}") from exc
-        out[i] = (up - down) / (2.0 * c)
-    return out
-
-
-def gain_spsa(theta_hat, c: float, oracle, direction_sampler, rng,
-              max_resamples: int = 16):
-    """Random-direction two-query gradient estimate D (X+ - X-)/(2c)."""
-    if c <= 0:
-        raise ValueError("difference step c must be positive")
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    direction = None
-    for _ in range(max_resamples):
-        cand = np.atleast_1d(np.asarray(direction_sampler(rng), dtype=float))
-        if np.linalg.norm(cand) > 1e-12:
-            direction = cand
-            break
-    if direction is None:
-        raise RuntimeError("direction sampler kept returning zero vectors")
-    up = oracle(theta_hat + c * direction, rng)
-    down = oracle(theta_hat - c * direction, rng)
-    return direction * (up - down) / (2.0 * c)
-
-
-# =====================================================================
-# Catalog: batched AR(d) score and its average
+# Catalog: batched AR(d) score
 # =====================================================================
 
 def gain_ard_score(theta_hat, x_batch, y_batch, sigma: float):
@@ -142,20 +89,6 @@ def gain_ard_score(theta_hat, x_batch, y_batch, sigma: float):
     idx = np.arange(d)
     jac = -np.concatenate((x_batch, y_batch))[idx[:, None] + idx + 1]
     return -(jac.T @ resid) / sigma ** 2
-
-
-def ard_log_density(theta_hat, x_batch, y_batch, sigma: float) -> float:
-    """Log conditional density (up to a v-free constant) for testing."""
-    resid = linalg.ar_matrix_a(theta_hat) @ np.atleast_1d(x_batch) \
-        - linalg.ar_matrix_b(theta_hat) @ np.atleast_1d(y_batch)
-    return -0.5 * float(resid @ resid) / sigma ** 2
-
-
-def average_gain_ard(theta_hat, theta, y_batch, sigma: float):
-    """Conditional mean of the batched score: -M(theta, y)(estimate-theta)."""
-    form = linalg.ard_quadratic_matrix(theta, y_batch, sigma)
-    delta = np.atleast_1d(np.asarray(theta_hat, dtype=float)) - form.theta
-    return -form.matrix @ delta
 
 
 # =====================================================================

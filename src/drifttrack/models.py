@@ -69,15 +69,6 @@ class NoiseSpec:
             return self.scale ** 2 / 3.0
         return 0.0
 
-    @property
-    def fourth_moment_ratio(self) -> float:
-        """c with E xi^4 = c sigma^4 (3 for normal, 1.8 for uniform)."""
-        if self.kind == "normal":
-            return 3.0
-        if self.kind == "uniform":
-            return 1.8
-        return 0.0
-
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "normal":
             return rng.normal(0.0, self.scale, size=size) if self.scale \

