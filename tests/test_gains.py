@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import paper_checks
 from drifttrack import gains, linalg
 from drifttrack.models import make_rng
+from paper_checks import (ard_log_density, ard_quadratic_matrix,
+                          gain_kw_finite_difference, gain_robbins_monro,
+                          gain_spsa, shift_matrix)
 
 
 class TestSignalNoise:
@@ -27,14 +29,14 @@ class TestSignalNoise:
 
 class TestRobbinsMonro:
     def test_direct(self):
-        assert float(paper_checks.gain_robbins_monro(3.0, 1.0)) == -2.0
+        assert float(gain_robbins_monro(3.0, 1.0)) == -2.0
 
     def test_zero_at_level(self):
-        assert float(paper_checks.gain_robbins_monro(2.0, 2.0)) == 0.0
+        assert float(gain_robbins_monro(2.0, 2.0)) == 0.0
 
     def test_pushes_toward_root(self):
         # monotone f(v) = 2v, level 2, root at 1: observed 4 at v=2
-        assert paper_checks.gain_robbins_monro(4.0, 2.0) < 0
+        assert gain_robbins_monro(4.0, 2.0) < 0
 
 
 class TestQuantile:
@@ -243,27 +245,27 @@ class TestAr1Truncated:
 class TestKwFiniteDifference:
     def test_quadratic_exact(self):
         oracle = lambda v, rng: -0.5 * float(v @ v)
-        got = paper_checks.gain_kw_finite_difference([1.0, 0.0], 0.1, oracle, None)
+        got = gain_kw_finite_difference([1.0, 0.0], 0.1, oracle, None)
         assert np.allclose(got, [-1.0, 0.0], atol=1e-12)
 
     def test_linear_any_step(self):
         a = np.array([2.0, -3.0, 0.5])
         oracle = lambda v, rng: float(a @ v)
         for c in (0.01, 0.5, 2.0):
-            got = paper_checks.gain_kw_finite_difference(np.zeros(3), c, oracle, None)
+            got = gain_kw_finite_difference(np.zeros(3), c, oracle, None)
             assert np.allclose(got, a, atol=1e-10)
 
     def test_quartic_value(self):
         # -(1.1^4 - 0.9^4)/0.2 = -4.04
         oracle = lambda v, rng: -float(v[0]) ** 4
-        got = paper_checks.gain_kw_finite_difference([1.0], 0.1, oracle, None)
+        got = gain_kw_finite_difference([1.0], 0.1, oracle, None)
         assert np.allclose(got, [-4.04])
 
     def test_oracle_failure_reports_query_point(self):
         def oracle(v, rng):
             raise ZeroDivisionError("boom")
         with pytest.raises(RuntimeError, match="query point"):
-            paper_checks.gain_kw_finite_difference([1.0], 0.1, oracle, None)
+            gain_kw_finite_difference([1.0], 0.1, oracle, None)
 
 
 class TestSpsa:
@@ -271,15 +273,15 @@ class TestSpsa:
         a = np.array([2.0, -1.0])
         oracle = lambda v, rng: float(a @ v)
         sampler = lambda rng: np.array([1.0, 0.0])
-        got = paper_checks.gain_spsa(np.zeros(2), 0.1, oracle, sampler, None)
+        got = gain_spsa(np.zeros(2), 0.1, oracle, sampler, None)
         assert np.allclose(got, [a[0], 0.0])
 
     def test_d1_matches_coordinate_difference(self):
         oracle = lambda v, rng: -float(v[0]) ** 4
         for sign in (1.0, -1.0):
             sampler = lambda rng, s=sign: np.array([s])
-            got = paper_checks.gain_spsa([1.0], 0.1, oracle, sampler, None)
-            kw = paper_checks.gain_kw_finite_difference([1.0], 0.1, oracle, None)
+            got = gain_spsa([1.0], 0.1, oracle, sampler, None)
+            kw = gain_kw_finite_difference([1.0], 0.1, oracle, None)
             assert np.allclose(got, kw)  # D^2 = 1 cancels the sign
 
     def test_sphere_average_recovers_half_gradient(self):
@@ -292,8 +294,7 @@ class TestSpsa:
             ang = rng.uniform(0.0, 2.0 * math.pi)
             return np.array([math.cos(ang), math.sin(ang)])
 
-        samples = np.array([paper_checks.gain_spsa([1.0, 0.0], 0.05, oracle,
-                                            sampler, None)
+        samples = np.array([gain_spsa([1.0, 0.0], 0.05, oracle, sampler, None)
                             for _ in range(20_000)])
         mean = samples.mean(axis=0)
         se = samples.std(axis=0) / math.sqrt(samples.shape[0])
@@ -303,7 +304,7 @@ class TestSpsa:
     def test_zero_direction_exhausts_retries(self):
         sampler = lambda rng: np.zeros(2)
         with pytest.raises(RuntimeError):
-            paper_checks.gain_spsa(np.zeros(2), 0.1, lambda v, r: 0.0, sampler, None)
+            gain_spsa(np.zeros(2), 0.1, lambda v, r: 0.0, sampler, None)
 
 
 class TestArdScore:
@@ -333,8 +334,8 @@ class TestArdScore:
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = h
-                fd = (paper_checks.ard_log_density(theta + e, x, y, sigma)
-                      - paper_checks.ard_log_density(theta - e, x, y, sigma)) / (2 * h)
+                fd = (ard_log_density(theta + e, x, y, sigma)
+                      - ard_log_density(theta - e, x, y, sigma)) / (2 * h)
                 assert abs(got[i] - fd) <= 1e-5 * (1.0 + abs(fd))
 
     def test_dimension_mismatch(self):
@@ -348,8 +349,8 @@ def _shift_matrix_score(theta_hat, x, y, sigma):
     d = theta_hat.size
     jac = np.empty((d, d))
     for i in range(1, d + 1):
-        jac[:, i - 1] = (-paper_checks.shift_matrix(d, i) @ x
-                         - paper_checks.shift_matrix(d, d - i).T @ y)
+        jac[:, i - 1] = (-shift_matrix(d, i) @ x
+                         - shift_matrix(d, d - i).T @ y)
     resid = (linalg.ar_matrix_a(theta_hat) @ x
              - linalg.ar_matrix_b(theta_hat) @ y)
     return -(jac.T @ resid) / sigma ** 2
@@ -377,13 +378,13 @@ def test_indexed_jacobian_matches_shift_matrix_products_bitwise(batch):
 class TestAverageGainArd:
     def test_zero_at_truth(self):
         theta = np.array([0.3, 0.1])
-        m = paper_checks.ard_quadratic_matrix(theta, [1.0, 2.0], 1.0)
+        m = ard_quadratic_matrix(theta, [1.0, 2.0], 1.0)
         got = -m @ (theta - theta)
         assert np.array_equal(got, np.zeros(2))
 
     def test_d1_closed_form(self):
         # M = y^2 / sigma^2 = 4
-        m = paper_checks.ard_quadratic_matrix([0.4], [2.0], 1.0)
+        m = ard_quadratic_matrix([0.4], [2.0], 1.0)
         got = -m @ (np.array([0.9]) - 0.4)
         assert np.allclose(got, [-4.0 * 0.5])
 
@@ -400,7 +401,7 @@ class TestAverageGainArd:
         xi = rng.standard_normal((n, 2)) * sigma
         xs = mean_x + xi @ a_inv.T
         samples = np.array([gains.gain_ard_score(est, x, y, sigma) for x in xs])
-        want = -paper_checks.ard_quadratic_matrix(theta, y, sigma) @ (est - theta)
+        want = -ard_quadratic_matrix(theta, y, sigma) @ (est - theta)
         se = samples.std(axis=0) / math.sqrt(n)
         assert np.all(np.abs(samples.mean(axis=0) - want) <= 3.0 * se + 1e-9)
 

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import paper_checks
 from drifttrack import gains, linalg
+from paper_checks import (abel_transform_check, ard_quadratic_matrix,
+                          kl_gaussians, kp_constant, lemma_eig_check,
+                          shift_matrix, stability_inner_radius)
 from reference_roots import durand_kerner_roots, reference_spectral_radius
 
 
 def random_stable_coeffs(rng, d, rho=0.9):
     """Coefficient vector inside the inner L2 ball of the region."""
-    inner = paper_checks.stability_inner_radius(rho, d)
+    inner = stability_inner_radius(rho, d)
     v = rng.normal(size=d)
     v /= np.linalg.norm(v) + 1e-300
     return v * inner * rng.uniform(0.0, 1.0) ** (1.0 / d)
@@ -34,7 +36,7 @@ class TestToeplitz:
         v = np.zeros(5)
         v[1] = 1.0  # entry m_{-1}
         assert np.array_equal(linalg.toeplitz_from_vector(v),
-                              paper_checks.shift_matrix(3, 1))
+                              shift_matrix(3, 1))
 
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
@@ -64,11 +66,11 @@ class TestToeplitz:
         for d in (1, 2, 4):
             theta = rng.uniform(-0.5, 0.5, d)
             a_direct = linalg.ar_matrix_a(theta)
-            a_sum = np.eye(d) - sum(theta[i - 1] * paper_checks.shift_matrix(d, i)
+            a_sum = np.eye(d) - sum(theta[i - 1] * shift_matrix(d, i)
                                     for i in range(1, d + 1))
             assert np.allclose(a_direct, a_sum, atol=1e-14)
             b_direct = linalg.ar_matrix_b(theta)
-            b_sum = sum(theta[i - 1] * paper_checks.shift_matrix(d, d - i).T
+            b_sum = sum(theta[i - 1] * shift_matrix(d, d - i).T
                         for i in range(1, d + 1))
             assert np.allclose(b_direct, b_sum, atol=1e-14)
 
@@ -198,14 +200,14 @@ class TestStabilityRegion:
 
 class TestKlGaussians:
     def test_identical_zero(self):
-        assert paper_checks.kl_gaussians([0.0], [[1.0]], [0.0], [[1.0]]) == 0.0
+        assert kl_gaussians([0.0], [[1.0]], [0.0], [[1.0]]) == 0.0
 
     def test_mean_shift(self):
         assert math.isclose(
-            paper_checks.kl_gaussians([0.0], [[1.0]], [1.0], [[1.0]]), 0.5)
+            kl_gaussians([0.0], [[1.0]], [1.0], [[1.0]]), 0.5)
 
     def test_variance_change(self):
-        got = paper_checks.kl_gaussians([0.0], [[1.0]], [0.0], [[2.0]])
+        got = kl_gaussians([0.0], [[1.0]], [0.0], [[2.0]])
         assert math.isclose(got, 0.5 * (math.log(2.0) - 0.5), abs_tol=1e-12)
 
     def test_nonnegative_random(self):
@@ -216,13 +218,12 @@ class TestKlGaussians:
             b = rng.normal(size=(d, d))
             s0 = a @ a.T + 0.1 * np.eye(d)
             s1 = b @ b.T + 0.1 * np.eye(d)
-            kl = paper_checks.kl_gaussians(rng.normal(size=d), s0,
-                                     rng.normal(size=d), s1)
+            kl = kl_gaussians(rng.normal(size=d), s0, rng.normal(size=d), s1)
             assert kl >= -1e-12
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            paper_checks.kl_gaussians([0.0], [[-1.0]], [0.0], [[1.0]])
+            kl_gaussians([0.0], [[-1.0]], [0.0], [[1.0]])
 
 
 def ar_conditional(theta, y, sigma):
@@ -235,12 +236,12 @@ def ar_conditional(theta, y, sigma):
 
 class TestArdQuadraticForm:
     def test_d1_reduction(self):
-        m = paper_checks.ard_quadratic_matrix([0.4], [2.0], 1.0)
+        m = ard_quadratic_matrix([0.4], [2.0], 1.0)
         assert math.isclose(m[0, 0], 4.0, abs_tol=1e-12)
 
     def test_zero_at_truth(self):
         theta = np.array([0.3, -0.1])
-        m = paper_checks.ard_quadratic_matrix(theta, [1.0, 2.0], 1.5)
+        m = ard_quadratic_matrix(theta, [1.0, 2.0], 1.5)
         delta = theta - theta
         assert 0.5 * float(delta @ m @ delta) == 0.0
 
@@ -255,10 +256,10 @@ class TestArdQuadraticForm:
             y *= min(1.0, 10.0 / (np.linalg.norm(y) + 1e-9))
             sigma = rng.uniform(0.5, 2.0)
             delta = cand - theta
-            m = paper_checks.ard_quadratic_matrix(theta, y, sigma)
+            m = ard_quadratic_matrix(theta, y, sigma)
             quad = 0.5 * float(delta @ m @ delta)
-            kl = paper_checks.kl_gaussians(*ar_conditional(theta, y, sigma),
-                                     *ar_conditional(cand, y, sigma))
+            kl = kl_gaussians(*ar_conditional(theta, y, sigma),
+                              *ar_conditional(cand, y, sigma))
             assert abs(quad - kl) <= 1e-8 * (1.0 + abs(kl))
 
     def test_psd_and_symmetric(self):
@@ -267,7 +268,7 @@ class TestArdQuadraticForm:
             d = int(rng.integers(1, 5))
             theta = random_stable_coeffs(rng, d)
             y = rng.uniform(-5, 5, d)
-            m = paper_checks.ard_quadratic_matrix(theta, y, rng.uniform(0.5, 2))
+            m = ard_quadratic_matrix(theta, y, rng.uniform(0.5, 2))
             assert np.allclose(m, m.T, atol=1e-12)
             eigs = np.linalg.eigvalsh(m)
             assert eigs[0] >= -1e-10
@@ -278,7 +279,7 @@ class TestArdQuadraticForm:
             d = int(rng.integers(1, 4))
             theta = random_stable_coeffs(rng, d)
             y = rng.uniform(0.5, 3.0, d) * rng.choice([-1.0, 1.0], d)
-            m = paper_checks.ard_quadratic_matrix(theta, y, 1.0)
+            m = ard_quadratic_matrix(theta, y, 1.0)
             assert np.linalg.eigvalsh(m)[0] > 0.0
 
     def test_quadratic_growth_in_y(self):
@@ -291,9 +292,9 @@ class TestArdQuadraticForm:
             theta = random_stable_coeffs(rng, d)
             y = rng.uniform(-6, 6, d)
             c = rng.uniform(0.1, 4.0)
-            m0 = paper_checks.ard_quadratic_matrix(theta, np.zeros(d), 1.0)
-            m1 = paper_checks.ard_quadratic_matrix(theta, y, 1.0)
-            mc = paper_checks.ard_quadratic_matrix(theta, c * y, 1.0)
+            m0 = ard_quadratic_matrix(theta, np.zeros(d), 1.0)
+            m1 = ard_quadratic_matrix(theta, y, 1.0)
+            mc = ard_quadratic_matrix(theta, c * y, 1.0)
             assert np.allclose(mc, (1.0 - c * c) * m0 + c * c * m1,
                                atol=1e-10)
 
@@ -303,7 +304,7 @@ class TestSymEigenvalues:
     Gaussian gain's constants read."""
 
     def test_diagonal(self):
-        report = paper_checks.lemma_eig_check(np.diag([3.0, 1.0]), 0.25)
+        report = lemma_eig_check(np.diag([3.0, 1.0]), 0.25)
         assert np.array_equal(report.eigenvalues, [1.0, 3.0])
 
     def test_identity(self):
@@ -314,20 +315,20 @@ class TestSymEigenvalues:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4))
         m = a @ a.T + 0.1 * np.eye(4)
-        eigs = paper_checks.lemma_eig_check(m, 0.5 / np.trace(m)).eigenvalues
+        eigs = lemma_eig_check(m, 0.5 / np.trace(m)).eigenvalues
         assert math.isclose(float(np.sum(eigs)), float(np.trace(m)),
                             abs_tol=1e-10)
 
 
 class TestEigLemma:
     def test_diag_example(self):
-        report = paper_checks.lemma_eig_check(np.diag([1.0, 3.0]), 0.25)
+        report = lemma_eig_check(np.diag([1.0, 3.0]), 0.25)
         assert report.ok
         assert report.norm_discrepancy <= 1e-12
 
     def test_boundary_gamma_rejected(self):
         with pytest.raises(ValueError):
-            paper_checks.lemma_eig_check(np.diag([1.0, 3.0]), 1.0 / 3.0)
+            lemma_eig_check(np.diag([1.0, 3.0]), 1.0 / 3.0)
 
     def test_random_spd(self):
         rng = np.random.default_rng(13)
@@ -337,7 +338,7 @@ class TestEigLemma:
             m = a @ a.T + 0.05 * np.eye(d)
             lam_max = float(np.linalg.eigvalsh(m)[-1])
             gamma = rng.uniform(0.05, 0.95) / lam_max
-            report = paper_checks.lemma_eig_check(m, gamma)
+            report = lemma_eig_check(m, gamma)
             assert report.ok
             assert report.norm_discrepancy <= 1e-10
             assert report.ordering_discrepancy <= 1e-10
@@ -347,13 +348,13 @@ class TestAbelTransform:
     def test_single_term(self):
         b = [np.eye(2), np.eye(2)]
         a = [np.array([1.0, -2.0])]
-        assert paper_checks.abel_transform_check(b, a, k0=0, k=0) == 0.0
+        assert abel_transform_check(b, a, k0=0, k=0) == 0.0
 
     def test_constant_b_collapses(self):
         b = [2.0 * np.eye(3)] * 6
         rng = np.random.default_rng(14)
         a = [rng.normal(size=3) for _ in range(5)]
-        assert paper_checks.abel_transform_check(b, a, k0=0, k=4) < 1e-12
+        assert abel_transform_check(b, a, k0=0, k=4) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(15)
@@ -362,11 +363,11 @@ class TestAbelTransform:
             b = [rng.normal(size=(3, 3)) for _ in range(terms + 1)]
             a = [rng.normal(size=3) for _ in range(terms + 1)]
             k0 = int(rng.integers(0, terms))
-            assert paper_checks.abel_transform_check(b, a, k0=k0, k=terms) < 1e-12
+            assert abel_transform_check(b, a, k0=k0, k=terms) < 1e-12
 
 
 @given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
        d=st.integers(min_value=1, max_value=8))
 def test_kp_constant_bounds_sqrt_d(p, d):
-    kp = paper_checks.kp_constant(p, d)
+    kp = kp_constant(p, d)
     assert 1.0 <= kp <= math.sqrt(d) + 1e-12
