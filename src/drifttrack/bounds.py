@@ -134,20 +134,22 @@ def _check_sample_count(n_samples: int) -> None:
 _LEAF = 16384
 
 
-def _tree(a: int, b: int, leaf: Callable) -> tuple:
+def _tree(a: int, b: int, leaf: Callable, size: int = _LEAF) -> tuple:
     """leaf(i, j) on the leaves of numpy's pairwise-summation tree over
     rows [a, b), in row order; leaf returns a tuple of sums, and each
-    node adds its halves' tuples entry by entry.
+    node adds its halves' tuples entry by entry.  A leaf holds at most
+    size rows, at least 128.
 
     numpy splits a sum of more than 128 terms at n//2 - (n//2) % 8, so
     an entry that leaf takes as np.add.reduce of a 1-D array over its
     rows has the bits of np.sum over rows [a, b).
     """
-    if b - a <= _LEAF:
+    if b - a <= size:
         return leaf(a, b)
     half = (b - a) // 2
     half -= half % 8
-    left, right = _tree(a, a + half, leaf), _tree(a + half, b, leaf)
+    left = _tree(a, a + half, leaf, size)
+    right = _tree(a + half, b, leaf, size)
     return tuple(x + y for x, y in zip(left, right))
 
 

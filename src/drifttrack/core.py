@@ -3,17 +3,25 @@
 Projection regions plus one kernel, track, that runs the recursion
 theta_hat_{k+1} = theta_hat_k + gamma_k * G_k on a block of
 replications at once; the value stored at slot k+1 is compared against
-the target at the same slot.  run_replications simulates and tracks
-as many seeds as BLOCK_BYTES holds at the horizon; run_tracking is it
-with one seed, and replay_updates re-runs track on stored observations.
+the target at the same slot.  run_replications draws and tracks as many
+seeds as BLOCK_BYTES holds; run_tracking is it with one seed, and
+replay_updates re-runs track on stored observations.
 
-A block holds one time-major (n+1, B, max(w, d)) stack: it carries
-observation row k of every replication in slot k+1, and track writes
-estimate k+1 over that slot once step k has consumed the row.  Targets
-that draw nothing (a static or grid path) are one read-only (n+1, d)
-table the seeds share, seen as a (B, n+1, d) broadcast; targets drawn
-per seed take a second, rep-major (B, n+1, d) stack.  The sweeps reduce
-each block in place, so no further (B, n+1, d) array is allocated.
+A block holds one time-major (m+1, B, max(w, d)) stack for a window of
+m steps: it carries observation row k of every replication in slot
+k+1, and track writes estimate k+1 over that slot once step k has
+consumed the row.  Each seed's rows come from its model's RowSource.
+When the targets draw nothing (a static or grid path), they are one
+read-only (n+1, d) table the seeds share, seen as a broadcast, and each
+source draws its rows as they are taken: the block steps through the
+horizon WINDOW steps at a time, carrying each replication's last
+estimate, generator and model state into the next window.  Targets
+drawn per seed (a stabilizing walk, whose noise is drawn before it)
+make the window the whole horizon, with a second, rep-major
+(B, n+1, d) stack for the targets.  The sweeps reduce each window in
+place, so no further stack-sized array is allocated; WindowMeans is
+the reduction that makes rates' window means of a streamed run equal
+those of the whole run, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .bounds import _tree
 from .gains import GainSpec
-from .models import make_rng
+from .models import RowSource, make_rng
 from .schedules import StepSchedule
 
 __all__ = [
@@ -38,18 +47,26 @@ __all__ = [
     "TrackingDiverged",
     "GUARD_FACTOR",
     "BLOCK_BYTES",
+    "WINDOW",
     "track",
     "run_replications",
     "run_tracking",
     "replay_updates",
+    "WindowMeans",
 ]
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
-# Bytes of stack per block: a replication costs (n+1) * (max(w, d) + d) * 8
-# bytes, or (n+1) * max(w, d) * 8 when its targets are a shared table, and
+# Bytes of stack per block.  A run drawn whole costs (n+1) * (max(w, d) + d)
+# * 8 bytes: its observation rows, with the estimates written over them,
+# and its targets.  A run whose targets are a shared table costs
+# (WINDOW+1) * max(w, d) * 8, since its rows are drawn a window at a time.
 # run_replications steps as many together as fit, at least one.  That is
-# 160 MB: 200 replications at n = 1e5 and d = w = 1 with shared targets.
+# 160 MB: 200 drawn runs at n = 1e5 and d = w = 1 (full size on a
+# stabilizing path).
 BLOCK_BYTES = 200 * (100_000 + 1) * 8
+# Steps of a shared-targets run drawn and tracked at once: a streamed
+# block of 200 at w = 1 holds 1.6 MB of rows.
+WINDOW = 1024
 _DIVERGED = "estimate left the guard region or gain went non-finite"
 
 
@@ -158,9 +175,16 @@ class TrackingRun:
     steps: np.ndarray
 
 
+def _guard_sq(initial: np.ndarray) -> np.ndarray:
+    """Each replication's squared guard radius, from its initial estimate."""
+    return (GUARD_FACTOR * (1.0 + np.sqrt(np.sum(initial * initial,
+                                                 axis=1)))) ** 2
+
+
 def track(initial, observations, gammas, evaluator,
           projection: Optional[ProjectionRegion] = None,
-          out: Optional[np.ndarray] = None) -> np.ndarray:
+          out: Optional[np.ndarray] = None,
+          guard_sq: Optional[np.ndarray] = None) -> np.ndarray:
     """The recursion on a block of B replications stepped together.
 
     initial is (B, d), observations (n, B, w) and gammas (n,); the gain
@@ -170,7 +194,9 @@ def track(initial, observations, gammas, evaluator,
     since the direction is taken out of the row before the slot is
     written.  Returns out as the (B, n+1, d) estimates.  Rows never mix,
     so every replication's path equals the one a block of one gives, bit
-    for bit.
+    for bit.  guard_sq, the (B,) squared guard radii, defaults to the
+    ones of initial; a caller that steps a run window by window passes
+    those of the run's first estimate, so the guard does not move.
     """
     est = np.array(initial, dtype=float)
     shape = est.shape
@@ -179,7 +205,8 @@ def track(initial, observations, gammas, evaluator,
         out = np.empty((n + 1,) + shape)
     out[0] = est
     step = np.empty(shape)
-    guard_sq = (GUARD_FACTOR * (1.0 + np.sqrt(np.sum(est * est, axis=1)))) ** 2
+    if guard_sq is None:
+        guard_sq = _guard_sq(est)
     # the block's squared norm under half the smallest row guard clears
     # every row at once, rounding included; otherwise check row by row
     block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
@@ -195,42 +222,31 @@ def track(initial, observations, gammas, evaluator,
     return out.transpose(1, 0, 2)
 
 
-def _simulate(sims, n: int, size: int, table=None):
-    """The next size runs of sims, drawn into a time-major
-    (n+1, B, max(w, d)) stack: observation row k of run i goes to
-    [k+1, i, :w].  Returns the (n, B, w) observations and (n+1, B, d)
-    estimate slots, both views of the stack, and the (B, n+1, d)
-    targets: a read-only broadcast of table when given, else a stack of
-    each run's own."""
-    stack = targets = None
-    for i, sim in enumerate(islice(sims, size)):
-        w = sim.observations.shape[1]
-        if stack is None:
-            d = sim.targets.shape[1]
-            stack = np.empty((n + 1, size, max(w, d)))
-            targets = np.empty((size, n + 1, d)) if table is None \
-                else np.broadcast_to(table, (size, n + 1, d))
-        stack[1:, i, :w] = sim.observations
-        if table is None:
-            targets[i] = sim.targets
-        del sim  # before the next run is drawn
-    return stack[1:, :, :w], stack[:, :, :d], targets
+def _source(model, n: int, seed: int) -> RowSource:
+    """The seed's row source; a simulator with simulate alone is drawn
+    whole."""
+    rng = make_rng(seed)
+    rows = getattr(model, "rows", None)
+    return rows(n, rng) if rows else RowSource.whole(model.simulate(n, rng))
 
 
 def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
-                     gammas: Optional[np.ndarray] = None,
-                     table: Optional[np.ndarray] = None):
-    """Yield (start, estimates, targets) per block of seeds, in seed order.
+                     gammas: Optional[np.ndarray] = None):
+    """Yield (start, first, estimates, targets) per window of each block
+    of seeds, in seed order and then in time order.
 
-    Blocks of as many replications as BLOCK_BYTES holds are simulated
-    and stepped together; start is the block's first index into seeds,
-    and estimates and targets are (B, n+1, d), each row equal to a block
-    of one with its seed bit for bit.  estimates is a view of the spent
-    observation stack, which the caller may overwrite; it should drop
-    both before asking for the next block, as the generator does.
-    table, the (n+1, d) targets every seed shares when the model's path
-    draws nothing (its table_for(n)), makes targets a read-only
-    broadcast of it.  gammas defaults to the config's schedule.  A
+    A block is as many replications as BLOCK_BYTES holds, stepped
+    together; start is its first index into seeds.  estimates and targets
+    are (B, m, d) and hold slots first..first+m-1, each row equal to a
+    block of one with its seed bit for bit; a block's windows cover slots
+    0..n once each, its first window starting at slot 0.  Rows whose
+    targets are the path's shared table (RowSource.shared) are drawn
+    WINDOW steps at a time, and targets is a read-only view of the
+    table; other runs are drawn whole, in one window over the horizon,
+    their targets stacked.  estimates is a view of the block's stack,
+    which the caller may overwrite and the next window reuses; the
+    caller should drop it before asking for the next window, as the
+    generator does.  gammas defaults to the config's schedule.  A
     divergence raises TrackingDiverged for the lowest-index replication
     that diverges, at its own step, as a one-at-a-time loop would;
     .replication is its index into seeds and .horizon the config's.
@@ -243,49 +259,80 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     if gammas is None:
         gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
-    sims = (model.simulate(n, make_rng(seed)) for seed in seeds)
+    sources = (_source(model, n, seed) for seed in seeds)
     start = 0
-    for first in sims:  # one pass a block; the first run gives its width
-        width = max(first.observations.shape[1], d) \
-            + (d if table is None else 0)
-        size = max(1, BLOCK_BYTES // ((n + 1) * width * 8))
-        block = seeds[start:start + size]
-        obs, slots, targets = _simulate(chain([first], sims), n, len(block),
-                                        table)
-        init = np.tile(config.initial_estimate, (len(block), 1))
-        try:
-            estimates = track(init, obs, gammas, gain.evaluator,
-                              config.projection, out=slots)
-        except TrackingDiverged:
-            # the block trips at its earliest step, over rows it has
-            # overwritten: redraw each seed alone, lowest index first
-            del obs, slots, targets
-            for i, seed in enumerate(block):
-                sim = model.simulate(n, make_rng(seed))
-                try:
-                    track(config.initial_estimate[None],
-                          sim.observations[:, None], gammas,
-                          gain.evaluator, config.projection)
-                except TrackingDiverged as exc:
-                    raise TrackingDiverged(exc.step, n, start + i) from None
-            raise
-        yield start, estimates, targets
-        del obs, slots, targets, estimates
-        start += len(block)
+    for head in sources:  # one pass a block; the first run sets its shape
+        w = head.width
+        table = head.targets if head.shared else None  # the seeds share it
+        m = n if table is None else min(WINDOW, n)
+        width = max(w, d) + (d if table is None else 0)
+        size = min(max(1, BLOCK_BYTES // ((m + 1) * width * 8)),
+                   len(seeds) - start)
+        # observation row k of replication i goes to [k+1, i, :w], and
+        # track writes its estimate k+1 over that slot
+        stack = np.empty((m + 1, size, max(w, d)))
+        targets = np.empty((size, n + 1, d)) if table is None else None
+        held = []  # a shared block's sources, drawn from window by window
+        block = chain([head], islice(sources, size - 1))
+        del head  # a run drawn whole goes once it is stacked
+        for i, src in enumerate(block):
+            stack[1:, i, :w] = src.take(m)
+            if table is None:
+                targets[i] = src.targets
+            else:
+                held.append(src)
+            del src  # before the next run is drawn
+        est = np.tile(config.initial_estimate, (size, 1))
+        guard_sq = _guard_sq(est)
+        for lo in range(0, n, m):  # steps lo..hi-1 give slots lo+1..hi
+            hi = min(lo + m, n)
+            if lo:
+                for i, src in enumerate(held):
+                    stack[1:hi - lo + 1, i, :w] = src.take(hi - lo)
+            try:
+                estimates = track(est, stack[1:hi - lo + 1, :, :w],
+                                  gammas[lo:hi], gain.evaluator,
+                                  config.projection,
+                                  stack[:hi - lo + 1, :, :d], guard_sq)
+            except TrackingDiverged as exc:
+                if size == 1:
+                    raise TrackingDiverged(lo + exc.step, n, start) from None
+                # the block trips at its earliest step, over rows it has
+                # overwritten: rerun each seed alone, lowest index first
+                del stack, targets, held
+                for i, seed in enumerate(seeds[start:start + size]):
+                    try:
+                        for _ in run_replications(config, model, gain,
+                                                  [seed], gammas):
+                            pass
+                    except TrackingDiverged as alone:
+                        raise TrackingDiverged(alone.step, n,
+                                               start + i) from None
+                raise
+            est = estimates[:, -1].copy()  # the next window's first estimate
+            first = lo + 1 if lo else 0
+            if table is not None:
+                targets = np.broadcast_to(table[first:hi + 1],
+                                          (size, hi + 1 - first, d))
+            yield start, first, estimates[:, first - lo:], targets
+            del estimates
+        del stack, targets, held
+        start += size
 
 
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,
                  rng_seed: int) -> TrackingRun:
     """Execute the online loop for one seed: run_replications with one.
 
-    The simulator draws the whole observation sequence (targets are
-    predictable from the past only, never from the estimates), then the
-    recursion consumes one row per step.  Deterministic given the seed.
+    Targets are predictable from the past only, never from the
+    estimates, so the rows can be drawn ahead of the recursion, which
+    consumes one per step.  Deterministic given the seed.
     """
     gammas = config.schedule.values_upto(config.horizon)
-    [(_, estimates, targets)] = run_replications(config, model, gain,
-                                                 [rng_seed], gammas)
-    return TrackingRun(estimates[0], targets[0], gammas)
+    windows = [(estimates[0].copy(), targets[0]) for _, _, estimates, targets
+               in run_replications(config, model, gain, [rng_seed], gammas)]
+    return TrackingRun(np.concatenate([e for e, _ in windows]),
+                       np.concatenate([t for _, t in windows]), gammas)
 
 
 def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,
@@ -299,3 +346,49 @@ def replay_updates(initial_estimate, observations, gammas, gain: GainSpec,
     init = np.atleast_1d(np.asarray(initial_estimate, dtype=float))
     return track(init[None], observations[:, None], gammas, gain.evaluator,
                  projection)[0]
+
+
+class WindowMeans:
+    """Each replication's per-step l2 error norm averaged over slots
+    k0..n, fed one block's (B, m, d) error windows from run_replications
+    in slot order; the windows are squared in place.
+
+    The norms of each _tree leaf, at most LEAF slots, go to a (B, LEAF)
+    buffer, whose rows np.add.reduce sums as numpy's pairwise sum does
+    one replication's 1-D norms; _tree then adds the leaves' sums as that
+    sum's tree does, so the mean has the bits of np.mean over the
+    replication's norms.
+    """
+
+    LEAF = 1024
+
+    def __init__(self, size: int, k0: int, n: int):
+        self.k0, self.count = k0, n - k0 + 1
+        self.ends = []  # the leaves' ends, in order
+        _tree(0, self.count, lambda a, b: self.ends.append(b) or (),
+              self.LEAF)
+        self.sums = []  # the (B,) sums of the leaves done
+        self.norms = np.empty((size, self.LEAF))
+        # the next position, slot k0 + pos, and the start of its leaf
+        self.pos = self.leaf = 0
+
+    def add(self, errors: np.ndarray, first: int) -> None:
+        """errors holds slots first, first + 1, ..."""
+        errors = errors[:, max(self.k0 - first, 0):]
+        while errors.shape[1]:
+            end = self.ends[len(self.sums)]
+            m = min(end - self.pos, errors.shape[1])
+            part, errors = errors[:, :m], errors[:, m:]
+            np.multiply(part, part, out=part)
+            out = self.norms[:, self.pos - self.leaf:self.pos - self.leaf + m]
+            np.sqrt(np.sum(part, axis=2, out=out), out=out)
+            self.pos += m
+            if self.pos == end:
+                self.sums.append(np.add.reduce(self.norms[:, :end - self.leaf],
+                                               axis=1))
+                self.leaf = end
+
+    def means(self) -> np.ndarray:
+        sums = iter(self.sums)  # _tree takes its leaves in order
+        total, = _tree(0, self.count, lambda a, b: (next(sums),), self.LEAF)
+        return total / self.count

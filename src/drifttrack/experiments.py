@@ -24,8 +24,8 @@ from . import bounds as bounds_mod
 from . import gains as gains_mod
 from . import kalman as kalman_mod
 from . import models as models_mod
-from .core import (TrackingConfig, TrackingDiverged, replay_updates,
-                   run_replications, run_tracking)
+from .core import (TrackingConfig, TrackingDiverged, WindowMeans,
+                   replay_updates, run_replications, run_tracking)
 from .schedules import StepSchedule, default_c_gamma
 
 __all__ = [
@@ -487,24 +487,6 @@ def _norms(last: np.ndarray, p: float) -> np.ndarray:
     return norms
 
 
-def _window_l2(errors: np.ndarray, k0: int) -> np.ndarray:
-    """Per-step l2 norm averaged over the post-burn-in slots k0..n, for
-    each replication of the (B, n+1, d) errors.
-
-    Squares the window in place; each replication's per-step norms go to
-    one contiguous 1-D temporary, whose mean is one replication's 1-D
-    mean.
-    """
-    window = errors[:, k0:]
-    np.multiply(window, window, out=window)
-    norms = np.empty(window.shape[1])
-    means = np.empty(len(window))
-    for i, rep in enumerate(window):
-        np.sqrt(np.sum(rep, axis=1, out=norms), out=norms)
-        means[i] = np.mean(norms)
-    return means
-
-
 def _burn_in(fraction: float, n: int) -> int:
     """First step of the post-burn-in window: the least k >= 1 with
     k >= fraction * n."""
@@ -536,14 +518,19 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
         finals = np.empty((reps, 3))
         windows = np.empty(reps)
         seeds = [config.seed ^ (h_idx * reps + rep) for rep in range(reps)]
-        runs = run_replications(tracking, model, gain, seeds,
-                                table=path.table_for(n))
-        for start, estimates, targets in runs:
-            block = slice(start, start + len(targets))
+        runs = run_replications(tracking, model, gain, seeds)
+        for start, first, estimates, targets in runs:
             errors = np.subtract(estimates, targets, out=estimates)
-            finals[block] = _norms(errors[:, -1], config.p)
-            windows[block] = _window_l2(errors, k0)
-            del estimates, targets, errors  # before the next block's draw
+            if first == 0:  # a new block
+                block = slice(start, start + len(errors))
+                window = WindowMeans(len(errors), k0, n)
+            last = first + errors.shape[1] == n + 1
+            if last:  # before the window is squared
+                finals[block] = _norms(errors[:, -1], config.p)
+            window.add(errors, first)
+            if last:
+                windows[block] = window.means()
+            del estimates, targets, errors  # before the next window's draw
         rows.extend((n, rep, *finals[rep], config.p, seeds[rep])
                     for rep in range(reps))
         # exact sums: aggregate independent of replication order
@@ -617,18 +604,24 @@ def run_bound_check(config: ExperimentConfig,
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
     table = path.table_for(n)
-    # shared targets drift alike: their norms are one vector, added once
-    # per replication as each replication's own would be
-    shared = None if table is None else _drift_norms(table, k0)
-    runs = run_replications(tracking, model, gain, seeds, gammas, table)
-    for start, block_est, block_tgt in runs:
-        for rep, (estimates, targets) in enumerate(zip(block_est, block_tgt),
-                                                   start):
-            err_norms[rep] = np.linalg.norm(estimates[slots] - targets[slots],
-                                            axis=1)
-            osc_sum += _drift_norms(targets, k0) if shared is None else shared
-            est_sq_sum += np.sum(estimates ** 2, axis=1)
-        del block_est, block_tgt, estimates, targets  # before the next draw
+    runs = run_replications(tracking, model, gain, seeds, gammas)
+    for start, first, estimates, targets in runs:
+        size, m = estimates.shape[:2]
+        lo, hi = np.searchsorted(slots, (first, first + m))
+        at = slots[lo:hi] - first
+        err_norms[start:start + size, lo:hi] = np.linalg.norm(
+            estimates[:, at] - targets[:, at], axis=2)
+        for i in range(size):  # in replication order
+            est_sq_sum[first:first + m] += np.sum(estimates[i] ** 2, axis=1)
+            if table is None:  # targets drawn per seed, in one window
+                osc_sum += _drift_norms(targets[i], k0)
+        del estimates, targets  # before the next window's draw
+    if table is not None:
+        # shared targets drift alike: their norms are one vector, added
+        # once per replication as each replication's own would be
+        shared = _drift_norms(table, k0)
+        for _ in range(reps):
+            osc_sum += shared
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants
     lam1 = _or(v["bounds.lambda1"], consts.lambda1)

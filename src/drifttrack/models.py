@@ -4,7 +4,11 @@ Every simulator exposes simulate(n, rng) returning a SimulatedPath with
 an (n, width) observation-row array and an (n+1, d) target array; row k
 is the observation consumed at tracking step k and targets[k] the
 parameter it carries.  Observations never depend on the running
-estimate, so a whole trajectory can be drawn up front.
+estimate, so a whole trajectory can be drawn up front.  The four
+models the configs build also expose rows(n, rng), a RowSource that
+hands the same rows out a window at a time: on a path that draws
+nothing it draws each window as it is taken and carries the model's
+state across windows, and simulate is its rows taken in one go.
 
 Observation-row layouts match the GainSpec factories in gains.py.
 """
@@ -12,7 +16,7 @@ Observation-row layouts match the GainSpec factories in gains.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,6 +28,7 @@ __all__ = [
     "ParameterPath",
     "make_parameter_path",
     "SimulatedPath",
+    "RowSource",
     "SignalNoiseModel",
     "PoissonCountModel",
     "poisson_targets",
@@ -260,8 +265,52 @@ class SimulatedPath:
     targets: np.ndarray       # (n+1, d)
 
 
+@dataclass
+class RowSource:
+    """One run's observation rows, handed out in order m at a time.
+
+    rows(k, m) gives rows k..k+m-1, and take asks for them in order;
+    targets is the run's (n+1, d) targets and width the rows' width.
+    When shared is set, targets is the path's read-only table, the same
+    for every seed, and rows draws from the run's generator as it is
+    asked, carrying the model's state from one call to the next; chunked
+    draws give the bits of one whole draw, so the rows do not depend on
+    how the horizon is cut.  Otherwise targets are the run's own, drawn
+    when the source was made.
+    """
+
+    targets: np.ndarray
+    rows: Callable[[int, int], np.ndarray]
+    width: int
+    shared: bool = True
+    taken: int = field(default=0, init=False)
+
+    @classmethod
+    def whole(cls, sim: SimulatedPath) -> "RowSource":
+        """A source over a run drawn whole."""
+        return cls(sim.targets, lambda k, m: sim.observations[k:k + m],
+                   sim.observations.shape[1], False)
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m rows."""
+        self.taken += m
+        return self.rows(self.taken - m, m)
+
+    def simulate(self, n: int) -> SimulatedPath:
+        """All n rows in one take, with targets the run's own array."""
+        targets = self.targets.copy() if self.shared else self.targets
+        return SimulatedPath(observations=self.take(n), targets=targets)
+
+
+class _Streamed:
+    """A simulator whose simulate is its row source's rows in one take."""
+
+    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
+        return self.rows(n, rng).simulate(n)
+
+
 @dataclass(frozen=True)
-class SignalNoiseModel:
+class SignalNoiseModel(_Streamed):
     """X_k = theta_k + xi_k with centered independent noise."""
 
     path: ParameterPath
@@ -271,14 +320,20 @@ class SignalNoiseModel:
     def dim(self) -> int:
         return self.path.dim
 
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        xi = self.noise.draw(rng, (n, self.dim))
-        thetas = self.path.sample(n, rng)
-        if thetas is None:  # the rule reads the observations fed back
-            thetas, obs = self.path.feed(n, lambda k, theta, _: theta + xi[k])
-        else:
-            obs = thetas[:n] + xi
-        return SimulatedPath(observations=obs, targets=thetas)
+    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
+        table = self.path.table_for(n)
+        if table is None:
+            # all n noise values come first, then the walk: drawn whole
+            xi = self.noise.draw(rng, (n, self.dim))
+            thetas = self.path.sample(n, rng)
+            if thetas is None:  # the rule reads the observations fed back
+                thetas, obs = self.path.feed(
+                    n, lambda k, theta, _: theta + xi[k])
+            else:
+                obs = thetas[:n] + xi
+            return RowSource.whole(SimulatedPath(obs, thetas))
+        return RowSource(table, lambda k, m: table[k:k + m]
+                         + self.noise.draw(rng, (m, self.dim)), self.dim)
 
 
 def adaptive_simpson(func, a: float, b: float, tol: float = 1e-10,
@@ -318,7 +373,7 @@ def poisson_targets(intensity: Callable[[float], float], n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PoissonCountModel:
+class PoissonCountModel(_Streamed):
     """Counting process on [0,1] observed on an n-point grid.
 
     Increment k is Poisson with mean theta_k, read from the path (a grid
@@ -330,12 +385,19 @@ class PoissonCountModel:
 
     dim = 1
 
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        thetas = self.path.sample(n, rng)
-        increments = rng.poisson(thetas[:n, 0])
-        counts = np.concatenate(([0], np.cumsum(increments)))
-        obs = np.column_stack([counts[1:], counts[:-1]]).astype(float)
-        return SimulatedPath(observations=obs, targets=thetas)
+    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
+        table = self.path.table_for(n)
+        thetas = self.path.sample(n, rng) if table is None else table
+        count = 0  # N_{k-1} of the next row
+
+        def rows(k: int, m: int) -> np.ndarray:
+            nonlocal count
+            increments = rng.poisson(thetas[k:k + m, 0])
+            counts = np.concatenate(([count], count + np.cumsum(increments)))
+            count = counts[-1]
+            return np.column_stack([counts[1:], counts[:-1]]).astype(float)
+
+        return RowSource(thetas, rows, 2, table is not None)
 
 
 @dataclass(frozen=True)
@@ -373,7 +435,7 @@ class CondGaussianModel:
 
 
 @dataclass(frozen=True)
-class Arch1Model:
+class Arch1Model(_Streamed):
     """X_k = sqrt(1 + theta_k X_{k-1}^2) eps_k with unit-variance eps.
 
     Rows are (X_k, X_{k-1}); the path must emit nonnegative theta.
@@ -389,29 +451,41 @@ class Arch1Model:
         if abs(self.x0) > 1.0:
             raise ValueError("|x0| must be at most 1")
 
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        sampled = self.path.sample(n, rng)
-        eps = self.noise.draw(rng, n)
+    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
+        table = self.path.table_for(n)
+        sampled = self.path.sample(n, rng) if table is None else table
+        x_prev = self.x0  # X_{k-1} of the next row
 
-        def step(k, theta, window):
-            # the window's last row is X_{k-1}: the value fed back at k - 1
-            theta = float(theta[0])
-            if theta < 0:
+        def rows(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+            """The targets and rows of steps k..k+m-1."""
+            nonlocal x_prev
+            eps = self.noise.draw(rng, m)
+
+            def step(i, theta, window):
+                # the window's last row is the value fed back at i - 1
+                theta = float(theta[0])
+                if theta < 0:
+                    raise ValueError("volatility parameter must be nonnegative")
+                prev = float(window[-1, 0]) if i else x_prev
+                return math.sqrt(1.0 + theta * prev * prev) * eps[i]
+
+            thetas, x = self.path.feed(m, step, None if sampled is None
+                                       else lambda i, _: sampled[k + i])
+            if np.any(thetas[:, 0] < 0):
                 raise ValueError("volatility parameter must be nonnegative")
-            x_prev = float(window[-1, 0]) if k else self.x0
-            return math.sqrt(1.0 + theta * x_prev * x_prev) * eps[k]
+            xs = np.concatenate(([x_prev], x[:, 0]))
+            x_prev = float(xs[-1])
+            return thetas, np.column_stack([xs[1:], xs[:-1]])
 
-        thetas, x = self.path.feed(
-            n, step, None if sampled is None else lambda k, _: sampled[k])
-        if np.any(thetas[:, 0] < 0):
-            raise ValueError("volatility parameter must be nonnegative")
-        xs = np.concatenate(([self.x0], x[:, 0]))
-        return SimulatedPath(observations=np.column_stack([xs[1:], xs[:-1]]),
-                             targets=thetas)
+        if sampled is None:  # the rule reads the X fed back: drawn whole
+            thetas, obs = rows(0, n)
+            return RowSource.whole(SimulatedPath(obs, thetas))
+        return RowSource(sampled, lambda k, m: rows(k, m)[1], 2,
+                         table is not None)
 
 
 @dataclass(frozen=True)
-class ArdBatchModel:
+class ArdBatchModel(_Streamed):
     """AR(d) observed in non-overlapping d-batches, coefficients constant
     per batch; each batch solves the unit-triangular system
     A(theta) X = B(theta) Y + xi."""
@@ -442,22 +516,31 @@ class ArdBatchModel:
                 f"coefficients outside the stability region {where} "
                 f"(spectral radius {radius:.4f} > {self.rho})")
 
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        thetas = self.path.sample(n, rng)
+    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
+        table = self.path.table_for(n)
+        thetas = self.path.sample(n, rng) if table is None else table
         if thetas is None:
             raise ValueError("batched AR model needs a realizable path")
-        obs = np.empty((n, 2 * self.d))
-        y = rng.normal(0.0, self.sigma, size=self.d)
-        for k in range(n):
-            theta = thetas[k]
-            # the check, A and B depend on theta alone: redo them when it moves
-            if k == 0 or not np.array_equal(theta, thetas[k - 1]):
-                self._check_stable(theta, f"at step {k}")
-                a = linalg.ar_matrix_a(theta)
-                b = linalg.ar_matrix_b(theta)
-            xi = rng.normal(0.0, self.sigma, size=self.d)
-            x = linalg.solve_unit_upper(a, b @ y + xi)
-            obs[k, : self.d] = x
-            obs[k, self.d:] = y
-            y = x
-        return SimulatedPath(observations=obs, targets=thetas)
+        d = self.d
+        y = rng.normal(0.0, self.sigma, size=d)  # the batch before the next
+        a = b = None
+
+        def rows(k: int, m: int) -> np.ndarray:
+            nonlocal y, a, b
+            obs = np.empty((m, 2 * d))
+            for i in range(k, k + m):
+                theta = thetas[i]
+                # the check, A and B depend on theta alone: redo them when
+                # it moves
+                if i == 0 or not np.array_equal(theta, thetas[i - 1]):
+                    self._check_stable(theta, f"at step {i}")
+                    a = linalg.ar_matrix_a(theta)
+                    b = linalg.ar_matrix_b(theta)
+                xi = rng.normal(0.0, self.sigma, size=d)
+                x = linalg.solve_unit_upper(a, b @ y + xi)
+                obs[i - k, :d] = x
+                obs[i - k, d:] = y
+                y = x
+            return obs
+
+        return RowSource(thetas, rows, 2 * d, table is not None)

@@ -114,4 +114,5 @@ class StepSchedule:
             ceiling = min(ceiling, 1.0 / self.lambda2_guard)
         if self.kind in ("lipschitz", "constant"):
             return np.full(n, min(term(self, n), ceiling))
-        return np.array([min(term(self, k), ceiling) for k in range(n)])
+        return np.fromiter((min(term(self, k), ceiling) for k in range(n)),
+                           float, count=n)

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from drifttrack import experiments as ex
 from drifttrack import gains, linalg
@@ -212,6 +213,49 @@ def test_criterion_8_first_moment_bound_dominates():
         table = ex.run_bound_check(cfg, n=10_000)
         ok = ok and table.passed
     _report(8, "first-moment bound dominance", ok)
+
+
+# Negative controls: mis-specified runs that the checks of criteria 5, 6
+# and 8 must reject, at 5 replications.  Each misses by a wide margin, so
+# a sweep or a reduction that went wrong and passed everything would
+# fail here.
+_CONTROLS = {
+    # gamma = 0.01 is stationary after some 100 steps: a flat error
+    # (slope about -0.01 at this seed) against the static -0.5
+    "constant-step": ("rates", """
+schedule.kind = constant
+schedule.gamma = 0.01
+experiment.theoretical_slope = -0.5
+experiment.tolerance = 0.08
+"""),
+    # the static schedule cannot follow a walk whose budget decays as
+    # k^-0.25: the error grows (slope about +0.5 at this seed)
+    "slow-walk": ("rates", """
+path.kind = stabilizing
+path.beta = 0.25
+path.c_rho = 0.3
+schedule.kind = static
+experiment.tolerance = 0.08
+"""),
+    # with c_g = 0 the bound loses its noise term; what is left, a
+    # transient that decays in sum gamma and a zero oscillation on a
+    # static target, falls below the error
+    "zero-c_g": ("bound-check", """
+schedule.kind = static
+bounds.c_g = 0
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTROLS))
+def test_negative_controls_fail(tmp_path, capsys, name):
+    command, text = _CONTROLS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"{text}experiment.horizons = {HORIZONS}\n",
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--seed", str(SEED),
+                 "--replications", "5"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
 
 def test_criterion_9_kalman_equivalence():

@@ -18,6 +18,7 @@ from drifttrack.core import (
 )
 from drifttrack.models import (
     NoiseSpec,
+    RowSource,
     SignalNoiseModel,
     SimulatedPath,
     make_parameter_path,
@@ -369,6 +370,61 @@ def _first_divergence(config, model, gain, seeds):
     return None
 
 
+class _StreamedSpikes:
+    """base + scale * N(0, 1) rows drawn a window at a time on a shared
+    zero table, except one row of height heights.get(seed, 1e9) at the
+    global step spikes[seed]."""
+
+    dim = 1
+
+    def __init__(self, spikes, heights=None, base=0.0, scale=0.0):
+        self.spikes = spikes
+        self.heights = heights or {}
+        self.base = base
+        self.scale = scale
+
+    def rows(self, n, rng):
+        seed = int(rng.bit_generator.state["state"]["key"][0])
+        table = np.zeros((n + 1, 1))
+        table.flags.writeable = False
+
+        def rows(k, m):
+            out = self.base + self.scale * rng.standard_normal((m, 1))
+            if k <= self.spikes.get(seed, -1) < k + m:
+                out[self.spikes[seed] - k] = self.heights.get(seed, 1e9)
+            return out
+
+        return RowSource(table, rows, 1)
+
+    def simulate(self, n, rng):
+        return self.rows(n, rng).simulate(n)
+
+
+def _plain_divergence(config, model, gain, seeds):
+    """(replication, step) where a plain loop, one seed and one step at a
+    time, first leaves the guard region of the run's initial estimate."""
+    n = config.horizon
+    gammas = config.schedule.values_upto(n)
+    for rep, seed in enumerate(seeds):
+        rows = model.simulate(n, make_rng(seed)).observations
+        est = config.initial_estimate.copy()
+        guard_sq = (core.GUARD_FACTOR
+                    * (1.0 + math.sqrt(float(est @ est)))) ** 2
+        for k in range(n):
+            est = est + gammas[k] * gain.evaluator(est[None], rows[k][None])[0]
+            if not float(est @ est) <= guard_sq:
+                return rep, k
+    return None
+
+
+class _Whole:
+    """A model seen through simulate alone: its runs are drawn whole."""
+
+    def __init__(self, model):
+        self.dim = model.dim
+        self.simulate = model.simulate
+
+
 class TestReplications:
     def test_blocks_equal_run_tracking(self, monkeypatch):
         # three replications of two stacks, each 41 slots of max(w, d) + d
@@ -378,10 +434,12 @@ class TestReplications:
         config, model, gain = _static_setup(noise="normal", n=40, d=2,
                                             schedule=sched)
         seeds = [11 ^ rep for rep in range(7)]  # blocks of 3, 3 and 1
-        blocks = list(core.run_replications(config, model, gain, seeds))
-        assert [(start, len(targets)) for start, _, targets in blocks] \
-            == [(0, 3), (3, 3), (6, 1)]
-        for start, estimates, targets in blocks:
+        blocks = list(core.run_replications(config, _Whole(model), gain,
+                                            seeds))
+        assert [(start, first, len(targets))
+                for start, first, _, targets in blocks] \
+            == [(0, 0, 3), (3, 0, 3), (6, 0, 1)]
+        for start, _, estimates, targets in blocks:
             assert estimates.shape == targets.shape == (len(targets), 41, 2)
             for i, seed in enumerate(seeds[start:start + len(targets)]):
                 one = run_tracking(config, model, gain, seed)
@@ -408,9 +466,10 @@ class TestReplications:
         track = core.track
         monkeypatch.setattr(core, "track", counting_track)
         config, model, gain = _static_setup(noise="normal", n=9)
-        blocks = list(core.run_replications(config, model, gain, range(5)))
-        assert [len(targets) for _, _, targets in blocks] == sizes
-        assert [start for start, _, _ in blocks] \
+        blocks = list(core.run_replications(config, _Whole(model), gain,
+                                            range(5)))
+        assert [len(targets) for _, _, _, targets in blocks] == sizes
+        assert [start for start, _, _, _ in blocks] \
             == [sum(sizes[:i]) for i in range(len(sizes))]
         assert [b for b, _ in calls] == sizes
         assert all(shape == (9, b) for b, shape in calls)
@@ -423,13 +482,12 @@ class TestReplications:
         config, model, gain = _static_setup(theta=0.3, noise="normal", n=9)
         table = model.path.table_for(9)
         seeds = list(range(7))
-        alone = [len(t) for _, _, t in
-                 core.run_replications(config, model, gain, seeds)]
-        blocks = list(core.run_replications(config, model, gain, seeds,
-                                            table=table))
+        alone = [len(t) for _, _, _, t in
+                 core.run_replications(config, _Whole(model), gain, seeds)]
+        blocks = list(core.run_replications(config, model, gain, seeds))
         assert alone == [2, 2, 2, 1]
-        assert [len(t) for _, _, t in blocks] == [4, 3]
-        for start, estimates, targets in blocks:
+        assert [len(t) for _, _, _, t in blocks] == [4, 3]
+        for start, _, estimates, targets in blocks:
             assert not targets.flags.writeable
             assert np.shares_memory(targets, table)
             with pytest.raises(ValueError, match="read-only"):
@@ -438,6 +496,37 @@ class TestReplications:
                 one = run_tracking(config, model, gain, seed)
                 assert estimates[i].tobytes() == one.estimates.tobytes()
                 assert targets[i].tobytes() == one.targets.tobytes()
+
+    def test_windows_cover_each_slot_once_as_whole_runs_do(self,
+                                                          monkeypatch):
+        # shared targets: windows of 7 steps, blocks of two replications
+        # of one 8-slot window stack each; each block's windows,
+        # concatenated, equal the block drawn whole
+        monkeypatch.setattr(core, "WINDOW", 7)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (7 + 1) * 8)
+        config, model, gain = _static_setup(theta=0.3, noise="normal", n=40)
+        seeds = list(range(5))
+        # a window's estimates are a view the next window reuses
+        windows = [(start, first, estimates.copy(), targets)
+                   for start, first, estimates, targets
+                   in core.run_replications(config, model, gain, seeds)]
+        assert [(start, first, estimates.shape[1])
+                for start, first, estimates, _ in windows] == [
+            (start, first, m) for start in (0, 2, 4)
+            for first, m in [(0, 8), (8, 7), (15, 7), (22, 7), (29, 7),
+                             (36, 5)]]
+        # two whole runs of two stacks each
+        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (40 + 1) * 2 * 8)
+        whole = list(core.run_replications(config, _Whole(model), gain,
+                                           seeds))
+        assert [start for start, _, _, _ in whole] == [0, 2, 4]
+        for start, _, estimates, targets in whole:
+            got = [(e, t) for s, _, e, t in windows if s == start]
+            assert np.concatenate([e for e, _ in got], axis=1).tobytes() \
+                == estimates.tobytes()
+            assert np.concatenate([t for _, t in got], axis=1).tobytes() \
+                == targets.tobytes()
+            assert not any(t.flags.writeable for _, t in got)
 
     def test_divergence_names_lowest_replication(self):
         # in one block, replication 3 diverges at step 2 and replication
@@ -452,6 +541,49 @@ class TestReplications:
         assert (info.value.replication, info.value.step) == want
         assert str(info.value) == ("step 7: estimate left the guard region "
                                    "or gain went non-finite")
+
+    # windows of 8 steps at n = 40, one block of five replications
+    @pytest.mark.parametrize("spikes, heights, base, want", [
+        ({2: 3}, None, 0.0, (2, 3)),              # in window 0
+        ({2: 21}, None, 0.0, (2, 21)),            # in window 2
+        # replication 3 trips the block at step 5, but a one-at-a-time
+        # loop meets replication 1 first, at step 30 in window 3
+        ({1: 30, 3: 5}, None, 0.0, (1, 30)),
+        # the estimate sits at 5e5 from step 0: a guard taken from a
+        # window's first estimate would pass the 2e6 row at step 21
+        ({2: 21}, {2: 2e6}, 5e5, (2, 21)),
+    ])
+    @pytest.mark.parametrize("via", ["run_replications", "rates",
+                                     "bound-check"])
+    def test_streamed_divergence_names_the_plain_loops_step(
+            self, monkeypatch, spikes, heights, base, want, via):
+        monkeypatch.setattr(core, "WINDOW", 8)
+        model = _StreamedSpikes(spikes, heights, base)
+        config, _, gain = _static_setup(n=40)
+        seeds = list(range(5))
+        assert _plain_divergence(config, model, gain, seeds) == want
+        with pytest.raises(TrackingDiverged) as info:
+            if via == "run_replications":
+                for _ in core.run_replications(config, model, gain, seeds):
+                    pass
+            else:
+                # seed 0 makes replication r's seed r at the first horizon
+                # (rates) and at every one (bounds)
+                build = experiments.build_components
+
+                def spiked(raw, n):
+                    tracking, _model, gain, path = build(raw, n)
+                    return tracking, model, gain, path
+
+                monkeypatch.setattr(experiments, "build_components", spiked)
+                sweep = experiments.run_rate_sweep if via == "rates" \
+                    else experiments.run_bound_check
+                sweep(experiments.experiment_config(via, {
+                    "schedule.kind": "constant", "schedule.gamma": "1.0",
+                    "experiment.horizons": "40", "experiment.seed": "0",
+                    "experiment.replications": "5"}))
+        assert (info.value.replication, info.value.step,
+                info.value.horizon) == (*want, 40)
 
     def test_wrongly_shaped_gain_is_rejected(self):
         # a (B,) direction would broadcast a (B, 1) stack to (B, B)

@@ -261,26 +261,32 @@ def _spread_errors(seed, shape):
 
 
 @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 5),
-       d=st.integers(1, 9), n=st.integers(1, 300),
+       d=st.integers(1, 9), n=st.integers(1, 2500),
        p=st.sampled_from([1.0, 2.0, 2.5, math.inf]),
-       at_end=st.booleans(), spare_width=st.integers(0, 2))
+       at_end=st.booleans(), spare_width=st.integers(0, 2),
+       cuts=st.lists(st.integers(1, 2500), max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_block_reductions_match_per_replication_bitwise(
-        seed, blocks, d, n, p, at_end, spare_width):
-    # d up to 9 crosses the 8-way unrolling of numpy's pairwise sum, and
-    # n up to 300 its 128-element blocks
+        seed, blocks, d, n, p, at_end, spare_width, cuts):
+    # d up to 9 crosses the 8-way unrolling of numpy's pairwise sum, n up
+    # to 2500 its 128-element blocks and WindowMeans' 1,024-slot leaves,
+    # and cuts split the slots into windows anywhere
     errors = _spread_errors(seed, (blocks, n + 1, d))
     k0 = n if at_end else 1
     want_norms = np.array([_norms_one(e[-1], p) for e in errors])
     want_windows = np.array([_window_l2_one(e, k0) for e in errors])
     # the errors as run_rate_sweep hands them: written over the estimates,
-    # a (B, n+1, d) view of a time-major stack up to spare_width wider
+    # (B, m, d) views of a time-major stack up to spare_width wider
     stack = np.empty((n + 1, blocks, d + spare_width))
     stack[:, :, :d] = errors.transpose(1, 0, 2)
     errors = stack[:, :, :d].transpose(1, 0, 2)
     got_norms = ex._norms(errors[:, -1], p)
     assert got_norms.tobytes() == want_norms.tobytes()
-    got_windows = ex._window_l2(errors, k0)
+    means = core.WindowMeans(blocks, k0, n)
+    edges = [0, *sorted({c for c in cuts if c <= n}), n + 1]
+    for lo, hi in zip(edges, edges[1:]):
+        means.add(errors[:, lo:hi], lo)
+    got_windows = means.means()
     assert got_windows.tobytes() == want_windows.tobytes()
 
 
@@ -365,6 +371,37 @@ def test_static_sweep_holds_one_block_of_one_stack(monkeypatch, command):
     stack = size * (n + 1) * 8
     peak = _traced_peak(monkeypatch, command, {}, stack)
     assert peak <= 1.5 * stack
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("rates", {}),
+    ("rates", {"path.kind": "lipschitz", "schedule.kind": "lipschitz"}),
+    ("rates", {"gain.kind": "quantile"}),
+    ("bound-check", {}),
+], ids=["static-rates", "lipschitz-rates", "quantile-rates",
+        "static-bound-check"])
+def test_streamed_sweep_peak_is_flat_in_the_horizon(command, raw):
+    # targets that draw nothing stream through time, so from n = 1e4 to
+    # 4e4 the traced peak of a sweep of 50 replications grows only by the
+    # few values per step that do not depend on the replication count:
+    # the schedule, a grid table, bound-check's sums per slot.  Four
+    # float64 values a step is the bound; the one block of the horizon
+    # that 50 replications used to take grows by 50
+    sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
+    sweep(experiment_config(command, {**raw, "experiment.horizons": "2,10",
+                                      "experiment.replications": "2"}))
+    peaks = []
+    for n in (10_000, 40_000):
+        config = experiment_config(command, {
+            **raw, "experiment.horizons": f"2,{n}",
+            "experiment.replications": "50"})
+        tracemalloc.start()
+        try:
+            sweep(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * 8 * 30_000
 
 
 @pytest.mark.parametrize("fraction, n, k0", [

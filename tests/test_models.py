@@ -489,6 +489,56 @@ def test_draw_free_targets_are_the_shared_table(model, path, n, seed):
     assert targets.tobytes() == table.tobytes()
 
 
+# model kind -> (path -> model); d = 3 for ar3, else 1
+_ROW_MODELS = {
+    "normal": lambda path: SignalNoiseModel(path, NoiseSpec("normal", 0.7)),
+    "uniform": lambda path: SignalNoiseModel(path, NoiseSpec("uniform", 0.5)),
+    "zero": lambda path: SignalNoiseModel(path, NoiseSpec("zero")),
+    "arch1": lambda path: Arch1Model(path, NoiseSpec("normal", 1.0), x0=0.5),
+    "ar1": lambda path: ArdBatchModel(path, 1, sigma=1.5),
+    "ar3": lambda path: ArdBatchModel(path, 3, sigma=1.5),
+}
+
+
+def _row_model(kind, path_kind, n):
+    """A model of kind whose targets draw nothing: a static or grid path
+    of horizon n, or, for poisson, a grid of cell means that crosses the
+    intensity 10 where numpy's Poisson draw changes method."""
+    if kind == "poisson":
+        return _poisson(lambda t: 3.0 + 12.0 * t, n)
+    value = [0.3, -0.2, 0.1][:3 if kind == "ar3" else 1]
+    path = make_parameter_path("static", value=value) \
+        if path_kind == "static" else \
+        _grid_path(lambda t: [v * (1.0 + t) for v in value], n,
+                   dim=len(value), c_theta=1.0)
+    return _ROW_MODELS[kind](path)
+
+
+@given(kind=st.sampled_from(sorted(_ROW_MODELS) + ["poisson"]),
+       path_kind=st.sampled_from(["static", "grid"]),
+       n=st.integers(3, 120), seed=st.integers(0, 2**64 - 1),
+       cut=st.sampled_from(["one", "non-divisor", "whole"]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_source_windows_concatenate_to_simulate(kind, path_kind, n, seed,
+                                                    cut, data):
+    # a window of 1 step, of a size that does not divide n, or of at
+    # least n; each source carries its generator and model state across
+    # windows, so the rows must not depend on where the horizon is cut
+    model = _row_model(kind, path_kind, n)
+    m = {"one": lambda: 1,
+         "non-divisor": lambda: data.draw(st.integers(2, n - 1).filter(
+             lambda m: n % m)),
+         "whole": lambda: data.draw(st.integers(n, 2 * n))}[cut]()
+    source = model.rows(n, make_rng(seed))
+    assert source.shared and not source.targets.flags.writeable
+    rows = np.concatenate([source.take(min(m, n - k))
+                           for k in range(0, n, m)])
+    whole = model.simulate(n, make_rng(seed))
+    assert rows.shape == (n, source.width)
+    assert rows.tobytes() == whole.observations.tobytes()
+    assert source.targets.tobytes() == whole.targets.tobytes()
+
+
 def test_shared_table_is_read_only():
     static = make_parameter_path("static", value=[0.3, -0.2])
     grid = _lipschitz_path(20)

@@ -125,6 +125,16 @@ def test_cases_cover_every_component_kind():
         == set(ex._PATHS)
 
 
+def _check_sweeps(raw):
+    for command, sweep, header, reference in [
+            ("rates", ex.run_rate_sweep, ex.RATE_HEADER, reference_rates),
+            ("bound-check", ex.run_bound_check, ex.BOUND_HEADER,
+             reference_bound_check)]:
+        config = experiment_config(command, raw)
+        assert _outcome(sweep, header, config) \
+            == _reference(reference, config), command
+
+
 @given(raw=sweep_configs(), slots=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_sweeps_match_the_reference(raw, slots):
@@ -132,14 +142,16 @@ def test_sweeps_match_the_reference(raw, slots):
     # one replication up to all of them, as the stacks' width allows
     n = int(raw["experiment.horizons"].split(",")[-1])
     with mock.patch.object(core, "BLOCK_BYTES", slots * (n + 1) * 8):
-        for command, sweep, header, reference in [
-                ("rates", ex.run_rate_sweep, ex.RATE_HEADER,
-                 reference_rates),
-                ("bound-check", ex.run_bound_check, ex.BOUND_HEADER,
-                 reference_bound_check)]:
-            config = experiment_config(command, raw)
-            assert _outcome(sweep, header, config) \
-                == _reference(reference, config), command
+        _check_sweeps(raw)
+
+
+@given(raw=sweep_configs(), window=st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_streamed_sweeps_match_the_reference(raw, window):
+    # targets that draw nothing stream through the horizon in windows of
+    # 1 to 16 steps, so a run crosses up to 40 of them
+    with mock.patch.object(core, "WINDOW", window):
+        _check_sweeps(raw)
 
 
 def test_reference_sees_a_divergence():
