@@ -237,7 +237,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     col_sum, proj_sum = _tree(0, n, sums)
     g_hat = cols.total(col_sum) / n
     r_hat = float(proj_sum / n)
-    sq_cols = _ColumnSums(delta.size)
+    cols = _ColumnSums(delta.size)  # frees the first pass's buffer
 
     def squares(a, b):
         c = _centred(gains[a:b], g_hat)
@@ -246,10 +246,10 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
         proj /= -dist_sq
         proj -= r_hat
         proj *= proj
-        return sq_cols.add(c), np.add.reduce(proj)
+        return cols.add(c), np.add.reduce(proj)
 
     col_sq, proj_sq = _tree(0, n, squares)
-    comp_se = np.sqrt(sq_cols.total(col_sq) / (n - 1)) / math.sqrt(n)
+    comp_se = np.sqrt(cols.total(col_sq) / (n - 1)) / math.sqrt(n)
     r_se = float(np.sqrt(proj_sq / (n - 1))) / math.sqrt(n)
     dist = math.sqrt(dist_sq)
     ratio = float(np.linalg.norm(g_hat)) / dist

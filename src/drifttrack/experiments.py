@@ -659,9 +659,9 @@ VERIFY_HEADER = ["probe_index", "r_hat", "r_se", "g_norm_ratio", "c_g_hat",
                  "pass"]
 
 
-# Rows a fixture's fill draws per call: a fill that does not draw in
-# place then makes a 128 KB one-column temporary, small beside the (N, w)
-# stack it fills.
+# Rows a fixture's fill draws per call.  Every fill draws in place and
+# makes no temporary; a block this size stays in cache for the passes a
+# fill makes over it after the draw.
 FILL_ROWS = 16384
 
 
@@ -669,9 +669,11 @@ FILL_ROWS = 16384
 class StackSampler:
     """A verify fixture's observation rows, defined by one fill.
 
-    fill(rng, rows) writes a (m, width) row stack in place with a single
-    draw from rng.  fill_rows feeds it FILL_ROWS rows at a time, so its
-    temporaries stay small; with one draw per call, the generator's
+    fill(rng, rows) writes a C-ordered (m, width) row stack in place
+    with a single draw from rng, straight into the stack.  A row holds
+    only what the fill draws: a fixture at a pinned past gets the past
+    from its gain_eval (gains.at_pinned_past).  fill_rows feeds fill
+    FILL_ROWS rows at a time; with one draw per call, the generator's
     values land in the same rows as from one call on the whole stack.
     Called as sampler(rng, size) it returns a new stack, as a (size,)
     vector at width 1.
@@ -755,13 +757,13 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     x_pin = 1.0
 
     def arch_fill(rng, rows):
-        np.multiply(math.sqrt(1.0 + theta_a * x_pin * x_pin),
-                    rng.normal(size=len(rows)), out=rows[:, 0])
-        rows[:, 1] = x_pin
+        rng.standard_normal(out=rows[:, 0])
+        rows *= math.sqrt(1.0 + theta_a * x_pin * x_pin)
 
     fx["arch1_truncated"] = VerifyFixture(
-        gain_eval=gains_mod.arch1_spec(trunc=1.0).evaluator,
-        sampler=StackSampler(2, arch_fill), theta=np.array([theta_a]),
+        gain_eval=gains_mod.at_pinned_past(
+            gains_mod.arch1_spec(trunc=1.0).evaluator, [x_pin]),
+        sampler=StackSampler(1, arch_fill), theta=np.array([theta_a]),
         probes=[[0.0], [0.2], [0.8], [1.0]],
         lambda1=1.0, lipschitz=1.0, c_g=5.0)
 
@@ -770,12 +772,13 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     xr_pin = 1.5
 
     def ar1_fill(rng, rows):
-        np.add(theta_r * xr_pin, rng.normal(size=len(rows)), out=rows[:, 0])
-        rows[:, 1] = xr_pin
+        rng.standard_normal(out=rows[:, 0])
+        rows += theta_r * xr_pin
 
     fx["ar1_truncated"] = VerifyFixture(
-        gain_eval=gains_mod.ar1_truncated_spec(trunc=1.5).evaluator,
-        sampler=StackSampler(2, ar1_fill), theta=np.array([theta_r]),
+        gain_eval=gains_mod.at_pinned_past(
+            gains_mod.ar1_truncated_spec(trunc=1.5).evaluator, [xr_pin]),
+        sampler=StackSampler(1, ar1_fill), theta=np.array([theta_r]),
         probes=[[-0.2], [0.1], [0.7], [0.9]],
         lambda1=1.5, lipschitz=1.5, c_g=1.0)
 
@@ -783,17 +786,30 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
     lags = np.array([1.0, 0.5])
     ortho = np.array([-0.5, 1.0]) / np.linalg.norm([-0.5, 1.0])
 
+    mean_m = float(theta_m @ lags)
+
+    # the d = 2 gains are written over the rows, so rows stay 2 wide, as
+    # (x_k, 0).  x_k is drawn into the block's first m floats, then moved
+    # to the even ones top half first: no move overlaps what it reads, so
+    # the fill makes no temporary.
     def moulines_fill(rng, rows):
-        np.add(float(theta_m @ lags), rng.normal(size=len(rows)),
-               out=rows[:, 0])
-        rows[:, 1:] = lags
+        flat = rows.reshape(-1)
+        hi = len(rows)
+        rng.standard_normal(out=flat[:hi])
+        while hi > 1:
+            lo = (hi + 1) // 2
+            np.add(flat[lo:hi], mean_m, out=flat[2 * lo:2 * hi:2])
+            hi = lo
+        flat[0] += mean_m
+        rows[:, 1] = 0.0
 
     def moulines_eval(est, rows):
         return gains_mod.ar_normalized_vector_gain(
             est, rows[:, 0], rows[:, 1:], mu=1.0)
 
     fx["moulines_d2"] = VerifyFixture(
-        gain_eval=moulines_eval, sampler=StackSampler(3, moulines_fill),
+        gain_eval=gains_mod.at_pinned_past(moulines_eval, lags),
+        sampler=StackSampler(2, moulines_fill),
         theta=theta_m,
         probes=[list(theta_m + 0.4 * ortho), list(theta_m - 0.3 * ortho)],
         lambda1=0.2, lipschitz=None, c_g=None, expect_pass=False)
@@ -809,9 +825,10 @@ def _draw_ahead(pool, samplers: Sequence[StackSampler], n: int,
 
     numpy's draws release the GIL, so the worker draws the next stack
     while the caller evaluates gains on this one.  The worker fills two
-    (n, w) stacks allocated here and allocates no more itself than a
-    fill's one-column temporary: glibc gives a second thread its own
-    malloc arena, which would hold the memory it frees.  Asking for
+    slots allocated here, n rows of the widest sampler's width (2 for
+    the built-in fixtures), and allocates no arrays itself, since every
+    fill draws in place: glibc gives a second thread its own malloc
+    arena, which would hold the memory it frees.  Asking for
     stack k submits the fills up to stack k + 1, which goes over stack
     k - 1, so a stack stays intact until the next is asked for.
     """
@@ -856,6 +873,9 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
         if name not in registry:
             raise ConfigError(f"unknown verify fixture {name!r}")
     fixtures = [(name, registry[name]) for name in names]
+    # the loop pops each fixture, so one that has run is freed, and with
+    # it its gain's row buffer
+    del registry
     plan = [fx.sampler for _, fx in fixtures
             for _ in range(2 * len(fx.probes))]
     rng = models_mod.make_rng(config.seed)
@@ -865,7 +885,8 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="verify-draws") as pool:
         next_rows = _draw_ahead(pool, plan, n_samples, rng)
-        for name, fixture in fixtures:
+        while fixtures:
+            name, fixture = fixtures.pop(0)
             report = bounds_mod.verify_A1_empirical(
                 fixture.gain_eval, next_rows, fixture.theta,
                 fixture.probes, n_samples, None,

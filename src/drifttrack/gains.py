@@ -40,6 +40,7 @@ __all__ = [
     "ar1_truncated_spec",
     "ard_score_spec",
     "ar_normalized_vector_gain",
+    "at_pinned_past",
 ]
 
 
@@ -259,3 +260,25 @@ def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):
     np.subtract(np.asarray(x_k, dtype=float), resid, out=resid)
     resid /= 1.0 + mu * linalg.row_sq_norms(x_lags)
     return x_lags * resid[..., None]
+
+
+def at_pinned_past(evaluator: Callable, past) -> Callable:
+    """evaluator on rows (X_k, past), called with rows whose column 0 is
+    X_k: the conditions hold at a pinned past, so a row stack need hold
+    only X_k.  Each call copies that column into a row buffer whose other
+    columns hold past, written when the buffer grows, and evaluates on
+    it.  The buffer grows to the longest call, which for the condition
+    verifiers is a leaf of at most bounds._LEAF rows.  The result may
+    be a view on the buffer, valid until the next call."""
+    buf = np.empty((0, 1 + len(past)))
+
+    def gain_eval(est, rows):
+        nonlocal buf
+        if len(rows) > len(buf):
+            buf = np.empty((len(rows), buf.shape[1]))
+            buf[:, 1:] = past
+        part = buf[:len(rows)]
+        part[:, 0] = rows[:, 0]
+        return evaluator(est, part)
+
+    return gain_eval

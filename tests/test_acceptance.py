@@ -215,8 +215,8 @@ def test_criterion_8_first_moment_bound_dominates():
     _report(8, "first-moment bound dominance", ok)
 
 
-# Negative controls: mis-specified runs that the checks of criteria 5, 6
-# and 8 must reject, at 5 replications.  Each misses by a wide margin, so
+# Negative controls: mis-specified runs that the checks of criteria 5, 6,
+# 7, 8 and 11 must reject, at 5 replications.  Each misses by a wide margin, so
 # a sweep or a reduction that went wrong and passed everything would
 # fail here.
 _CONTROLS = {
@@ -243,6 +243,35 @@ experiment.tolerance = 0.08
     "zero-c_g": ("bound-check", """
 schedule.kind = static
 bounds.c_g = 0
+"""),
+    # criterion 7's sine path under a constant step: the error does not
+    # fall at the -1/3 rate (slope about +1.57 at this seed)
+    "sine-constant-step": ("rates", """
+path.kind = lipschitz
+path.function = sine
+path.amplitude = 0.5
+path.beta = 1.0
+schedule.kind = constant
+schedule.gamma = 0.01
+experiment.theoretical_slope = -0.3333333333333333
+experiment.tolerance = 0.1
+"""),
+    # criterion 11's median tracker under a constant step of 0.1: the
+    # error is stationary within some 10 steps, so flat (slope about
+    # -0.02 at this seed) against -0.5
+    "quantile-constant-step": ("rates", """
+model.noise.kind = uniform
+model.noise.scale = 0.5
+path.value = 0.5
+tracking.initial = 0.5
+gain.kind = quantile
+gain.alpha = 0.5
+gain.density_floor = 1.0
+gain.density_cap = 1.0
+schedule.kind = constant
+schedule.gamma = 0.1
+experiment.theoretical_slope = -0.5
+experiment.tolerance = 0.1
 """),
 }
 

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -10,8 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drifttrack import bounds
+from drifttrack import bounds, gains
 from drifttrack import experiments as ex
 from drifttrack.experiments import (
     FILL_ROWS,
@@ -24,6 +28,8 @@ from drifttrack.experiments import (
 )
 from drifttrack.models import make_rng
 
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+_SRC = os.path.join(_TESTS, os.pardir, "src")
 
 # ---------------------------------------------------------------------
 # The fixture samplers as they were written before the fills: one call
@@ -123,22 +129,110 @@ def test_rows_match_serial_loop(seed, samples, fixtures):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+# The fixtures at a pinned past: the old rows' columns past the first
+# held the pinned past, which the fixture's gain_eval now supplies, so
+# their rows hold X_k alone (moulines_d2 keeps a second column, a fixed 0,
+# for its d = 2 gains to be written over).
+PINNED = ("arch1_truncated", "ar1_truncated", "moulines_d2")
+
+# the evaluators the fixtures applied to the old rows
+OLD_GAIN_EVALS = {
+    "arch1_truncated": gains.arch1_spec(trunc=1.0).evaluator,
+    "ar1_truncated": gains.ar1_truncated_spec(trunc=1.5).evaluator,
+    "moulines_d2": lambda est, rows: gains.ar_normalized_vector_gain(
+        est, rows[:, 0], rows[:, 1:], mu=1.0),
+}
+
+
 # sizes at the edges of a 4,096-row and a FILL_ROWS-row fill, and over
 # several fills
 @pytest.mark.parametrize("size", sorted({
-    1, 4095, 4096, 4097, 10_007, 12_293, FILL_ROWS - 1, FILL_ROWS,
+    1, 2, 3, 4095, 4096, 4097, 10_007, 12_293, FILL_ROWS - 1, FILL_ROWS,
     FILL_ROWS + 1, 3 * FILL_ROWS + 5}))
 @pytest.mark.parametrize("name", list(OLD_SAMPLERS))
 def test_fill_gives_old_sampler_bytes(name, size):
+    # the drawn columns carry the old sampler's bytes
     sampler = ex.builtin_fixtures()[name].sampler
-    want = OLD_SAMPLERS[name](make_rng(11), size)
+    want = OLD_SAMPLERS[name](make_rng(11), size).reshape(size, -1)
+    drawn = 1 if name in PINNED else want.shape[1]
     got = sampler(make_rng(11), size)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == ((size,) if sampler.width == 1
+                         else (size, sampler.width))
+    got = got.reshape(size, -1)
+    assert got[:, :drawn].tobytes() == want[:, :drawn].tobytes()
+    assert got[:, drawn:].tobytes() \
+        == np.zeros((size, sampler.width - drawn)).tobytes()
     # filling a given stack draws the same rows
     stack = np.full((size, sampler.width), np.nan)
     sampler.fill_rows(make_rng(11), stack)
-    assert stack.tobytes() == want.reshape(size, -1).tobytes()
+    assert stack.tobytes() == got.tobytes()
+
+
+def test_pinned_fixtures_draw_only_x_k():
+    fixtures = ex.builtin_fixtures()
+    assert {name: fixtures[name].sampler.width for name in PINNED} \
+        == {"arch1_truncated": 1, "ar1_truncated": 1, "moulines_d2": 2}
+
+
+# the verifiers' leaves hold at most bounds._LEAF rows; 128 is the
+# smallest a pairwise sum splits into
+_PINNED_LEAVES = [1, 127, 128, bounds._LEAF - 1, bounds._LEAF]
+
+
+def _check_pinned_gains(name, leaves, seed, probes):
+    """The fixture's gain_eval on its new rows equals, bit for bit, the
+    old evaluator on the old rows, leaf by leaf: the rows split into
+    leaves of the given sizes in turn, then a 37-row tail.  One gain_eval
+    serves every leaf, as in a verifier, so its buffer grows and shrinks
+    between calls."""
+    n = sum(leaves) + 37
+    old = OLD_SAMPLERS[name](make_rng(seed), n)
+    fixture = ex.builtin_fixtures()[name]
+    new = fixture.sampler(make_rng(seed), n).reshape(n, -1)
+    edges = np.cumsum([0, *leaves, 37])
+    for probe in probes:
+        probe = np.asarray(probe, dtype=float)
+        for a, b in zip(edges[:-1], edges[1:]):
+            want = OLD_GAIN_EVALS[name](probe, old[a:b])
+            got = fixture.gain_eval(probe, new[a:b])
+            assert got.shape == want.shape == (b - a, probe.size)
+            assert got.tobytes() == want.tobytes(), (name, probe, a, b)
+
+
+@pytest.mark.parametrize("name", PINNED)
+@given(leaves=st.lists(st.sampled_from(_PINNED_LEAVES), min_size=1,
+                       max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+@settings(max_examples=20, deadline=None)
+def test_pinned_gain_eval_matches_old_rows(name, leaves, seed, shift):
+    fixture = ex.builtin_fixtures()[name]
+    extra = fixture.theta + np.array(shift[:fixture.theta.size])
+    _check_pinned_gains(name, leaves, seed, [*fixture.probes, extra])
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_moulines_gains_match_old_rows_at_each_blas_setting(threads):
+    # moulines_d2's x_lags @ theta goes through OpenBLAS's gemv, whose
+    # threads are fixed when numpy loads, so each setting runs in a fresh
+    # interpreter
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, _TESTS, env.get("PYTHONPATH")) if p)
+    code = ("import numpy as np, test_verify_pipeline as t\n"
+            "fx = t.ex.builtin_fixtures()['moulines_d2']\n"
+            "rng = np.random.default_rng(3)\n"
+            "probes = [*fx.probes, *(fx.theta + rng.uniform(-2, 2, (3, 2)))]\n"
+            "for leaf in t._PINNED_LEAVES:\n"
+            "    t._check_pinned_gains('moulines_d2', [leaf] * 3, leaf, probes)\n"
+            "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 class _Boom(Exception):
@@ -304,10 +398,12 @@ def test_traced_peak_within_five_percent_of_serial():
 
 
 def test_traced_peak_is_the_two_row_slots_and_leaf_temporaries():
-    # the verifiers write gains over the rows they consumed, so beside
-    # the two (N, 3) draw slots only leaf-sized temporaries remain:
-    # 0.98 MB over the slots at N = 100_000 (numpy 2.4, Python 3.11),
-    # where one more full (N,) stack would add 0.8 MB
+    # the verifiers write gains over the rows they consumed, and the rows
+    # hold only what the fills draw, so beside the two (N, 2) draw slots
+    # only leaf-sized temporaries remain: 1.12 MB over the slots at
+    # N = 100_000 (numpy 2.4, Python 3.11), moulines_d2's row buffer of
+    # about 0.3 MB among them, where one more full (N,) stack would add
+    # 0.8 MB
     n = 100_000
     config = _config(f"verify.samples = {n}\n")
     run_condition_verify(config)
@@ -317,5 +413,26 @@ def test_traced_peak_is_the_two_row_slots_and_leaf_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slots = 2 * n * 3 * 8
+    slots = 2 * n * 2 * 8
     assert peak <= slots + 1_250_000, peak - slots
+
+
+def test_draw_ahead_allocates_two_slots_of_n_by_2():
+    # every stack of the built-in plan lies in one of two (n, 2) slots
+    n = 10_007
+    fixtures = ex.builtin_fixtures().values()
+    plan = [fx.sampler for fx in fixtures for _ in range(2 * len(fx.probes))]
+    tracemalloc.start()
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            before = tracemalloc.get_traced_memory()[0]
+            next_rows = ex._draw_ahead(pool, plan, n, make_rng(1))
+            held = tracemalloc.get_traced_memory()[0] - before
+            stacks = [next_rows(None, n) for _ in plan]
+    finally:
+        tracemalloc.stop()
+    assert 2 * n * 2 * 8 <= held < 2 * n * 2 * 8 + 16_384
+    slots = {id(stack.base): stack.base for stack in stacks}
+    assert sorted(base.shape for base in slots.values()) == [(2 * n,)] * 2
+    assert [stack.shape for stack in stacks] \
+        == [(n, s.width) for s in plan]
