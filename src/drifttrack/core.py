@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import _tree
 from .gains import GainSpec
-from .models import RowSource, make_rng
+from .models import make_rng
 from .schedules import StepSchedule
 
 __all__ = [
@@ -222,14 +222,6 @@ def track(initial, observations, gammas, evaluator,
     return out.transpose(1, 0, 2)
 
 
-def _source(model, n: int, seed: int) -> RowSource:
-    """The seed's row source; a simulator with simulate alone is drawn
-    whole."""
-    rng = make_rng(seed)
-    rows = getattr(model, "rows", None)
-    return rows(n, rng) if rows else RowSource.whole(model.simulate(n, rng))
-
-
 def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                      gammas: Optional[np.ndarray] = None):
     """Yield (start, first, estimates, targets) per window of each block
@@ -259,7 +251,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     if gammas is None:
         gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
-    sources = (_source(model, n, seed) for seed in seeds)
+    sources = (model.rows(n, make_rng(seed)) for seed in seeds)
     start = 0
     for head in sources:  # one pass a block; the first run sets its shape
         w = head.width

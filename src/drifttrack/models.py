@@ -4,11 +4,11 @@ Every simulator exposes simulate(n, rng) returning a SimulatedPath with
 an (n, width) observation-row array and an (n+1, d) target array; row k
 is the observation consumed at tracking step k and targets[k] the
 parameter it carries.  Observations never depend on the running
-estimate, so a whole trajectory can be drawn up front.  The four
-models the configs build also expose rows(n, rng), a RowSource that
-hands the same rows out a window at a time: on a path that draws
-nothing it draws each window as it is taken and carries the model's
-state across windows, and simulate is its rows taken in one go.
+estimate, so a whole trajectory can be drawn up front.  Each also
+exposes rows(n, rng), a RowSource that hands the same rows out a
+window at a time: on a path that draws nothing it draws each window
+as it is taken and carries the model's state across windows, and
+simulate is its rows taken in one go.
 
 Observation-row layouts match the GainSpec factories in gains.py.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "SignalNoiseModel",
     "PoissonCountModel",
     "poisson_targets",
-    "CondGaussianModel",
     "Arch1Model",
     "ArdBatchModel",
     "adaptive_simpson",
@@ -94,10 +93,8 @@ class ParameterPath:
     kinds: "static" (constant vector), "stabilizing" (random walk with
     increment budget c_rho * i^{-beta}), "grid" (an (n+1, d) table of
     theta_0..theta_n for horizon n, built by the caller for that
-    horizon), "predictable" (user rule reading a bounded window of the
-    realized past, run by feed).  Every emitted value keeps
-    ||theta||^2 <= c_theta; a static value and a grid table are checked
-    when the path is built.
+    horizon).  Every emitted value keeps ||theta||^2 <= c_theta; a
+    static value and a grid table are checked when the path is built.
     """
 
     kind: str
@@ -108,18 +105,14 @@ class ParameterPath:
     beta: float = 1.0                           # stabilizing
     start: Optional[np.ndarray] = None          # stabilizing
     table: Optional[np.ndarray] = None          # grid: (n+1, d)
-    rule: Optional[Callable] = None             # predictable: (k, window) -> vec
-    window_depth: int = 1                       # predictable
 
     def __post_init__(self):
-        if self.kind not in ("static", "stabilizing", "grid", "predictable"):
+        if self.kind not in ("static", "stabilizing", "grid"):
             raise ValueError(f"unknown path kind {self.kind!r}")
         if self.kind == "stabilizing" and self.c_rho <= 0:
             raise ValueError("c_rho must be positive")
         if self.kind == "stabilizing" and self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.window_depth < 1:
-            raise ValueError("window_depth must be at least 1")
         if self.kind == "static":
             self.value = self._check(
                 np.atleast_1d(np.asarray(self.value, dtype=float)))
@@ -154,16 +147,14 @@ class ParameterPath:
         table.flags.writeable = False
         return table
 
-    def sample(self, n: int, rng: np.random.Generator) -> Optional[np.ndarray]:
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Realize theta_0..theta_n up front, a copy of table_for(n) when
-        the path draws nothing; None for predictable paths."""
+        the path draws nothing."""
         table = self.table_for(n)
         if table is not None:
             return table.copy()
-        if self.kind == "stabilizing":
-            # checked once the walk's temporaries are freed
-            return self._check(self._walk(n, rng))
-        return None  # predictable
+        # the stabilizing walk, checked once its temporaries are freed
+        return self._check(self._walk(n, rng))
 
     def _walk(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """The stabilizing walk theta_0..theta_n, unchecked."""
@@ -213,27 +204,6 @@ class ParameterPath:
             theta = cand
             out[i + 1] = theta
         return out
-
-    def feed(self, n: int, step: Callable,
-             rule: Optional[Callable] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Run a path that reads the realized past; (thetas, fed).
-
-        A zero-padded (window_depth + n, dim) buffer holds the values fed
-        back so far, and window is a view of its last window_depth rows.
-        For k = 0..n, theta_k = rule(k, window) (the path's own rule by
-        default); for k < n, step(k, theta_k, window) returns the value
-        fed back at step k.  fed is the (n, dim) stack of those values.
-        """
-        rule = rule or self.rule
-        depth = self.window_depth
-        buffer = np.zeros((depth + n, self.dim))
-        thetas = np.empty((n + 1, self.dim))
-        for k in range(n):
-            window = buffer[k:k + depth]
-            thetas[k] = rule(k, window)
-            buffer[depth + k] = step(k, thetas[k], window)
-        thetas[n] = rule(n, buffer[n:])
-        return self._check(thetas), buffer[depth:]
 
 
 def make_parameter_path(kind: str, **params) -> ParameterPath:
@@ -326,12 +296,7 @@ class SignalNoiseModel(_Streamed):
             # all n noise values come first, then the walk: drawn whole
             xi = self.noise.draw(rng, (n, self.dim))
             thetas = self.path.sample(n, rng)
-            if thetas is None:  # the rule reads the observations fed back
-                thetas, obs = self.path.feed(
-                    n, lambda k, theta, _: theta + xi[k])
-            else:
-                obs = thetas[:n] + xi
-            return RowSource.whole(SimulatedPath(obs, thetas))
+            return RowSource.whole(SimulatedPath(thetas[:n] + xi, thetas))
         return RowSource(table, lambda k, m: table[k:k + m]
                          + self.noise.draw(rng, (m, self.dim)), self.dim)
 
@@ -401,40 +366,6 @@ class PoissonCountModel(_Streamed):
 
 
 @dataclass(frozen=True)
-class CondGaussianModel:
-    """X_k ~ N(theta_k(past), Sigma_k(past)) via a symmetric square root.
-
-    Covariance eigenvalues must stay inside the declared band; the band
-    is what the persistence-of-excitation verification relies on.
-    """
-
-    mean_rule: Callable  # (k, window) -> vector
-    cov_rule: Callable   # (k, window) -> SPD matrix
-    dim: int
-    eig_band: tuple[float, float]
-    window_depth: int = 1
-
-    def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        lo, hi = self.eig_band
-        z = rng.normal(size=(n, self.dim))
-
-        def step(k, theta, window):
-            cov = np.atleast_2d(np.asarray(self.cov_rule(k, window), dtype=float))
-            vals, vecs = np.linalg.eigh(cov)
-            if vals[0] < lo - 1e-12 or vals[-1] > hi + 1e-12:
-                raise ValueError(
-                    f"covariance eigenvalue outside declared band at step {k}: "
-                    f"[{vals[0]:.3e}, {vals[-1]:.3e}] vs [{lo}, {hi}]")
-            root = (vecs * np.sqrt(vals)) @ vecs.T
-            return theta + root @ z[k]
-
-        path = ParameterPath("predictable", dim=self.dim, c_theta=math.inf,
-                             rule=self.mean_rule, window_depth=self.window_depth)
-        thetas, obs = path.feed(n, step)
-        return SimulatedPath(observations=obs, targets=thetas)
-
-
-@dataclass(frozen=True)
 class Arch1Model(_Streamed):
     """X_k = sqrt(1 + theta_k X_{k-1}^2) eps_k with unit-variance eps.
 
@@ -453,35 +384,23 @@ class Arch1Model(_Streamed):
 
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
         table = self.path.table_for(n)
-        sampled = self.path.sample(n, rng) if table is None else table
+        thetas = self.path.sample(n, rng) if table is None else table
         x_prev = self.x0  # X_{k-1} of the next row
 
-        def rows(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-            """The targets and rows of steps k..k+m-1."""
+        def rows(k: int, m: int) -> np.ndarray:
             nonlocal x_prev
-            eps = self.noise.draw(rng, m)
-
-            def step(i, theta, window):
-                # the window's last row is the value fed back at i - 1
-                theta = float(theta[0])
-                if theta < 0:
-                    raise ValueError("volatility parameter must be nonnegative")
-                prev = float(window[-1, 0]) if i else x_prev
-                return math.sqrt(1.0 + theta * prev * prev) * eps[i]
-
-            thetas, x = self.path.feed(m, step, None if sampled is None
-                                       else lambda i, _: sampled[k + i])
-            if np.any(thetas[:, 0] < 0):
+            eps = self.noise.draw(rng, m).tolist()
+            # slots k..k+m: the window's targets and the one after its end
+            if np.any(thetas[k:k + m + 1, 0] < 0):
                 raise ValueError("volatility parameter must be nonnegative")
-            xs = np.concatenate(([x_prev], x[:, 0]))
-            x_prev = float(xs[-1])
-            return thetas, np.column_stack([xs[1:], xs[:-1]])
+            xs = [x_prev]
+            for i, theta in enumerate(thetas[k:k + m, 0].tolist()):
+                prev = xs[-1]
+                xs.append(math.sqrt(1.0 + theta * prev * prev) * eps[i])
+            x_prev = xs[-1]
+            return np.column_stack([xs[1:], xs[:-1]])
 
-        if sampled is None:  # the rule reads the X fed back: drawn whole
-            thetas, obs = rows(0, n)
-            return RowSource.whole(SimulatedPath(obs, thetas))
-        return RowSource(sampled, lambda k, m: rows(k, m)[1], 2,
-                         table is not None)
+        return RowSource(thetas, rows, 2, table is not None)
 
 
 @dataclass(frozen=True)
@@ -519,8 +438,6 @@ class ArdBatchModel(_Streamed):
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
         table = self.path.table_for(n)
         thetas = self.path.sample(n, rng) if table is None else table
-        if thetas is None:
-            raise ValueError("batched AR model needs a realizable path")
         d = self.d
         y = rng.normal(0.0, self.sigma, size=d)  # the batch before the next
         a = b = None

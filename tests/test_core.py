@@ -359,6 +359,9 @@ class _SpikeModel:
             obs[self.spikes[seed]] = self.heights.get(seed, 1e9)
         return SimulatedPath(observations=obs, targets=np.zeros((n + 1, 1)))
 
+    def rows(self, n, rng):
+        return RowSource.whole(self.simulate(n, rng))
+
 
 def _first_divergence(config, model, gain, seeds):
     """(replication, step) where a one-at-a-time loop first diverges."""
@@ -418,11 +421,15 @@ def _plain_divergence(config, model, gain, seeds):
 
 
 class _Whole:
-    """A model seen through simulate alone: its runs are drawn whole."""
+    """A model seen through simulate alone: its row source is a run drawn
+    whole."""
 
     def __init__(self, model):
         self.dim = model.dim
         self.simulate = model.simulate
+
+    def rows(self, n, rng):
+        return RowSource.whole(self.simulate(n, rng))
 
 
 class TestReplications:

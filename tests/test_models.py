@@ -10,7 +10,6 @@ from drifttrack import linalg, models
 from drifttrack.models import (
     Arch1Model,
     ArdBatchModel,
-    CondGaussianModel,
     NoiseSpec,
     PoissonCountModel,
     SignalNoiseModel,
@@ -19,6 +18,7 @@ from drifttrack.models import (
     make_rng,
     poisson_targets,
 )
+from predictable_models import CondGaussianModel, PredictableSignalNoise
 
 
 def _grid_path(func, n, dim=1, **params):
@@ -195,8 +195,7 @@ class TestSignalNoiseModel:
         # rule reads only the stored past; replaying it must reproduce
         # the recorded targets
         rule = lambda k, window: np.tanh(window[-1])
-        path = make_parameter_path("predictable", rule=rule, window_depth=1)
-        model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 0.5))
+        model = PredictableSignalNoise(rule, NoiseSpec("normal", 0.5))
         sim = model.simulate(50, make_rng(3))
         assert np.allclose(sim.targets[0], np.tanh(0.0))
         for k in range(1, 50):
@@ -557,106 +556,43 @@ def test_shared_table_is_read_only():
 
 def test_drawn_paths_have_no_table():
     stabilizing = make_parameter_path("stabilizing", dim=1)
-    predictable = make_parameter_path("predictable", rule=lambda k, w: 0.0)
     assert stabilizing.table_for(10) is None
-    assert predictable.table_for(10) is None
 
 
-# ---------------------------------------------------------------------
-# Predictable paths: the one feedback loop against the per-model loops
-# it replaced, kept here as plain references that roll their window
-# ---------------------------------------------------------------------
+def test_predictable_window_is_the_zero_padded_past():
+    # the rule at step k sees observations k-3..k-1, zeros before the
+    # first, oldest first
+    seen = []
 
-def _rule_value(rule, k, window):
-    return np.atleast_1d(np.asarray(rule(k, window), dtype=float))
+    def rule(k, window):
+        seen.append(window.copy())
+        return np.zeros(2)
 
-
-def _signal_noise_reference(model, n, rng):
-    """SignalNoiseModel.simulate on a predictable path as a plain loop."""
-    path, d = model.path, model.dim
-    xi = model.noise.draw(rng, (n, d))
-    thetas = np.empty((n + 1, d))
-    obs = np.empty((n, d))
-    window = np.zeros((path.window_depth, d))
-    for k in range(n):
-        thetas[k] = _rule_value(path.rule, k, window)
-        obs[k] = thetas[k] + xi[k]
-        window = np.roll(window, -1, axis=0)
-        window[-1] = obs[k]
-    thetas[n] = _rule_value(path.rule, n, window)
-    return obs, thetas
+    model = PredictableSignalNoise(rule, NoiseSpec("normal", 1.0), dim=2,
+                                   window_depth=3)
+    sim = model.simulate(5, make_rng(0))
+    padded = np.vstack([np.zeros((3, 2)), sim.observations])
+    assert len(seen) == 6
+    for k, window in enumerate(seen):
+        assert np.array_equal(window, padded[k:k + 3])
 
 
 def _arch1_reference(model, n, rng):
-    """Arch1Model.simulate as a plain loop, a rule read only when the
-    path is predictable."""
+    """Arch1Model.simulate as a plain loop."""
     thetas = model.path.sample(n, rng)
     eps = model.noise.draw(rng, n)
     obs = np.empty((n, 2))
     x_prev = model.x0
-    use_rule = thetas is None
-    if use_rule:
-        thetas = np.empty((n + 1, 1))
-        window = np.zeros((model.path.window_depth, 1))
     for k in range(n):
-        if use_rule:
-            thetas[k] = _rule_value(model.path.rule, k, window)
         theta = float(thetas[k, 0])
         x = math.sqrt(1.0 + theta * x_prev * x_prev) * eps[k]
         obs[k, 0] = x
         obs[k, 1] = x_prev
         x_prev = x
-        if use_rule:
-            window = np.roll(window, -1, axis=0)
-            window[-1, 0] = x
-    if use_rule:
-        thetas[n] = _rule_value(model.path.rule, n, window)
     return obs, thetas
-
-
-def _cond_gaussian_reference(model, n, rng):
-    """CondGaussianModel.simulate as a plain loop."""
-    d = model.dim
-    thetas = np.empty((n + 1, d))
-    obs = np.empty((n, d))
-    window = np.zeros((model.window_depth, d))
-    z = rng.normal(size=(n, d))
-    for k in range(n):
-        thetas[k] = _rule_value(model.mean_rule, k, window)
-        cov = np.atleast_2d(np.asarray(model.cov_rule(k, window),
-                                       dtype=float))
-        vals, vecs = np.linalg.eigh(cov)
-        root = (vecs * np.sqrt(vals)) @ vecs.T
-        obs[k] = thetas[k] + root @ z[k]
-        window = np.roll(window, -1, axis=0)
-        window[-1] = obs[k]
-    thetas[n] = _rule_value(model.mean_rule, n, window)
-    return obs, thetas
-
-
-def _window_rule(k, window):
-    """Reads every row of the window and the step index."""
-    return (0.6 * np.tanh(window.sum(axis=0) - 0.3 * window[0])
-            + 0.1 * math.cos(k))
-
-
-@pytest.mark.parametrize("d, depth", [(1, 1), (1, 3), (2, 1), (2, 3)])
-def test_signal_noise_predictable_matches_rolled_window(d, depth):
-    path = make_parameter_path("predictable", dim=d, c_theta=float(d),
-                               rule=_window_rule, window_depth=depth)
-    model = SignalNoiseModel(path=path, noise=NoiseSpec("normal", 0.5))
-    sim = model.simulate(200, make_rng(21))
-    want_obs, want_thetas = _signal_noise_reference(model, 200, make_rng(21))
-    assert sim.observations.tobytes() == want_obs.tobytes()
-    assert sim.targets.tobytes() == want_thetas.tobytes()
 
 
 @pytest.mark.parametrize("path", [
-    make_parameter_path("predictable", c_theta=1.0, window_depth=1,
-                        rule=lambda k, w: 0.2 + 0.3 * np.tanh(w[-1] ** 2)),
-    make_parameter_path("predictable", c_theta=1.0, window_depth=3,
-                        rule=lambda k, w: 0.1 + 0.2 * np.tanh(
-                            w[0] ** 2 + w[-1] ** 2 + 0.01 * k)),
     make_parameter_path("static", value=[0.4]),
     _grid_path(lambda t: 0.3 + 0.2 * math.sin(2.0 * math.pi * t), 200,
                c_theta=1.0),
@@ -669,50 +605,14 @@ def test_arch1_matches_plain_loop(path):
     assert sim.targets.tobytes() == want_thetas.tobytes()
 
 
-@pytest.mark.parametrize("depth", [1, 3])
-def test_cond_gaussian_covariance_reads_window(depth):
-    def cov_rule(k, window):
-        a, b = 1.0 + 0.5 * np.tanh(window[-1]) ** 2
-        off = 0.2 * math.tanh(float(window[0] @ window[0]))
-        return [[a, off], [off, b]]
-
-    model = CondGaussianModel(_window_rule, cov_rule, dim=2,
-                              eig_band=(0.5, 2.0), window_depth=depth)
-    sim = model.simulate(200, make_rng(23))
-    want_obs, want_thetas = _cond_gaussian_reference(model, 200, make_rng(23))
-    assert sim.observations.tobytes() == want_obs.tobytes()
-    assert sim.targets.tobytes() == want_thetas.tobytes()
-
-
-def test_feed_window_is_the_zero_padded_fed_past():
-    seen = []
-
-    def rule(k, window):
-        seen.append(window.copy())
-        return np.zeros(2)
-
-    path = make_parameter_path("predictable", dim=2, rule=rule,
-                               window_depth=3)
-    thetas, fed = path.feed(5, lambda k, theta, window: np.full(2, k + 1.0))
-    assert thetas.shape == (6, 2) and fed.shape == (5, 2)
-    padded = np.vstack([np.zeros((3, 2)), fed])
-    assert len(seen) == 6
-    for k, window in enumerate(seen):
-        assert np.array_equal(window, padded[k:k + 3])
-
-
-def test_feed_checks_every_rule_value():
-    path = make_parameter_path("predictable", c_theta=1.0,
-                               rule=lambda k, w: [0.5 + 0.2 * k])
-    with pytest.raises(ValueError, match="compact set"):
-        SignalNoiseModel(path=path).simulate(10, make_rng(0))
-    with pytest.raises(ValueError, match="window_depth"):
-        make_parameter_path("predictable", rule=lambda k, w: [0.0],
-                            window_depth=0)
-
-
 def test_arch1_rule_must_stay_nonnegative():
-    path = make_parameter_path("predictable", c_theta=1.0,
-                               rule=lambda k, w: [0.3 - 0.1 * k])
+    # theta_k = 2047.5/n - k/n first goes negative at slot 2048, the slot
+    # after the last row of window 1 (rows 1024..2047): a window checks
+    # slots k..k+m, so window 1 raises, before it hands out a row
+    n = 3000
+    model = Arch1Model(path=_grid_path(lambda t: 2047.5 / n - t, n,
+                                       c_theta=1.0))
+    source = model.rows(n, make_rng(0))
+    assert source.take(1024).shape == (1024, 2)
     with pytest.raises(ValueError, match="nonnegative"):
-        Arch1Model(path=path).simulate(10, make_rng(0))
+        source.take(1024)
