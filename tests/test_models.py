@@ -593,6 +593,12 @@ def _arch1_reference(model, n, rng):
 
 
 @pytest.mark.parametrize("path", [
+    # drawn targets: stabilizing walks from 0.5 whose budgets sum to
+    # under 0.5 over 200 steps, so theta stays nonnegative
+    make_parameter_path("stabilizing", c_theta=1.0, start=[0.5],
+                        c_rho=0.05, beta=1.0),
+    make_parameter_path("stabilizing", c_theta=1.0, start=[0.5],
+                        c_rho=0.01, beta=0.5),
     make_parameter_path("static", value=[0.4]),
     _grid_path(lambda t: 0.3 + 0.2 * math.sin(2.0 * math.pi * t), 200,
                c_theta=1.0),
