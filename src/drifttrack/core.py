@@ -7,28 +7,26 @@ the target at the same slot.  run_replications draws and tracks as many
 seeds as BLOCK_BYTES holds; run_tracking is it with one seed, and
 replay_updates re-runs track on stored observations.
 
-A block holds one time-major (m+1, B, max(w, d)) stack for a window of
-m steps: it carries observation row k of every replication in slot
+A block steps through the horizon WINDOW steps at a time, carrying each
+replication's last estimate, generator and model state into the next
+window.  It holds one time-major (m+1, B, max(w, d)) stack for a window
+of m steps: it carries observation row k of every replication in slot
 k+1, and track writes estimate k+1 over that slot once step k has
 consumed the row.  Each seed's rows come from its model's RowSource.
 When the targets draw nothing (a static or grid path), they are one
-read-only (n+1, d) table the seeds share, seen as a broadcast, and each
-source draws its rows as they are taken: the block steps through the
-horizon WINDOW steps at a time, carrying each replication's last
-estimate, generator and model state into the next window.  Targets
-drawn per seed (a stabilizing walk, whose noise is drawn before it)
-make the window the whole horizon, with a second, rep-major
-(B, n+1, d) stack for the targets.  The sweeps reduce each window in
-place, so no further stack-sized array is allocated; WindowMeans is
-the reduction that makes rates' window means of a streamed run equal
-those of the whole run, bit for bit.
+read-only (n+1, d) table the seeds share, seen as a broadcast; a
+stabilizing walk writes each seed's window of targets to a rep-major
+(B, m+1, d) buffer.  The sweeps reduce each window in place, so no
+further stack-sized array is allocated; WindowMeans is the reduction
+that makes rates' window means of a streamed run equal those of the
+whole run, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Union
 
 import numpy as np
@@ -56,16 +54,14 @@ __all__ = [
 ]
 
 GUARD_FACTOR = 1e6  # divergence guard: abort when ||est|| > 1e6 (1 + ||est_0||)
-# Bytes of stack per block.  A run drawn whole costs (n+1) * (max(w, d) + d)
-# * 8 bytes: its observation rows, with the estimates written over them,
-# and its targets.  A run whose targets are a shared table costs
-# (WINDOW+1) * max(w, d) * 8, since its rows are drawn a window at a time.
-# run_replications steps as many together as fit, at least one.  That is
-# 160 MB: 200 drawn runs at n = 1e5 and d = w = 1 (full size on a
-# stabilizing path).
+# Bytes of observation stack per block.  A run costs (WINDOW+1) * max(w, d)
+# * 8 bytes of it, its rows with the estimates written over them (a walk
+# as much again at w = d for its targets), and run_replications steps as
+# many together as fit, at least one.  So it only caps the replications
+# per block: about 19,500 at w = d = 1.
 BLOCK_BYTES = 200 * (100_000 + 1) * 8
-# Steps of a shared-targets run drawn and tracked at once: a streamed
-# block of 200 at w = 1 holds 1.6 MB of rows.
+# Steps of a run drawn and tracked at once: a block of 200 at w = 1 holds
+# 1.6 MB of rows.
 WINDOW = 1024
 _DIVERGED = "estimate left the guard region or gain went non-finite"
 
@@ -231,17 +227,16 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     together; start is its first index into seeds.  estimates and targets
     are (B, m, d) and hold slots first..first+m-1, each row equal to a
     block of one with its seed bit for bit; a block's windows cover slots
-    0..n once each, its first window starting at slot 0.  Rows whose
-    targets are the path's shared table (RowSource.shared) are drawn
-    WINDOW steps at a time, and targets is a read-only view of the
-    table; other runs are drawn whole, in one window over the horizon,
-    their targets stacked.  estimates is a view of the block's stack,
-    which the caller may overwrite and the next window reuses; the
-    caller should drop it before asking for the next window, as the
-    generator does.  gammas defaults to the config's schedule.  A
-    divergence raises TrackingDiverged for the lowest-index replication
-    that diverges, at its own step, as a one-at-a-time loop would;
-    .replication is its index into seeds and .horizon the config's.
+    0..n once each, WINDOW steps at a time, its first window starting at
+    slot 0.  targets is a read-only view of the path's table when it
+    draws nothing (RowSource.table), else a view of the block's walk
+    buffer.  estimates and a walk's targets are views the next window
+    reuses, and the caller may overwrite estimates; the caller should
+    drop both before asking for the next window, as the generator does.
+    gammas defaults to the config's schedule.  A divergence raises
+    TrackingDiverged for the lowest-index replication that diverges, at
+    its own step, as a one-at-a-time loop would; .replication is its
+    index into seeds and .horizon the config's.
     """
     if model.dim != config.dimension:
         raise ValueError("model dimension does not match config")
@@ -252,35 +247,25 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
         gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
     sources = (model.rows(n, make_rng(seed)) for seed in seeds)
+    m = min(WINDOW, n)
     start = 0
     for head in sources:  # one pass a block; the first run sets its shape
-        w = head.width
-        table = head.targets if head.shared else None  # the seeds share it
-        m = n if table is None else min(WINDOW, n)
-        width = max(w, d) + (d if table is None else 0)
-        size = min(max(1, BLOCK_BYTES // ((m + 1) * width * 8)),
+        w, table = head.width, head.table  # the seeds share the table
+        size = min(max(1, BLOCK_BYTES // ((m + 1) * max(w, d) * 8)),
                    len(seeds) - start)
-        # observation row k of replication i goes to [k+1, i, :w], and
-        # track writes its estimate k+1 over that slot
+        # observation row k of replication i goes to [k+1-lo, i, :w] in
+        # the window from step lo, and track writes its estimate k+1 over
+        # that slot
         stack = np.empty((m + 1, size, max(w, d)))
-        targets = np.empty((size, n + 1, d)) if table is None else None
-        held = []  # a shared block's sources, drawn from window by window
-        block = chain([head], islice(sources, size - 1))
-        del head  # a run drawn whole goes once it is stacked
-        for i, src in enumerate(block):
-            stack[1:, i, :w] = src.take(m)
-            if table is None:
-                targets[i] = src.targets
-            else:
-                held.append(src)
-            del src  # before the next run is drawn
+        walked = np.empty((size, m + 1, d)) if table is None else None
+        block = [head, *islice(sources, size - 1)]
         est = np.tile(config.initial_estimate, (size, 1))
         guard_sq = _guard_sq(est)
         for lo in range(0, n, m):  # steps lo..hi-1 give slots lo+1..hi
             hi = min(lo + m, n)
-            if lo:
-                for i, src in enumerate(held):
-                    stack[1:hi - lo + 1, i, :w] = src.take(hi - lo)
+            for i, src in enumerate(block):
+                out = None if walked is None else walked[i, :hi - lo + 1]
+                stack[1:hi - lo + 1, i, :w] = src.take(hi - lo, out)[0]
             try:
                 estimates = track(est, stack[1:hi - lo + 1, :, :w],
                                   gammas[lo:hi], gain.evaluator,
@@ -291,7 +276,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                     raise TrackingDiverged(lo + exc.step, n, start) from None
                 # the block trips at its earliest step, over rows it has
                 # overwritten: rerun each seed alone, lowest index first
-                del stack, targets, held
+                del stack, walked, block
                 for i, seed in enumerate(seeds[start:start + size]):
                     try:
                         for _ in run_replications(config, model, gain,
@@ -303,12 +288,12 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                 raise
             est = estimates[:, -1].copy()  # the next window's first estimate
             first = lo + 1 if lo else 0
-            if table is not None:
-                targets = np.broadcast_to(table[first:hi + 1],
-                                          (size, hi + 1 - first, d))
+            targets = walked[:, first - lo:hi - lo + 1] if table is None \
+                else np.broadcast_to(table[first:hi + 1],
+                                     (size, hi + 1 - first, d))
             yield start, first, estimates[:, first - lo:], targets
-            del estimates
-        del stack, targets, held
+            del estimates, targets
+        del stack, walked, block
         start += size
 
 
@@ -321,7 +306,10 @@ def run_tracking(config: TrackingConfig, model, gain: GainSpec,
     consumes one per step.  Deterministic given the seed.
     """
     gammas = config.schedule.values_upto(config.horizon)
-    windows = [(estimates[0].copy(), targets[0]) for _, _, estimates, targets
+    # a walk's targets, like the estimates, are a buffer the next window
+    # reuses
+    windows = [(estimates[0].copy(), targets[0].copy())
+               for _, _, estimates, targets
                in run_replications(config, model, gain, [rng_seed], gammas)]
     return TrackingRun(np.concatenate([e for e, _ in windows]),
                        np.concatenate([t for _, t in windows]), gammas)

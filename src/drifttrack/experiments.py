@@ -570,11 +570,6 @@ class BoundTable:
                         self.bound_rhs, self.flags))
 
 
-def _drift_norms(targets: np.ndarray, k0: int) -> np.ndarray:
-    """||theta_{i+1} - theta_{k0}|| for i = k0..n-1 of (n+1, d) targets."""
-    return np.linalg.norm(targets[k0 + 1:] - targets[k0], axis=1)
-
-
 def run_bound_check(config: ExperimentConfig,
                     n: Optional[int] = None) -> BoundTable:
     """Compare the MC mean error against the first-moment bound at
@@ -603,7 +598,6 @@ def run_bound_check(config: ExperimentConfig,
     est_sq_sum = np.zeros(n + 1)        # sum over reps of ||theta_hat_k||^2
     gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
-    table = path.table_for(n)
     runs = run_replications(tracking, model, gain, seeds, gammas)
     for start, first, estimates, targets in runs:
         size, m = estimates.shape[:2]
@@ -611,17 +605,15 @@ def run_bound_check(config: ExperimentConfig,
         at = slots[lo:hi] - first
         err_norms[start:start + size, lo:hi] = np.linalg.norm(
             estimates[:, at] - targets[:, at], axis=2)
+        if first <= k0 < first + m:
+            origins = targets[:, k0 - first].copy()  # each theta_{k0}
+        past = max(k0 + 1 - first, 0)  # the window's first slot after k0
         for i in range(size):  # in replication order
             est_sq_sum[first:first + m] += np.sum(estimates[i] ** 2, axis=1)
-            if table is None:  # targets drawn per seed, in one window
-                osc_sum += _drift_norms(targets[i], k0)
+            if past < m:
+                osc_sum[first + past - k0 - 1:first + m - k0 - 1] += \
+                    np.linalg.norm(targets[i, past:] - origins[i], axis=1)
         del estimates, targets  # before the next window's draw
-    if table is not None:
-        # shared targets drift alike: their norms are one vector, added
-        # once per replication as each replication's own would be
-        shared = _drift_norms(table, k0)
-        for _ in range(reps):
-            osc_sum += shared
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     consts = gain.constants
     lam1 = _or(v["bounds.lambda1"], consts.lambda1)

@@ -5,9 +5,9 @@ an (n, width) observation-row array and an (n+1, d) target array; row k
 is the observation consumed at tracking step k and targets[k] the
 parameter it carries.  Observations never depend on the running
 estimate, so a whole trajectory can be drawn up front.  Each also
-exposes rows(n, rng), a RowSource that hands the same rows out a
-window at a time: on a path that draws nothing it draws each window
-as it is taken and carries the model's state across windows, and
+exposes rows(n, rng), a RowSource that hands the same rows and targets
+out a window at a time, drawing each window as it is taken and
+carrying the model's state and the walk's theta across windows;
 simulate is its rows taken in one go.
 
 Observation-row layouts match the GainSpec factories in gains.py.
@@ -15,6 +15,7 @@ Observation-row layouts match the GainSpec factories in gains.py.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
-_WALK_CHUNK = 4096  # steps of the d = 1 stabilizing walk read as floats at once
+_SKIP_ROWS = 4096  # rows drawn and dropped at once to move a generator on
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -148,62 +149,86 @@ class ParameterPath:
         return table
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Realize theta_0..theta_n up front, a copy of table_for(n) when
-        the path draws nothing."""
+        """Realize theta_0..theta_n up front: a copy of table_for(n) when
+        the path draws nothing, else the walk in one window of n steps."""
+        table = self.table_for(n)
+        return table.copy() if table is not None else self.walk(rng)(n)
+
+    def windows(self, n: int, rng: np.random.Generator,
+                before: Optional[Callable] = None):
+        """(table_for(n), None, rng) for a run of horizon n when the path
+        draws nothing; else (None, walk, rng), the walk drawing first and
+        rng, for the run's other draws, a copy moved past its n steps.
+        With before, the run draws n rows of before(rng, (m, d)) first and
+        the walk from a copy moved past them.  The copy draws the rows
+        _SKIP_ROWS at a time and drops them: a normal draw takes a varying
+        number of raw words, so Philox's advance cannot do this."""
         table = self.table_for(n)
         if table is not None:
-            return table.copy()
-        # the stabilizing walk, checked once its temporaries are freed
-        return self._check(self._walk(n, rng))
+            return table, None, rng
+        moved = copy.deepcopy(rng)
+        draw = before or np.random.Generator.standard_normal  # the walk's
+        for lo in range(0, n, _SKIP_ROWS):
+            draw(moved, (min(_SKIP_ROWS, n - lo), self.dim))
+        if before is not None:
+            return None, self.walk(moved), rng
+        return None, self.walk(rng), moved
 
-    def _walk(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The stabilizing walk theta_0..theta_n, unchecked."""
+    def walk(self, rng: np.random.Generator) -> Callable[..., np.ndarray]:
+        """The stabilizing walk a window at a time: step(m, out) writes
+        theta_k..theta_{k+m} to out (an (m+1, d) array, a new one when
+        None) and returns it checked, k the steps walked so far and theta_k
+        carried over from the last call (theta_0 the start)."""
         radius = math.sqrt(self.c_theta)
         theta = np.zeros(self.dim) if self.start is None \
             else np.atleast_1d(np.asarray(self.start, dtype=float)).copy()
-        out = np.empty((n + 1, self.dim))
-        out[0] = theta
-        # draws batched up front; degenerate (near-zero) draws fall back
-        # to the first coordinate axis
-        draws = rng.standard_normal((n, self.dim))
-        steps = np.arange(n, dtype=float)
-        steps[0] = 1.0
-        budgets = self.c_rho * steps ** (-self.beta)
-        del steps  # not read again: one temporary fewer beside the block
-        if self.dim == 1:
-            # scalar fast path: direction is just the sign of the draw,
-            # read as Python floats a chunk at a time to keep lists short
-            t = float(theta[0])
-            col = out[:, 0]
-            for lo in range(0, n, _WALK_CHUNK):
-                chunk = slice(lo, lo + _WALK_CHUNK)
-                signs = np.where(draws[chunk, 0] >= 0.0, 1.0, -1.0).tolist()
-                for i, (b, s) in enumerate(zip(budgets[chunk].tolist(),
-                                               signs), lo):
+        k = 0
+
+        def step(m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+            nonlocal theta, k
+            out = np.empty((m + 1, self.dim)) if out is None else out
+            out[0] = theta
+            # draws batched per window; degenerate (near-zero) draws fall
+            # back to the first coordinate axis
+            draws = rng.standard_normal((m, self.dim))
+            steps = np.arange(k, k + m, dtype=float)
+            steps[0] = max(k, 1)  # step 0 has budget c_rho
+            budgets = self.c_rho * steps ** (-self.beta)
+            k += m
+            if self.dim == 1:
+                # scalar fast path: direction is just the sign of the draw,
+                # read as Python floats
+                t = float(theta[0])
+                col = out[:, 0]
+                signs = np.where(draws[:, 0] >= 0.0, 1.0, -1.0).tolist()
+                for i, (b, s) in enumerate(zip(budgets.tolist(), signs)):
                     if abs(t + b * s) > radius:
                         s = -s  # reflect back toward the interior
                     if abs(t + b * s) <= radius:
                         t = t + b * s
                     # else trapped near the boundary; stay put this round
                     col[i + 1] = t
-            return out
-        norms = np.linalg.norm(draws, axis=1)
-        tiny = norms < 1e-12
-        if np.any(tiny):
-            draws[tiny] = 0.0
-            draws[tiny, 0] = 1.0
-            norms[tiny] = 1.0
-        units = draws / norms[:, None]
-        for i in range(n):
-            move = budgets[i] * units[i]
-            cand = theta + move
-            if float(cand @ cand) > self.c_theta:
-                cand = theta - move  # reflect back toward the interior
-                if float(cand @ cand) > self.c_theta:
-                    cand = theta  # trapped near the boundary; stay put
-            theta = cand
-            out[i + 1] = theta
-        return out
+            else:
+                norms = np.linalg.norm(draws, axis=1)
+                tiny = norms < 1e-12
+                if np.any(tiny):
+                    draws[tiny] = 0.0
+                    draws[tiny, 0] = 1.0
+                    norms[tiny] = 1.0
+                units = draws / norms[:, None]
+                for i in range(m):
+                    move = budgets[i] * units[i]
+                    cand = theta + move
+                    if float(cand @ cand) > self.c_theta:
+                        cand = theta - move  # reflect back toward the interior
+                        if float(cand @ cand) > self.c_theta:
+                            cand = theta  # trapped near the boundary; stay put
+                    theta = cand
+                    out[i + 1] = theta
+            theta = out[m].copy()
+            return self._check(out)
+
+        return step
 
 
 def make_parameter_path(kind: str, **params) -> ParameterPath:
@@ -239,37 +264,34 @@ class SimulatedPath:
 class RowSource:
     """One run's observation rows, handed out in order m at a time.
 
-    rows(k, m) gives rows k..k+m-1, and take asks for them in order;
-    targets is the run's (n+1, d) targets and width the rows' width.
-    When shared is set, targets is the path's read-only table, the same
-    for every seed, and rows draws from the run's generator as it is
-    asked, carrying the model's state from one call to the next; chunked
-    draws give the bits of one whole draw, so the rows do not depend on
-    how the horizon is cut.  Otherwise targets are the run's own, drawn
-    when the source was made.
+    take(m, out) gives the next m steps' rows, k..k+m-1 for k the steps
+    taken so far, which rows(k, m, thetas) draws from the run's generator
+    with the model's state carried across calls, and the targets they
+    carry, theta_k..theta_{k+m}.  Those are a view of table, the path's
+    read-only (n+1, d) table shared by every seed, when the path draws
+    nothing, else walk(m, out).  Chunked draws give the bits of one whole
+    draw, so neither depends on how the horizon is cut.
     """
 
-    targets: np.ndarray
-    rows: Callable[[int, int], np.ndarray]
+    table: Optional[np.ndarray]
+    walk: Optional[Callable[..., np.ndarray]]
+    rows: Callable[[int, int, np.ndarray], np.ndarray]
     width: int
-    shared: bool = True
     taken: int = field(default=0, init=False)
 
-    @classmethod
-    def whole(cls, sim: SimulatedPath) -> "RowSource":
-        """A source over a run drawn whole."""
-        return cls(sim.targets, lambda k, m: sim.observations[k:k + m],
-                   sim.observations.shape[1], False)
-
-    def take(self, m: int) -> np.ndarray:
-        """The next m rows."""
+    def take(self, m: int, out: Optional[np.ndarray] = None):
+        """(rows, targets) of the next m steps."""
+        k = self.taken
         self.taken += m
-        return self.rows(self.taken - m, m)
+        thetas = self.walk(m, out) if self.table is None \
+            else self.table[k:k + m + 1]
+        return self.rows(k, m, thetas), thetas
 
     def simulate(self, n: int) -> SimulatedPath:
         """All n rows in one take, with targets the run's own array."""
-        targets = self.targets.copy() if self.shared else self.targets
-        return SimulatedPath(observations=self.take(n), targets=targets)
+        observations, targets = self.take(n)
+        return SimulatedPath(observations=observations,
+                             targets=targets.copy())
 
 
 class _Streamed:
@@ -291,13 +313,9 @@ class SignalNoiseModel(_Streamed):
         return self.path.dim
 
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table = self.path.table_for(n)
-        if table is None:
-            # all n noise values come first, then the walk: drawn whole
-            xi = self.noise.draw(rng, (n, self.dim))
-            thetas = self.path.sample(n, rng)
-            return RowSource.whole(SimulatedPath(thetas[:n] + xi, thetas))
-        return RowSource(table, lambda k, m: table[k:k + m]
+        # all n noise rows come first, then the walk
+        table, walk, rng = self.path.windows(n, rng, self.noise.draw)
+        return RowSource(table, walk, lambda k, m, thetas: thetas[:m]
                          + self.noise.draw(rng, (m, self.dim)), self.dim)
 
 
@@ -351,18 +369,17 @@ class PoissonCountModel(_Streamed):
     dim = 1
 
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table = self.path.table_for(n)
-        thetas = self.path.sample(n, rng) if table is None else table
+        table, walk, rng = self.path.windows(n, rng)
         count = 0  # N_{k-1} of the next row
 
-        def rows(k: int, m: int) -> np.ndarray:
+        def rows(k: int, m: int, thetas: np.ndarray) -> np.ndarray:
             nonlocal count
-            increments = rng.poisson(thetas[k:k + m, 0])
+            increments = rng.poisson(thetas[:m, 0])
             counts = np.concatenate(([count], count + np.cumsum(increments)))
             count = counts[-1]
             return np.column_stack([counts[1:], counts[:-1]]).astype(float)
 
-        return RowSource(thetas, rows, 2, table is not None)
+        return RowSource(table, walk, rows, 2)
 
 
 @dataclass(frozen=True)
@@ -383,24 +400,23 @@ class Arch1Model(_Streamed):
             raise ValueError("|x0| must be at most 1")
 
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table = self.path.table_for(n)
-        thetas = self.path.sample(n, rng) if table is None else table
+        table, walk, rng = self.path.windows(n, rng)
         x_prev = self.x0  # X_{k-1} of the next row
 
-        def rows(k: int, m: int) -> np.ndarray:
+        def rows(k: int, m: int, thetas: np.ndarray) -> np.ndarray:
             nonlocal x_prev
             eps = self.noise.draw(rng, m).tolist()
             # slots k..k+m: the window's targets and the one after its end
-            if np.any(thetas[k:k + m + 1, 0] < 0):
+            if np.any(thetas[:, 0] < 0):
                 raise ValueError("volatility parameter must be nonnegative")
             xs = [x_prev]
-            for i, theta in enumerate(thetas[k:k + m, 0].tolist()):
+            for i, theta in enumerate(thetas[:m, 0].tolist()):
                 prev = xs[-1]
                 xs.append(math.sqrt(1.0 + theta * prev * prev) * eps[i])
             x_prev = xs[-1]
             return np.column_stack([xs[1:], xs[:-1]])
 
-        return RowSource(thetas, rows, 2, table is not None)
+        return RowSource(table, walk, rows, 2)
 
 
 @dataclass(frozen=True)
@@ -436,28 +452,28 @@ class ArdBatchModel(_Streamed):
                 f"(spectral radius {radius:.4f} > {self.rho})")
 
     def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table = self.path.table_for(n)
-        thetas = self.path.sample(n, rng) if table is None else table
+        table, walk, rng = self.path.windows(n, rng)
         d = self.d
         y = rng.normal(0.0, self.sigma, size=d)  # the batch before the next
-        a = b = None
+        a = b = last = None  # A and B, and the theta they were made for
 
-        def rows(k: int, m: int) -> np.ndarray:
-            nonlocal y, a, b
+        def rows(k: int, m: int, thetas: np.ndarray) -> np.ndarray:
+            nonlocal y, a, b, last
             obs = np.empty((m, 2 * d))
-            for i in range(k, k + m):
+            for i in range(m):
                 theta = thetas[i]
                 # the check, A and B depend on theta alone: redo them when
                 # it moves
-                if i == 0 or not np.array_equal(theta, thetas[i - 1]):
-                    self._check_stable(theta, f"at step {i}")
+                if last is None or not np.array_equal(theta, last):
+                    self._check_stable(theta, f"at step {k + i}")
                     a = linalg.ar_matrix_a(theta)
                     b = linalg.ar_matrix_b(theta)
+                    last = theta.copy()  # a walk reuses its window
                 xi = rng.normal(0.0, self.sigma, size=d)
                 x = linalg.solve_unit_upper(a, b @ y + xi)
-                obs[i - k, :d] = x
-                obs[i - k, d:] = y
+                obs[i, :d] = x
+                obs[i, d:] = y
                 y = x
             return obs
 
-        return RowSource(thetas, rows, 2 * d, table is not None)
+        return RowSource(table, walk, rows, 2 * d)

@@ -20,7 +20,6 @@ from drifttrack.models import (
     NoiseSpec,
     RowSource,
     SignalNoiseModel,
-    SimulatedPath,
     make_parameter_path,
     make_rng,
 )
@@ -341,28 +340,6 @@ def test_every_gain_and_region_written_over_its_rows(data, name, region,
     _check_track(data, name, blocks, d, n, region)
 
 
-class _SpikeModel:
-    """scale * N(0, 1) observations, except one huge row at step
-    spikes[seed], of height heights.get(seed, 1e9)."""
-
-    dim = 1
-
-    def __init__(self, spikes, heights=None, scale=0.0):
-        self.spikes = spikes
-        self.heights = heights or {}
-        self.scale = scale
-
-    def simulate(self, n, rng):
-        seed = int(rng.bit_generator.state["state"]["key"][0])
-        obs = self.scale * rng.standard_normal((n, 1))
-        if seed in self.spikes:
-            obs[self.spikes[seed]] = self.heights.get(seed, 1e9)
-        return SimulatedPath(observations=obs, targets=np.zeros((n + 1, 1)))
-
-    def rows(self, n, rng):
-        return RowSource.whole(self.simulate(n, rng))
-
-
 def _first_divergence(config, model, gain, seeds):
     """(replication, step) where a one-at-a-time loop first diverges."""
     for rep, seed in enumerate(seeds):
@@ -373,7 +350,7 @@ def _first_divergence(config, model, gain, seeds):
     return None
 
 
-class _StreamedSpikes:
+class _SpikeModel:
     """base + scale * N(0, 1) rows drawn a window at a time on a shared
     zero table, except one row of height heights.get(seed, 1e9) at the
     global step spikes[seed]."""
@@ -391,13 +368,13 @@ class _StreamedSpikes:
         table = np.zeros((n + 1, 1))
         table.flags.writeable = False
 
-        def rows(k, m):
+        def rows(k, m, thetas):
             out = self.base + self.scale * rng.standard_normal((m, 1))
             if k <= self.spikes.get(seed, -1) < k + m:
                 out[self.spikes[seed] - k] = self.heights.get(seed, 1e9)
             return out
 
-        return RowSource(table, rows, 1)
+        return RowSource(table, None, rows, 1)
 
     def simulate(self, n, rng):
         return self.rows(n, rng).simulate(n)
@@ -421,22 +398,34 @@ def _plain_divergence(config, model, gain, seeds):
 
 
 class _Whole:
-    """A model seen through simulate alone: its row source is a run drawn
-    whole."""
+    """A model whose targets are each seed's own, as a walk's are: its
+    simulate, handed out a window at a time."""
 
     def __init__(self, model):
         self.dim = model.dim
         self.simulate = model.simulate
 
     def rows(self, n, rng):
-        return RowSource.whole(self.simulate(n, rng))
+        sim = self.simulate(n, rng)
+        taken = 0
+
+        def walk(m, out=None):
+            nonlocal taken
+            out = np.empty((m + 1, self.dim)) if out is None else out
+            out[...] = sim.targets[taken:taken + m + 1]
+            taken += m
+            return out
+
+        return RowSource(None, walk,
+                         lambda k, m, thetas: sim.observations[k:k + m],
+                         sim.observations.shape[1])
 
 
 class TestReplications:
     def test_blocks_equal_run_tracking(self, monkeypatch):
-        # three replications of two stacks, each 41 slots of max(w, d) + d
-        # = 4 values
-        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (40 + 1) * 4 * 8)
+        # three replications of one stack, 41 slots of max(w, d) = 2
+        # values; each seed's targets go to the block's own buffer
+        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (40 + 1) * 2 * 8)
         sched = StepSchedule(kind="static", c_gamma=2.0)
         config, model, gain = _static_setup(noise="normal", n=40, d=2,
                                             schedule=sched)
@@ -454,7 +443,7 @@ class TestReplications:
                 assert targets[i].tobytes() == one.targets.tobytes()
 
     # a budget of slots replication-slots, each a value of the observation
-    # stack and one of the targets' (w = d = 1): 16 bytes
+    # stack (w = d = 1): 8 bytes
     @pytest.mark.parametrize("slots, sizes", [
         (25, [2, 2, 1]),              # 25 // (9+1) = 2 replications a block
         (50, [5]),
@@ -463,7 +452,7 @@ class TestReplications:
         (3, [1, 1, 1, 1, 1]),         # fewer than n+1 slots: still one
     ])
     def test_block_size_follows_slot_budget(self, monkeypatch, slots, sizes):
-        monkeypatch.setattr(core, "BLOCK_BYTES", slots * 16)
+        monkeypatch.setattr(core, "BLOCK_BYTES", slots * 8)
         calls = []
 
         def counting_track(initial, observations, *args, **kwargs):
@@ -482,17 +471,13 @@ class TestReplications:
         assert all(shape == (9, b) for b, shape in calls)
 
     def test_shared_table_blocks_hold_one_stack(self, monkeypatch):
-        # with the path's table, a replication costs its observation
-        # stack alone: the budget of two replications of two stacks
-        # holds four, and every block's targets are one read-only view
-        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (9 + 1) * 2 * 8)
+        # with the path's table, every block's targets are one read-only
+        # view of it; a budget of four replications' stacks
+        monkeypatch.setattr(core, "BLOCK_BYTES", 4 * (9 + 1) * 8)
         config, model, gain = _static_setup(theta=0.3, noise="normal", n=9)
         table = model.path.table_for(9)
         seeds = list(range(7))
-        alone = [len(t) for _, _, _, t in
-                 core.run_replications(config, _Whole(model), gain, seeds)]
         blocks = list(core.run_replications(config, model, gain, seeds))
-        assert alone == [2, 2, 2, 1]
         assert [len(t) for _, _, _, t in blocks] == [4, 3]
         for start, _, estimates, targets in blocks:
             assert not targets.flags.writeable
@@ -506,34 +491,45 @@ class TestReplications:
 
     def test_windows_cover_each_slot_once_as_whole_runs_do(self,
                                                           monkeypatch):
-        # shared targets: windows of 7 steps, blocks of two replications
-        # of one 8-slot window stack each; each block's windows,
-        # concatenated, equal the block drawn whole
+        config, static, gain = _static_setup(theta=0.3, noise="normal", n=40)
+        walk = SignalNoiseModel(make_parameter_path(
+            "stabilizing", c_rho=0.5, beta=0.5), NoiseSpec("normal"))
+        for model in (static, walk):
+            self._check_windows(monkeypatch, config, model, gain)
+
+    @staticmethod
+    def _check_windows(monkeypatch, config, model, gain):
+        # windows of 7 steps, blocks of two replications of one 8-slot
+        # window stack each; each block's windows, concatenated, equal the
+        # block run in one window.  A walk's targets are the block's own
+        # buffer, a shared table's a read-only view
         monkeypatch.setattr(core, "WINDOW", 7)
         monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (7 + 1) * 8)
-        config, model, gain = _static_setup(theta=0.3, noise="normal", n=40)
         seeds = list(range(5))
-        # a window's estimates are a view the next window reuses
-        windows = [(start, first, estimates.copy(), targets)
+        # a window's estimates and a walk's targets are views the next
+        # window reuses
+        windows = [(start, first, estimates.copy(), targets.copy(),
+                    targets.flags.writeable)
                    for start, first, estimates, targets
                    in core.run_replications(config, model, gain, seeds)]
         assert [(start, first, estimates.shape[1])
-                for start, first, estimates, _ in windows] == [
+                for start, first, estimates, _, _ in windows] == [
             (start, first, m) for start in (0, 2, 4)
             for first, m in [(0, 8), (8, 7), (15, 7), (22, 7), (29, 7),
                              (36, 5)]]
-        # two whole runs of two stacks each
-        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (40 + 1) * 2 * 8)
-        whole = list(core.run_replications(config, _Whole(model), gain,
-                                           seeds))
+        walked = model.path.kind == "stabilizing"
+        assert all(writeable == walked for *_, writeable in windows)
+        # two runs of one 41-slot stack each, in one window
+        monkeypatch.setattr(core, "WINDOW", 40)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 2 * (40 + 1) * 8)
+        whole = list(core.run_replications(config, model, gain, seeds))
         assert [start for start, _, _, _ in whole] == [0, 2, 4]
         for start, _, estimates, targets in whole:
-            got = [(e, t) for s, _, e, t in windows if s == start]
+            got = [(e, t) for s, _, e, t, _ in windows if s == start]
             assert np.concatenate([e for e, _ in got], axis=1).tobytes() \
                 == estimates.tobytes()
             assert np.concatenate([t for _, t in got], axis=1).tobytes() \
                 == targets.tobytes()
-            assert not any(t.flags.writeable for _, t in got)
 
     def test_divergence_names_lowest_replication(self):
         # in one block, replication 3 diverges at step 2 and replication
@@ -565,7 +561,7 @@ class TestReplications:
     def test_streamed_divergence_names_the_plain_loops_step(
             self, monkeypatch, spikes, heights, base, want, via):
         monkeypatch.setattr(core, "WINDOW", 8)
-        model = _StreamedSpikes(spikes, heights, base)
+        model = _SpikeModel(spikes, heights, base)
         config, _, gain = _static_setup(n=40)
         seeds = list(range(5))
         assert _plain_divergence(config, model, gain, seeds) == want
@@ -637,3 +633,34 @@ class TestReplications:
                                  "--quiet"]) == 1
         assert capsys.readouterr().err == \
             f"diverged at step 12: horizon {horizon}, replication 1\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_run_copies_the_walks_reused_window(d):
+    # past WINDOW, run_replications hands a walk's targets out of one
+    # buffer that every window overwrites: run_tracking's targets must
+    # still be simulate's, its estimates a plain loop's, and the run
+    # subcommand's CSV the one they give
+    n = 2 * core.WINDOW + 300
+    raw = {"path.kind": "stabilizing", "path.c_rho": "0.5",
+           "path.beta": "0.5", "model.d": str(d),
+           "schedule.kind": "stabilizing", "experiment.horizons": str(n),
+           "experiment.seed": "7"}
+    config = experiments.experiment_config("run", raw)
+    tracking, model, gain, _ = experiments.build_components(raw, n)
+    run = run_tracking(tracking, model, gain, 7)
+    sim = model.simulate(n, make_rng(7))
+    assert run.targets.tobytes() == sim.targets.tobytes()
+    est = tracking.initial_estimate.copy()
+    estimates = [est]
+    for k in range(n):
+        est = est + run.steps[k] * gain.evaluator(
+            est[None], sim.observations[k][None])[0]
+        estimates.append(est)
+    assert run.estimates.tobytes() == np.array(estimates).tobytes()
+    header, rows = experiments.run_single(config)
+    want = [(k, *estimates[k], *sim.targets[k],
+             float(np.linalg.norm(estimates[k] - sim.targets[k])),
+             run.steps[k - 1] if k else 0.0) for k in range(n + 1)]
+    assert experiments.format_csv(header, rows) \
+        == experiments.format_csv(header, want)

@@ -307,8 +307,8 @@ def test_three_blocks_give_one_blocks_output(monkeypatch, command):
     sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
     config = experiment_config(command, _BLOCKS_RAW)
     whole = sweep(config)
-    # three replications of two stacks at n = 400, d = w = 1
-    monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (400 + 1) * 2 * 8)
+    # three replications of one stack at n = 400, d = w = 1
+    monkeypatch.setattr(core, "BLOCK_BYTES", 3 * (400 + 1) * 8)
     calls = []
     track = core.track
 
@@ -345,25 +345,6 @@ def _traced_peak(monkeypatch, command, raw, budget):
 
 
 @pytest.mark.parametrize("command", ["rates", "bound-check"])
-def test_sweep_holds_one_block_of_two_stacks(monkeypatch, command):
-    # 100 replications at n = 10,000 in two blocks of 50.  A stabilizing
-    # walk's block is the observation stack the estimates are written
-    # over and the targets; a third stack, or the last block kept while
-    # the next is drawn, would pass 3 of its stacks
-    n, size = 10000, 50
-    stack = size * (n + 1) * 8
-    # a draw per seed without the walk's Python loop, which tracemalloc
-    # slows some fifty-fold
-    monkeypatch.setattr(models.ParameterPath, "_walk",
-                        lambda path, n, rng: rng.uniform(-0.5, 0.5,
-                                                         (n + 1, path.dim)))
-    peak = _traced_peak(monkeypatch, command, {
-        "path.kind": "stabilizing", "schedule.kind": "stabilizing"},
-        2 * stack)
-    assert peak <= 2.5 * stack
-
-
-@pytest.mark.parametrize("command", ["rates", "bound-check"])
 def test_static_sweep_holds_one_block_of_one_stack(monkeypatch, command):
     # the same sweep on a static path: the seeds share one read-only
     # targets table, so a block of 50 is the observation stack alone
@@ -373,20 +354,37 @@ def test_static_sweep_holds_one_block_of_one_stack(monkeypatch, command):
     assert peak <= 1.5 * stack
 
 
+_STABILIZING = {"path.kind": "stabilizing", "schedule.kind": "stabilizing"}
+
+
+def _uniform_walk(path, rng):
+    """A walk's window of uniform draws, without the walk's Python loop,
+    which tracemalloc slows 25- to 50-fold."""
+    def step(m, out=None):
+        out = np.empty((m + 1, path.dim)) if out is None else out
+        out[...] = rng.uniform(-0.5, 0.5, out.shape)
+        return out
+    return step
+
+
 @pytest.mark.parametrize("command, raw", [
     ("rates", {}),
     ("rates", {"path.kind": "lipschitz", "schedule.kind": "lipschitz"}),
     ("rates", {"gain.kind": "quantile"}),
+    ("rates", _STABILIZING),
     ("bound-check", {}),
+    ("bound-check", _STABILIZING),
 ], ids=["static-rates", "lipschitz-rates", "quantile-rates",
-        "static-bound-check"])
-def test_streamed_sweep_peak_is_flat_in_the_horizon(command, raw):
-    # targets that draw nothing stream through time, so from n = 1e4 to
-    # 4e4 the traced peak of a sweep of 50 replications grows only by the
-    # few values per step that do not depend on the replication count:
-    # the schedule, a grid table, bound-check's sums per slot.  Four
-    # float64 values a step is the bound; the one block of the horizon
-    # that 50 replications used to take grows by 50
+        "stabilizing-rates", "static-bound-check", "stabilizing-bound-check"])
+def test_streamed_sweep_peak_is_flat_in_the_horizon(monkeypatch, command,
+                                                    raw):
+    # every run streams through time, so from n = 1e4 to 4e4 the traced
+    # peak of a sweep of 50 replications grows only by the few values per
+    # step that do not depend on the replication count: the schedule, a
+    # grid table, bound-check's sums per slot.  Four float64 values a
+    # step is the bound; the one block of the horizon that 50
+    # replications would take grows by 50
+    monkeypatch.setattr(models.ParameterPath, "walk", _uniform_walk)
     sweep = ex.run_rate_sweep if command == "rates" else ex.run_bound_check
     sweep(experiment_config(command, {**raw, "experiment.horizons": "2,10",
                                       "experiment.replications": "2"}))

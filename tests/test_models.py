@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drifttrack import linalg, models
+from drifttrack.core import WINDOW
 from drifttrack.models import (
     Arch1Model,
     ArdBatchModel,
@@ -410,22 +411,33 @@ class TestArdModel:
         assert sim.targets.tobytes() == want_thetas.tobytes()
 
     def test_path_leaving_region_names_first_unstable_step(self):
-        path = _grid_path(lambda t: 1.5 * t, 100, c_theta=4.0)
-        model = ArdBatchModel(path=path, d=1, sigma=1.0)
-        thetas = path.sample(100, make_rng(0))
-        first = next(k for k in range(100) if not
-                     linalg.ar_stability_check(thetas[k], model.rho)[0])
-        assert 0 < first < 99
-        with pytest.raises(ValueError, match=f"at step {first} "):
-            model.simulate(100, make_rng(0))
+        for n in (100, 3000):
+            path = _grid_path(lambda t: 1.5 * t, n, c_theta=4.0)
+            model = ArdBatchModel(path=path, d=1, sigma=1.0)
+            thetas = path.sample(n, make_rng(0))
+            first = next(k for k in range(n) if not
+                         linalg.ar_stability_check(thetas[k], model.rho)[0])
+            assert 0 < first < n - 1
+            with pytest.raises(ValueError, match=f"at step {first} "):
+                model.simulate(n, make_rng(0))
+            # taken WINDOW steps at a time, the error still names the step
+            # counted from the run's start, past the first window at 3000
+            assert n < WINDOW or first > WINDOW
+            source = model.rows(n, make_rng(0))
+            with pytest.raises(ValueError, match=f"at step {first} "):
+                for k in range(0, n, WINDOW):
+                    source.take(min(WINDOW, n - k))
 
 
-def _ard_reference(model, n, rng):
-    """ArdBatchModel.simulate as a plain loop: check, A and B every step."""
+def _ard_reference(model, n, rng, thetas=None):
+    """ArdBatchModel.simulate as a plain loop: check, A and B every step,
+    on thetas, drawn from rng before the rows (the path's sample when
+    None)."""
     from scipy.linalg import solve_triangular
 
     d = model.d
-    thetas = model.path.sample(n, rng)
+    if thetas is None:
+        thetas = model.path.sample(n, rng)
     obs = np.empty((n, 2 * d))
     y = rng.normal(0.0, model.sigma, size=d)
     for k in range(n):
@@ -500,42 +512,59 @@ _ROW_MODELS = {
 
 
 def _row_model(kind, path_kind, n):
-    """A model of kind whose targets draw nothing: a static or grid path
-    of horizon n, or, for poisson, a grid of cell means that crosses the
+    """A model of kind on a static or grid path of horizon n, or on a
+    stabilizing walk slow enough that arch1 stays nonnegative and AR
+    stable; or, for poisson, a grid of cell means that crosses the
     intensity 10 where numpy's Poisson draw changes method."""
     if kind == "poisson":
         return _poisson(lambda t: 3.0 + 12.0 * t, n)
     value = [0.3, -0.2, 0.1][:3 if kind == "ar3" else 1]
-    path = make_parameter_path("static", value=value) \
-        if path_kind == "static" else \
-        _grid_path(lambda t: [v * (1.0 + t) for v in value], n,
-                   dim=len(value), c_theta=1.0)
+    if path_kind == "stabilizing":
+        path = make_parameter_path("stabilizing", dim=len(value),
+                                   c_theta=1.0, start=value, c_rho=0.01)
+    elif path_kind == "static":
+        path = make_parameter_path("static", value=value)
+    else:
+        path = _grid_path(lambda t: [v * (1.0 + t) for v in value], n,
+                          dim=len(value), c_theta=1.0)
     return _ROW_MODELS[kind](path)
 
 
+def _take_all(source, n, m):
+    """The rows and targets of n steps taken m at a time, concatenated;
+    each window's targets start at the slot the last one ended on."""
+    taken = [source.take(min(m, n - k)) for k in range(0, n, m)]
+    return (np.concatenate([rows for rows, _ in taken]),
+            np.concatenate([taken[0][1][:1]]
+                           + [targets[1:] for _, targets in taken]))
+
+
 @given(kind=st.sampled_from(sorted(_ROW_MODELS) + ["poisson"]),
-       path_kind=st.sampled_from(["static", "grid"]),
+       path_kind=st.sampled_from(["static", "grid", "stabilizing"]),
        n=st.integers(3, 120), seed=st.integers(0, 2**64 - 1),
        cut=st.sampled_from(["one", "non-divisor", "whole"]), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_row_source_windows_concatenate_to_simulate(kind, path_kind, n, seed,
                                                     cut, data):
     # a window of 1 step, of a size that does not divide n, or of at
-    # least n; each source carries its generator and model state across
-    # windows, so the rows must not depend on where the horizon is cut
+    # least n; each source carries its generator, model state and walk
+    # across windows, so neither rows nor targets may depend on where the
+    # horizon is cut
     model = _row_model(kind, path_kind, n)
     m = {"one": lambda: 1,
          "non-divisor": lambda: data.draw(st.integers(2, n - 1).filter(
              lambda m: n % m)),
          "whole": lambda: data.draw(st.integers(n, 2 * n))}[cut]()
     source = model.rows(n, make_rng(seed))
-    assert source.shared and not source.targets.flags.writeable
-    rows = np.concatenate([source.take(min(m, n - k))
-                           for k in range(0, n, m)])
+    if path_kind == "stabilizing" and kind != "poisson":
+        assert source.table is None
+    else:
+        assert not source.table.flags.writeable
+    rows, targets = _take_all(source, n, m)
     whole = model.simulate(n, make_rng(seed))
     assert rows.shape == (n, source.width)
     assert rows.tobytes() == whole.observations.tobytes()
-    assert source.targets.tobytes() == whole.targets.tobytes()
+    assert targets.tobytes() == whole.targets.tobytes()
 
 
 def test_shared_table_is_read_only():
@@ -577,9 +606,11 @@ def test_predictable_window_is_the_zero_padded_past():
         assert np.array_equal(window, padded[k:k + 3])
 
 
-def _arch1_reference(model, n, rng):
-    """Arch1Model.simulate as a plain loop."""
-    thetas = model.path.sample(n, rng)
+def _arch1_reference(model, n, rng, thetas=None):
+    """Arch1Model.simulate as a plain loop on thetas, drawn from rng
+    before the rows (the path's sample when None)."""
+    if thetas is None:
+        thetas = model.path.sample(n, rng)
     eps = model.noise.draw(rng, n)
     obs = np.empty((n, 2))
     x_prev = model.x0
@@ -619,6 +650,108 @@ def test_arch1_rule_must_stay_nonnegative():
     model = Arch1Model(path=_grid_path(lambda t: 2047.5 / n - t, n,
                                        c_theta=1.0))
     source = model.rows(n, make_rng(0))
-    assert source.take(1024).shape == (1024, 2)
+    assert source.take(1024)[0].shape == (1024, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         source.take(1024)
+
+
+# ---------------------------------------------------------------------
+# The stabilizing walk, streamed, against the walk drawn whole
+# ---------------------------------------------------------------------
+
+def _whole_walk(path, n, rng):
+    """The stabilizing walk as it was drawn before it streamed: all n
+    draws and budgets at once, the d = 1 loop reading Python floats 4096
+    steps at a time."""
+    radius = math.sqrt(path.c_theta)
+    theta = np.zeros(path.dim) if path.start is None \
+        else np.atleast_1d(np.asarray(path.start, dtype=float)).copy()
+    out = np.empty((n + 1, path.dim))
+    out[0] = theta
+    draws = rng.standard_normal((n, path.dim))
+    steps = np.arange(n, dtype=float)
+    steps[0] = 1.0
+    budgets = path.c_rho * steps ** (-path.beta)
+    if path.dim == 1:
+        t = float(theta[0])
+        col = out[:, 0]
+        for lo in range(0, n, 4096):
+            chunk = slice(lo, lo + 4096)
+            signs = np.where(draws[chunk, 0] >= 0.0, 1.0, -1.0).tolist()
+            for i, (b, s) in enumerate(zip(budgets[chunk].tolist(),
+                                           signs), lo):
+                if abs(t + b * s) > radius:
+                    s = -s
+                if abs(t + b * s) <= radius:
+                    t = t + b * s
+                col[i + 1] = t
+        return out
+    norms = np.linalg.norm(draws, axis=1)
+    tiny = norms < 1e-12
+    if np.any(tiny):
+        draws[tiny] = 0.0
+        draws[tiny, 0] = 1.0
+        norms[tiny] = 1.0
+    units = draws / norms[:, None]
+    for i in range(n):
+        move = budgets[i] * units[i]
+        cand = theta + move
+        if float(cand @ cand) > path.c_theta:
+            cand = theta - move
+            if float(cand @ cand) > path.c_theta:
+                cand = theta
+        theta = cand
+        out[i + 1] = theta
+    return out
+
+
+def _whole_run(model, n, seed):
+    """(rows, targets) in the draw order of a run drawn whole: the
+    signal-noise model's n noise rows, then the walk; the walk, then the
+    ARCH(1) or AR(d) rows."""
+    rng = make_rng(seed)
+    if isinstance(model, SignalNoiseModel):
+        noise = model.noise.draw(rng, (n, model.dim))
+        thetas = _whole_walk(model.path, n, rng)
+        return thetas[:n] + noise, thetas
+    reference = _arch1_reference if isinstance(model, Arch1Model) \
+        else _ard_reference
+    return reference(model, n, rng, _whole_walk(model.path, n, rng))
+
+
+def _walk(dim=1, **params):
+    return make_parameter_path("stabilizing", dim=dim, **params)
+
+
+# near the boundary, so the walks reflect and get trapped; arch1's budgets
+# add up to under 0.5 over 2,500 steps, so theta stays nonnegative
+_WALKED = {
+    "normal": lambda: SignalNoiseModel(
+        _walk(start=[0.9], c_rho=0.5, beta=0.5), NoiseSpec("normal", 0.7)),
+    "normal-d2": lambda: SignalNoiseModel(
+        _walk(2, start=[0.6, -0.7], c_rho=1.0, beta=0.5),
+        NoiseSpec("normal", 1.0)),
+    "uniform": lambda: SignalNoiseModel(
+        _walk(start=[-0.9], c_rho=0.5, beta=0.5), NoiseSpec("uniform", 0.5)),
+    "zero": lambda: SignalNoiseModel(_walk(c_rho=2.0, beta=0.25),
+                                     NoiseSpec("zero")),
+    "arch1": lambda: Arch1Model(_walk(start=[0.5], c_rho=0.05, beta=1.0),
+                                NoiseSpec("normal", 1.0), x0=0.5),
+    "ard": lambda: ArdBatchModel(_walk(2, c_theta=0.09, start=[0.25, 0.1],
+                                       c_rho=0.3, beta=0.25), 2, sigma=1.0),
+}
+
+
+@pytest.mark.parametrize("cut", [1, 700, WINDOW, 2500])
+@pytest.mark.parametrize("kind", sorted(_WALKED))
+def test_streamed_walk_keeps_the_whole_draw_order(kind, cut):
+    # n = 2,500 steps cut into windows of 1 step, of 700 (which does not
+    # divide n), of WINDOW, or whole; every window's rows and targets
+    # equal the run drawn whole, in the order it drew
+    n, model = 2500, _WALKED[kind]()
+    want_rows, want_targets = _whole_run(model, n, 31)
+    rows, targets = _take_all(model.rows(n, make_rng(31)), n, cut)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert targets.tobytes() == want_targets.tobytes()
+    assert model.path.sample(n, make_rng(5)).tobytes() \
+        == _whole_walk(model.path, n, make_rng(5)).tobytes()
