@@ -14,6 +14,7 @@ from drifttrack.bounds import (
     verify_A2_empirical,
 )
 from drifttrack.models import make_rng
+from float_words import NOT_NAN, from_words, same_bits
 from paper_checks import (
     bias_from_parameter_gap,
     biased_bound,
@@ -439,21 +440,26 @@ def test_carried_column_sums_are_numpy_sums_bitwise(n, d, seed):
 @example(n=3 * bounds._LEAF + 5, d=3, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_leaf_products_are_one_matmul_bitwise(n, d, seed):
-    # the verifiers project one leaf at a time: each leaf's g @ delta
-    # must have the bits of the whole stack's, zero and -0.0 rows too
+    # the verifiers project one leaf at a time, through _project: each
+    # leaf's projection must have the bits of the whole stack's g @ delta,
+    # for zero and -0.0 rows, infinities and NaNs too
     g = _magnitudes(seed, n, d)
     g[::7] = 0.0
     g[::13] = -0.0
     g[::11] *= -1.0
+    g[::17] = math.inf
+    g[::19] = -math.inf
+    g[::23] = math.nan
     delta = _magnitudes(seed + 1, d)
     got = np.empty(n)
 
     def leaf(a, b):
-        got[a:b] = g[a:b] @ delta
+        got[a:b] = bounds._project(g[a:b], delta)
         return ()
 
-    bounds._tree(0, n, leaf)
-    assert got.tobytes() == (g @ delta).tobytes()
+    with np.errstate(invalid="ignore"):
+        bounds._tree(0, n, leaf)
+        assert got.tobytes() == (g @ delta).tobytes()
 
 
 _SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -477,6 +483,72 @@ def test_columnwise_centring_of_a_leaf(d):
     g = _magnitudes(d, bounds._LEAF, d)
     mean = _magnitudes(d + 1, d)
     assert bounds._centred(g, mean).tobytes() == (g - mean).tobytes()
+
+
+@given(data=st.data(), m=st.integers(1, 70), d=st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_projection_is_gemv_bitwise(data, m, d):
+    # the verifiers projected each leaf as g @ delta, through gemv; at
+    # d = 1 _project takes a product per row plus +0.0.  delta holds no
+    # NaN: with a NaN on both sides either NaN may come out
+    g = from_words(data, (m, d))
+    delta = from_words(data, (d,), NOT_NAN)
+    with np.errstate(all="ignore"):
+        assert same_bits(bounds._project(g, delta), g @ delta)
+
+
+def _three_pass_a2(gain_eval, rows, probe):
+    """verify_A2_empirical's statistics as they were taken before the
+    deviations were stored: the norms pass and the spread pass each
+    recompute every row's centred squared norm from the gains."""
+    n, d = len(rows), probe.size
+    stored = np.empty((n, d))
+    cols = bounds._ColumnSums(d)
+
+    def sums(a, b):
+        stored[a:b] = gain_eval(probe, rows[a:b])
+        return (cols.add(stored[a:b]),)
+
+    mean = cols.total(bounds._tree(0, n, sums)[0]) / n
+
+    def norms(a, b):
+        c = bounds._centred(stored[a:b], mean)
+        return (np.add.reduce(linalg.row_sq_norms(c)),)
+
+    def spread(a, b):
+        dev = linalg.row_sq_norms(bounds._centred(stored[a:b], mean))
+        dev -= moment
+        dev *= dev
+        return (np.add.reduce(dev),)
+
+    moment = float(bounds._tree(0, n, norms)[0] / n)
+    se = float(np.sqrt(bounds._tree(0, n, spread)[0] / (n - 1))) \
+        / math.sqrt(n)
+    return moment, se
+
+
+@given(half=st.integers(bounds.MIN_SAMPLES // 2, 3 * bounds._LEAF // 2 + 2),
+       d=st.sampled_from([1, 2, 3]), extra=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(half=3 * bounds._LEAF // 2 + 2, d=2, extra=0, seed=0)
+@example(half=bounds.MIN_SAMPLES // 2, d=3, extra=1, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_stored_deviations_match_the_three_pass_recompute(half, d, extra,
+                                                          seed):
+    # at an odd n the tree's last leaves differ in length; gains d wide
+    # are written over rows d or d + 1 wide, and the deviations over the
+    # gains, so a deviation written over a gain not yet read would show
+    n = 2 * half + 1
+    rows = _magnitudes(seed, n, d + extra)
+    probe = _magnitudes(seed + 1, d)
+
+    def gain_eval(est, r):  # reads every column of its rows
+        return r[:, :d] * r[:, -1:] - est
+
+    want = _three_pass_a2(gain_eval, rows, probe)
+    got = verify_A2_empirical(gain_eval, lambda _r, _n: rows.copy(), probe,
+                              n, None)
+    assert same_bits(np.array([got.second_moment, got.se]), np.array(want))
 
 
 # ---------------------------------------------------------------------

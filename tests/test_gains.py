@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from drifttrack import gains, linalg
 from drifttrack.models import make_rng
+from float_words import NOT_NAN, from_words, same_bits
 from paper_checks import (ard_log_density, ard_quadratic_matrix,
                           gain_kw_finite_difference, gain_robbins_monro,
                           gain_spsa, shift_matrix)
@@ -463,3 +464,81 @@ def test_vector_normalized_gain_matches_reference_bitwise(width, n):
             got = gains.ar_normalized_vector_gain(est, x_k, x_lags, mu)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _broadcast_gaussian(sigma):
+    """gaussian_known_cov_spec's evaluator as it was before it took
+    row - est one column at a time: one broadcast subtraction."""
+    upper = np.linalg.cholesky(sigma).T
+    recip = 1.0 / np.diag(upper)
+    d = len(sigma)
+    sweep = [(i, [(j, upper[j, i]) for j in range(i) if upper[j, i] != 0.0])
+             for i in range(d)]
+    sweep += [(i, [(j, upper[i, j]) for j in range(i + 1, d)
+                   if upper[i, j] != 0.0]) for i in reversed(range(d))]
+
+    def evaluator(est, row):
+        b = np.atleast_1d(np.asarray(row - est, dtype=float))
+        for i, terms in sweep:
+            col = b[..., i]
+            for j, u in terms:
+                col -= u * b[..., j]
+            col *= recip[i]
+        return b
+
+    return evaluator
+
+
+def _full_sigma():
+    a = np.random.default_rng(11).normal(size=(3, 3))
+    return a @ a.T + 0.1 * np.eye(3)
+
+
+_GAUSSIAN_SIGMAS = [np.diag([2.0]), np.diag([2.0, 4.0]),
+                    np.diag([7.0, 11.0, 0.1]), _full_sigma()]
+
+
+@given(data=st.data(), sigma=st.sampled_from(_GAUSSIAN_SIGMAS),
+       shape=st.sampled_from(["single", "batch", "stack", "strided"]),
+       m=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_columnwise_difference_is_the_broadcast_bitwise(
+        data, sigma, shape, m):
+    # estimate and rows as each caller hands them: (d,) with one (d,) row,
+    # (B, d) with (B, d) rows in the tracking kernel, and (d,) with an
+    # (m, d) stack in the verifiers, contiguous or a column view
+    d = len(sigma)
+    est = from_words(data, (m, d) if shape == "batch" else (d,), NOT_NAN)
+    if shape == "single":
+        rows = from_words(data, (d,))
+    elif shape == "strided":
+        rows = from_words(data, (m, d + 1))[:, 1:]
+    else:
+        rows = from_words(data, (m, d))
+    with np.errstate(all="ignore"):
+        want = _broadcast_gaussian(sigma)(est, rows)
+        got = gains.gaussian_known_cov_spec(sigma).evaluator(est, rows)
+    assert same_bits(got, want)
+
+
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]),
+       shape=st.sampled_from(["single", "stack", "strided"]),
+       m=st.integers(1, 40), mu=st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_vector_gain_columnwise_product_is_the_broadcast_bitwise(
+        data, d, shape, m, mu):
+    # one estimate with one row of lags, or with a (B, d) stack of lags,
+    # contiguous or the column view the moulines_d2 fixture hands it; the
+    # matmul x_lags @ theta_hat takes no stack of estimates.  A NaN lag
+    # makes the row's residual NaN too, so the lags hold none
+    theta = from_words(data, (d,))
+    lead = () if shape == "single" else (m,)
+    rows = np.concatenate((from_words(data, lead + (1,)),
+                           from_words(data, lead + (d,), NOT_NAN)), axis=-1)
+    x_k, x_lags = rows[..., 0], rows[..., 1:]
+    if shape == "stack":
+        x_k, x_lags = x_k.copy(), x_lags.copy()
+    with np.errstate(all="ignore"):
+        want = _vector_gain_reference(theta, x_k, x_lags, mu)
+        got = gains.ar_normalized_vector_gain(theta, x_k, x_lags, mu)
+    assert same_bits(got, want)
