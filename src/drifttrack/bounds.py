@@ -25,9 +25,9 @@ numpy's own reductions over the full stacks.
 
 On a leaf, numpy's per-row loops over a few columns cost several times
 their arithmetic, so the column sums and the centring go column by
-column (_ColumnSums, _centred), and at d = 1 the projection onto the
-error direction is one product per row (_project), each with the bits
-of the numpy call it replaces.
+column (_ColumnSums, linalg.by_column), and at d = 1 the projection
+onto the error direction is one product per row (_project), each with
+the bits of the numpy call it replaces.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import row_sq_norms
+from .linalg import by_column, row_sq_norms
 
 __all__ = [
     "BoundInputs",
@@ -189,15 +189,6 @@ class _ColumnSums:
         return combined if self._buf is None else self._buf[0].copy()
 
 
-def _centred(g: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """g - mean, bit for bit, as one subtraction per column: numpy's
-    broadcast of a (d,) vector over (m, d) rows is several times slower."""
-    out = np.empty_like(g)
-    for j, m in enumerate(mean):
-        np.subtract(g[:, j], m, out=out[:, j])
-    return out
-
-
 def _project(g, delta):
     """g @ delta for an (m, d) stack g, bit for bit.  At d = 1 that is
     one product per row, several times quicker than OpenBLAS's gemv on an
@@ -256,7 +247,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
 
     def squares(a, b):
         g = gains[a:b]
-        c = _centred(g, g_hat)
+        c = by_column(np.subtract, g, g_hat)
         c *= c
         proj = _project(g, delta)
         proj /= -dist_sq
@@ -335,7 +326,7 @@ def verify_A2_empirical(gain_eval, sampler: Callable, probe,
     devs = gains.reshape(-1)[:n]
 
     def norms(a, b):
-        devs[a:b] = row_sq_norms(_centred(gains[a:b], mean))
+        devs[a:b] = row_sq_norms(by_column(np.subtract, gains[a:b], mean))
         return (np.add.reduce(devs[a:b]),)
 
     def spread(a, b):

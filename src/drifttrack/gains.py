@@ -153,10 +153,10 @@ def gaussian_known_cov_spec(sigma) -> GainSpec:
     fixture builds, gives (b r) r, the bits of SciPy's cho_solve (tests
     pin it).  No row mixes with another, so a row's bits do not depend
     on how many rows come with it.  A non-finite row gives a non-finite
-    direction, which the tracking guard stops.  row - est is taken one
-    column at a time, several times quicker than numpy's broadcast over a
-    few columns, with its bits (where both hold a NaN, either may come
-    out, as between numpy's own loops).
+    direction, which the tracking guard stops.  Against one estimate, a
+    stack of rows (the verifiers' leaves) is centred column by column
+    (linalg.by_column); the recursion's (B, d) rows against (B, d)
+    estimates take one subtraction.
     """
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     d = sigma.shape[0]
@@ -175,10 +175,10 @@ def gaussian_known_cov_spec(sigma) -> GainSpec:
                            lambda2=1.0 / float(eigs[0]))
 
     def evaluator(est, row):
-        row, est = np.atleast_1d(row, est)
-        b = np.empty(np.broadcast_shapes(row.shape, est.shape))
-        for i in range(d):
-            np.subtract(row[..., i], est[..., i], out=b[..., i])
+        if np.ndim(row) > np.ndim(est) == 1:  # a stack against one estimate
+            b = linalg.by_column(np.subtract, row, est)
+        else:
+            b = np.atleast_1d(np.asarray(row - est, dtype=float))
         for i, terms in sweep:
             col = b[..., i]
             for j, u in terms:
@@ -258,9 +258,8 @@ def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):
     excitation lower bound fails there; kept for the required-failure
     verifier fixture (use ar1_normalized_spec for actual d=1 tracking).
     The scale 1 + mu ||x||^2 is formed in place and the product with the
-    lags taken one column at a time, with the bits of the broadcast
-    x_lags * resid[..., None] (where both hold a NaN, either may come
-    out, as between numpy's own loops).
+    lags taken one column at a time (linalg.by_column), with the bits of
+    the broadcast x_lags * resid[..., None].
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -272,10 +271,7 @@ def ar_normalized_vector_gain(theta_hat, x_k, x_lags, mu: float):
     scale *= mu
     scale += 1.0
     resid /= scale
-    out = np.empty_like(x_lags)
-    for j in range(x_lags.shape[-1]):
-        np.multiply(x_lags[..., j], resid, out=out[..., j])
-    return out
+    return linalg.by_column(np.multiply, x_lags, [resid] * x_lags.shape[-1])
 
 
 def at_pinned_past(evaluator: Callable, past) -> Callable:

@@ -1,7 +1,8 @@
 """Dense matrix helpers for autoregressive tracking.
 
 Toeplitz and companion constructions, unit upper-triangular
-back-substitution, the AR stability check and a column-wise row norm.
+back-substitution, the AR stability check, and two column-wise helpers:
+a row norm and an elementwise operation taken one column at a time.
 
 The stability check takes the companion spectral radius from
 np.linalg.eigvals.  The tests check it against their own Durand-Kerner
@@ -22,6 +23,7 @@ __all__ = [
     "solve_unit_upper",
     "ar_stability_check",
     "row_sq_norms",
+    "by_column",
 ]
 
 
@@ -114,3 +116,16 @@ def row_sq_norms(c: np.ndarray) -> np.ndarray:
     for j in range(1, c.shape[-1]):
         sq += c[..., j] * c[..., j]
     return sq
+
+
+def by_column(op, x: np.ndarray, cols) -> np.ndarray:
+    """op(x[..., j], cols[j]) into column j of a new float array shaped
+    like x.  On a stack of rows a few columns wide, numpy's broadcast
+    loops cost several times their arithmetic; a ufunc per column has
+    the bits of the broadcast (where both operands hold a NaN, either may
+    come out, as between numpy's own loops).  On one row, or operands of
+    one shape, the plain expression is quicker."""
+    out = np.empty(x.shape)
+    for j, col in enumerate(cols):
+        op(x[..., j], col, out=out[..., j])
+    return out

@@ -468,21 +468,24 @@ _SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
 @given(data=st.data(), m=st.integers(1, 40), d=st.sampled_from([1, 2, 3]))
 @settings(max_examples=200, deadline=None)
 def test_columnwise_centring_is_the_broadcast_bitwise(data, m, d):
-    # the verifiers centre a leaf one column at a time; the bits must be
-    # those of g - mean, for signed zeros, infinities and NaNs too
+    # the verifiers centre a leaf one column at a time (linalg.by_column);
+    # the bits must be those of g - mean, for signed zeros, infinities and
+    # NaNs too
     value = st.one_of(_SPECIALS, st.floats(width=64))
     g = np.array(data.draw(st.lists(value, min_size=m * d,
                                     max_size=m * d))).reshape(m, d)
     mean = np.array(data.draw(st.lists(value, min_size=d, max_size=d)))
     with np.errstate(invalid="ignore", over="ignore"):
-        assert bounds._centred(g, mean).tobytes() == (g - mean).tobytes()
+        got = linalg.by_column(np.subtract, g, mean)
+        assert got.tobytes() == (g - mean).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_columnwise_centring_of_a_leaf(d):
     g = _magnitudes(d, bounds._LEAF, d)
     mean = _magnitudes(d + 1, d)
-    assert bounds._centred(g, mean).tobytes() == (g - mean).tobytes()
+    got = linalg.by_column(np.subtract, g, mean)
+    assert got.tobytes() == (g - mean).tobytes()
 
 
 @given(data=st.data(), m=st.integers(1, 70), d=st.sampled_from([1, 2]))
@@ -512,11 +515,12 @@ def _three_pass_a2(gain_eval, rows, probe):
     mean = cols.total(bounds._tree(0, n, sums)[0]) / n
 
     def norms(a, b):
-        c = bounds._centred(stored[a:b], mean)
+        c = linalg.by_column(np.subtract, stored[a:b], mean)
         return (np.add.reduce(linalg.row_sq_norms(c)),)
 
     def spread(a, b):
-        dev = linalg.row_sq_norms(bounds._centred(stored[a:b], mean))
+        dev = linalg.row_sq_norms(
+            linalg.by_column(np.subtract, stored[a:b], mean))
         dev -= moment
         dev *= dev
         return (np.add.reduce(dev),)

@@ -467,8 +467,8 @@ def test_vector_normalized_gain_matches_reference_bitwise(width, n):
 
 
 def _broadcast_gaussian(sigma):
-    """gaussian_known_cov_spec's evaluator as it was before it took
-    row - est one column at a time: one broadcast subtraction."""
+    """gaussian_known_cov_spec's evaluator with row - est as one
+    broadcast subtraction, for every shape."""
     upper = np.linalg.cholesky(sigma).T
     recip = 1.0 / np.diag(upper)
     d = len(sigma)
