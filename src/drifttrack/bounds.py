@@ -228,7 +228,7 @@ def _a1_probe(gain_eval, sampler: Callable, theta: np.ndarray,
     re-reads them for the squared deviations."""
     delta = probe - theta
     dist_sq = float(delta @ delta)
-    if dist_sq < 1e-20:
+    if not dist_sq >= 1e-20:  # NaN fails too
         raise ValueError("probes must differ from the true parameter")
     rows, gains = _consumed_stack(sampler, rng, n, delta.size)
     cols = _ColumnSums(delta.size)

@@ -323,17 +323,12 @@ _GAINS = {
         v["model.d"], sigma=v["model.sigma"]),
 }
 
-# schedule.kind -> (values -> StepSchedule arguments beyond c_gamma,
-# cap and guard;  beta -> theoretical log n slope, or None)
-_SCHEDULES = {
-    "static": (lambda v: {}, lambda beta: -0.5),
-    "stabilizing": (lambda v: {"beta": v["schedule.beta"]},
-                    lambda beta: -beta / 3.0),
-    "lipschitz": (lambda v: {"beta": v["schedule.beta"]},
-                  lambda beta: -beta / (2.0 * beta + 1.0)),
-    "constant": (lambda v: {"gamma": v["schedule.gamma"]},
-                 lambda beta: None),
-}
+def _schedule(v: dict, c_gamma: float = 1.0,
+              lambda2_guard: Optional[float] = None) -> StepSchedule:
+    """The schedule.* step schedule; each kind reads the keys it needs."""
+    return StepSchedule(kind=v["schedule.kind"], c_gamma=c_gamma,
+                        beta=v["schedule.beta"], gamma=v["schedule.gamma"],
+                        cap=v["schedule.cap"], lambda2_guard=lambda2_guard)
 
 
 def _build(section: str, raw: dict, build: Callable, *args,
@@ -370,14 +365,10 @@ def build_components(raw: dict, n: int):
                       dim=d)
     model = _build("model", raw, build_model, v, n, path, noise, dim=d)
     gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise, dim=d)
-    schedule_args, _slope = _pick(_SCHEDULES, "schedule.kind", v)
     consts = gain.constants
-    schedule = _build("schedule", raw, lambda: StepSchedule(
-        kind=v["schedule.kind"],
-        c_gamma=_or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1)),
-        cap=v["schedule.cap"],
-        lambda2_guard=_or(v["schedule.lambda2_guard"], consts.lambda2),
-        **schedule_args(v)))
+    c_gamma = _or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1))
+    schedule = _build("schedule", raw, _schedule, v, c_gamma,
+                      _or(v["schedule.lambda2_guard"], consts.lambda2))
     config = _build("tracking", raw, lambda: TrackingConfig(
         dimension=d, horizon=n, schedule=schedule,
         initial_estimate=_or(v["tracking.initial"], (0.0,) * d)))
@@ -468,8 +459,8 @@ def fit_rate(pairs) -> tuple[float, float]:
 
 def theoretical_slope_for(raw: dict) -> Optional[float]:
     v = _values(raw)
-    slope = _pick(_SCHEDULES, "schedule.kind", v)[1](v["schedule.beta"])
-    return _or(v["experiment.theoretical_slope"], slope)
+    return _or(v["experiment.theoretical_slope"],
+               _build("schedule", raw, _schedule, v).slope)
 
 
 def _norms(last: np.ndarray, p: float) -> np.ndarray:

@@ -1,27 +1,17 @@
-"""Step-size sequences for the tracking recursion.
-
-Four regimes: near-constant parameter (log k / k steps), stabilizing
-drift, Lipschitz-in-rescaled-time drift (constant step tuned to the
-horizon), and plain constant steps.  Every emitted step honours the cap
-Gamma and, when a lambda2 guard is declared, the contraction requirement
-gamma * lambda2 <= 1.
-"""
+"""Step-size sequences for the tracking recursion: one StepSchedule kind
+per regime (near-constant parameter, stabilizing drift, Lipschitz drift
+in rescaled time, constant steps).  Every step honours the cap Gamma
+and, when a lambda2 guard is declared, gamma * lambda2 <= 1."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "StepSchedule",
-    "schedule_static",
-    "schedule_stabilizing",
-    "schedule_lipschitz",
-    "schedule_constant",
-    "default_c_gamma",
-]
+__all__ = ["StepSchedule", "default_c_gamma"]
 
 
 def default_c_gamma(lambda1: float | None) -> float:
@@ -29,63 +19,17 @@ def default_c_gamma(lambda1: float | None) -> float:
     return 4.0 / lambda1 if lambda1 else 1.0
 
 
-def schedule_static(c_gamma: float, k) -> float:
-    """c_gamma * ln(k)/k; indices below 2 reuse the k=2 value."""
-    if c_gamma <= 0:
-        raise ValueError("c_gamma must be positive")
-    k = max(float(k), 2.0)
-    return c_gamma * math.log(k) / k
-
-
-def schedule_stabilizing(c_gamma: float, beta: float, k) -> float:
-    """c_gamma * (ln k)^{1/3} k^{-2 beta/3} for 0 < beta < 3/2.
-
-    Beyond beta = 3/2 the drift is summable and the parameter behaves as
-    constant, so the static schedule takes over.
-    """
-    if c_gamma <= 0:
-        raise ValueError("c_gamma must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if beta >= 1.5:
-        return schedule_static(c_gamma, k)
-    k = max(float(k), 2.0)
-    return c_gamma * math.log(k) ** (1.0 / 3.0) * k ** (-2.0 * beta / 3.0)
-
-
-def schedule_lipschitz(c_gamma: float, beta: float, n) -> float:
-    """Constant step c_gamma (ln n)^{(2b-1)/(2b+1)} n^{-2b/(2b+1)}."""
-    if c_gamma <= 0:
-        raise ValueError("c_gamma must be positive")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    n = max(float(n), 2.0)
-    return (c_gamma * math.log(n) ** ((2 * beta - 1) / (2 * beta + 1))
-            * n ** (-2 * beta / (2 * beta + 1)))
-
-
-def schedule_constant(gamma: float) -> float:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return gamma
-
-
-# kind -> (schedule, k) -> the uncapped step gamma_k; a lipschitz or
-# constant step is one value for all k < n, and is given n for k
-_TERMS = {
-    "static": lambda s, k: schedule_static(s.c_gamma, k),
-    "stabilizing": lambda s, k: schedule_stabilizing(s.c_gamma, s.beta, k),
-    "lipschitz": lambda s, n: schedule_lipschitz(s.c_gamma, s.beta, n),
-    "constant": lambda s, n: schedule_constant(s.gamma),
-}
-
-
 @dataclass(frozen=True)
 class StepSchedule:
-    """A step sequence gamma_k with cap and contraction guard.
+    """A step sequence gamma_k with cap and contraction guard; each kind
+    checks only the parameters it reads, and k < 2 reuses k = 2.
 
-    kind: "static" | "stabilizing" | "lipschitz" | "constant".  A
-    lipschitz step is tuned to the n given to values_upto.
+    static       c_gamma ln(k) / k
+    stabilizing  c_gamma (ln k)^{1/3} k^{-2 beta/3}, beta > 0; from
+                 beta = 3/2 on the drift is summable, so the static term
+    lipschitz    c_gamma (ln n)^{(2b-1)/(2b+1)} n^{-2b/(2b+1)} for every
+                 k < n, 0 < beta <= 1, with n the horizon of values_upto
+    constant     gamma
     """
 
     kind: str
@@ -96,23 +40,54 @@ class StepSchedule:
     lambda2_guard: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _TERMS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("stabilizing", "lipschitz") and self.beta is None:
-            raise ValueError("beta required for this kind")
-        if self.kind == "constant" and self.gamma is None:
-            raise ValueError("gamma required for the constant kind")
-        if self.cap <= 0:
+        kind, beta, gamma = self.kind, self.beta, self.gamma
+        if kind not in ("static", "stabilizing", "lipschitz", "constant"):
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        if not self.cap > 0:  # each check fails on NaN, beta and gamma on None
             raise ValueError("cap must be positive")
-        _TERMS[self.kind](self, 2)  # the term checks its own arguments
+        if kind == "constant" and not (gamma is not None and gamma > 0):
+            raise ValueError("gamma must be positive")
+        if kind != "constant" and not self.c_gamma > 0:
+            raise ValueError("c_gamma must be positive")
+        if kind == "stabilizing" and not (beta is not None and beta > 0):
+            raise ValueError("beta must be positive")
+        if kind == "lipschitz" and not (beta is not None and 0 < beta <= 1):
+            raise ValueError("beta must lie in (0, 1]")
+
+    @property
+    def _drifting(self) -> bool:
+        """Whether the stabilizing term applies (beta < 3/2)."""
+        return self.kind == "stabilizing" and self.beta < 1.5
+
+    @property
+    def slope(self) -> float | None:
+        """The theoretical log n slope of the error, None for constant
+        steps; stabilizing at beta >= 3/2 has the static slope."""
+        if self.kind == "constant":
+            return None
+        if self.kind == "lipschitz":
+            return -self.beta / (2.0 * self.beta + 1.0)
+        return -self.beta / 3.0 if self._drifting else -0.5
 
     def values_upto(self, n: int) -> np.ndarray:
-        """gamma_0 .. gamma_{n-1} as an array; the term is chosen once,
-        and a lipschitz or constant schedule is one value repeated."""
-        term, ceiling = _TERMS[self.kind], self.cap
+        """gamma_0 .. gamma_{n-1} (n >= 0), each capped by min(cap,
+        1/lambda2_guard).  Each step takes a math.log and a float power,
+        whose bits numpy's vector log and power need not give."""
+        ceiling, c, log = self.cap, self.c_gamma, math.log
         if self.lambda2_guard:
             ceiling = min(ceiling, 1.0 / self.lambda2_guard)
-        if self.kind in ("lipschitz", "constant"):
-            return np.full(n, min(term(self, n), ceiling))
-        return np.fromiter((min(term(self, k), ceiling) for k in range(n)),
-                           float, count=n)
+        if self.kind == "constant":
+            return np.full(n, min(self.gamma, ceiling))
+        if self.kind == "lipschitz":
+            b, m = self.beta, max(float(n), 2.0)
+            step = (c * log(m) ** ((2 * b - 1) / (2 * b + 1))
+                    * m ** (-2 * b / (2 * b + 1)))
+            return np.full(n, min(step, ceiling))
+        ks = itertools.chain((2.0, 2.0), map(float, range(2, n)))
+        if self._drifting:
+            e = -2.0 * self.beta / 3.0
+            steps = (c * log(k) ** (1.0 / 3.0) * k ** e for k in ks)
+        else:
+            steps = (c * log(k) / k for k in ks)
+        out = np.fromiter(steps, float, count=n)
+        return np.minimum(out, ceiling, out=out)

@@ -264,6 +264,17 @@ class TestVerifyA1:
                                 lambda r, n: np.zeros(n), [0.5], [[0.5]],
                                 20_000, make_rng(0))
 
+    @pytest.mark.parametrize("theta, probe", [
+        ([0.5], [math.nan]), ([math.nan], [0.5])])
+    def test_nan_probe_rejected(self, theta, probe):
+        # a NaN distance fails the check, as a zero one does, instead of
+        # running the passes to NaN statistics
+        spec = gains.signal_noise_spec(1)
+        with pytest.raises(ValueError, match="differ"):
+            verify_A1_empirical(spec.evaluator,
+                                lambda r, n: np.zeros(n), theta, [probe],
+                                20_000, make_rng(0))
+
 
 class TestVerifyA2:
     def test_deterministic_gain_zero(self):

@@ -88,6 +88,8 @@ class TestBuildComponents:
     def test_unknown_schedule(self):
         with pytest.raises(ConfigError):
             build_components({"schedule.kind": "mystery"}, 10)
+        with pytest.raises(ConfigError, match="schedule.kind"):
+            theoretical_slope_for({"schedule.kind": "mystery"})
 
     def test_unknown_path(self):
         with pytest.raises(ConfigError):
@@ -179,6 +181,13 @@ class TestTheoreticalSlope:
         raw = {"schedule.kind": "static",
                "experiment.theoretical_slope": "-0.4"}
         assert theoretical_slope_for(raw) == -0.4
+
+    def test_fast_stabilizing_drift_has_the_static_slope(self):
+        # from beta = 3/2 on the schedule runs the static term, so the
+        # verdict is against the static slope, not -beta/3
+        for beta in ("1.5", "2", "3"):
+            assert theoretical_slope_for({"schedule.kind": "stabilizing",
+                                          "schedule.beta": beta}) == -0.5
 
 
 _SWEEP_RAW = {

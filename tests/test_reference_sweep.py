@@ -78,7 +78,8 @@ def sweep_configs(draw):
             ["normal", "uniform", "zero"]))
     if gain == "quantile":
         raw["gain.alpha"] = draw(st.sampled_from(["0.3", "0.5"]))
-    schedule = draw(st.sampled_from(sorted(ex._SCHEDULES)))
+    schedule = draw(st.sampled_from(
+        ["constant", "lipschitz", "stabilizing", "static"]))
     raw["schedule.kind"] = schedule
     if schedule == "constant":  # 2.5 overshoots: signal_noise diverges
         raw["schedule.gamma"] = draw(st.sampled_from(["0.05", "0.5", "2.5"]))
