@@ -74,7 +74,7 @@ class BoundInputs:
     def __post_init__(self):
         if not 0 < self.lambda1 <= self.lambda2:
             raise ValueError("need 0 < lambda1 <= lambda2")
-        if self.c_g < 0 or self.c_theta <= 0 or self.c_theta_bar <= 0:
+        if not (self.c_g >= 0 and self.c_theta > 0 and self.c_theta_bar > 0):
             raise ValueError("invalid moment constants")
         gammas = np.atleast_1d(np.asarray(self.gammas, dtype=float))
         object.__setattr__(self, "gammas", gammas)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,104 +93,25 @@ def _at_least(parse: Callable, low: float, strict: bool = False) -> Callable:
     return parse_in_range
 
 
+def _one_of(names) -> Callable:
+    """The text, if names (a table's kinds or a kind list) holds it."""
+    def parse_choice(text):
+        if text not in names:
+            raise ValueError(f"not one of {', '.join(names)}")
+        return text
+    return parse_choice
+
+
 _INTS = _list_of(int)
 _FLOATS = _list_of(float)
 _NAMES = _list_of(str.strip)
 _POSITIVE = _at_least(float, 0.0, strict=True)
 _NONNEGATIVE = _at_least(float, 0.0)
 
-# Every key the harness reads: key -> (parser, default).  Integer keys
-# go through int(), never float, so 64-bit seeds stay exact.  A default
-# of None means the component that reads the key derives the value.
-CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
-    "experiment.horizons": (_at_least(_INTS, 1), (1000,)),
-    "experiment.replications": (int, 1),
-    "experiment.seed": (int, 1),
-    "experiment.burn_in_fraction": (float, 0.5),
-    "experiment.p": (_POSITIVE, 2.0),
-    "experiment.statistic": (str, "window"),
-    "experiment.tolerance": (float, 0.1),
-    "experiment.theoretical_slope": (float, None),  # from schedule.kind
-    "path.kind": (str, "static"),
-    "path.value": (_FLOATS, None),     # d zeros
-    "path.c_theta": (float, None),     # per path kind
-    "path.c_rho": (_POSITIVE, 1.0),
-    "path.beta": (_NONNEGATIVE, 1.0),
-    "path.start": (_FLOATS, None),     # the origin
-    "path.function": (str, "sine"),
-    "path.amplitude": (float, 0.5),
-    "model.kind": (str, "signal_noise"),
-    "model.d": (_at_least(int, 1), 1),
-    "model.noise.kind": (str, "normal"),
-    "model.noise.scale": (_NONNEGATIVE, 1.0),
-    "model.x0": (float, 0.0),
-    "model.sigma": (float, 1.0),
-    "model.rho": (float, 0.9),
-    "model.intensity": (str, "constant"),
-    "model.intensity.a": (float, 1.0),
-    "model.intensity.b": (float, 0.0),
-    "gain.kind": (str, "signal_noise"),
-    "gain.alpha": (float, 0.5),
-    "gain.density_floor": (float, None),
-    "gain.density_cap": (float, None),
-    "gain.intensity_bound": (float, None),
-    "gain.sigma_diag": (_FLOATS, None),  # d ones
-    "gain.trunc": (float, None),         # per gain kind
-    "gain.lambda1": (float, None),
-    "gain.c_g": (float, None),
-    "gain.mu": (float, 1.0),
-    "schedule.kind": (str, "static"),
-    "schedule.c_gamma": (_POSITIVE, None),    # 4 / lambda1 of the gain
-    "schedule.lambda2_guard": (float, None),  # lambda2 of the gain
-    "schedule.cap": (_POSITIVE, math.inf),
-    "schedule.beta": (_POSITIVE, 1.0),
-    "schedule.gamma": (_POSITIVE, 0.1),
-    "tracking.initial": (_FLOATS, None),  # d zeros
-    "bounds.checkpoints": (_at_least(int, 1), 20),
-    "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
-    "bounds.lambda2": (_POSITIVE, None),
-    "bounds.c_g": (float, None),
-    "bounds.c_theta": (float, None),  # the model's path's
-    "verify.fixtures": (_NAMES, None),  # all built-in fixtures
-    "verify.samples": (_at_least(int, bounds_mod.MIN_SAMPLES), 20_000),
-    "kalman.n": (_at_least(int, 1), None),  # the last horizon
-    "kalman.m0": (float, 0.0),
-    "kalman.var0": (_POSITIVE, 1.0),
-    "kalman.var_noise": (_POSITIVE, 1.0),
-    "kalman.deltas": (_FLOATS, ()),
-    "kalman.theta": (float, 0.0),
-    "kalman.tolerance": (float, 1e-12),
-}
-
-
-def _values(raw: dict[str, str]) -> dict[str, object]:
-    """Every declared key, parsed from raw or set to its default.
-
-    A key that CONFIG_KEYS does not declare is an error for every
-    subcommand, so a misspelled key cannot fall back on a default.
-    """
-    values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
-    for key, text in raw.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = CONFIG_KEYS[key][0](text)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad value {text!r} ({exc})") from exc
-    return values
-
 
 def _or(value, default):
     """value, or default when the key was not set."""
     return default if value is None else value
-
-
-def _pick(table: dict, key: str, values: dict):
-    """The table entry for the kind that key names."""
-    try:
-        return table[values[key]]
-    except KeyError:
-        raise ConfigError(f"unknown {key} {values[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -203,7 +124,6 @@ class ExperimentConfig:
     burn_in_fraction: float = 0.5
     p: float = 2.0
     out: Optional[str] = None
-    quiet: bool = False
 
     def __post_init__(self):
         if self.replications < 1:
@@ -228,7 +148,6 @@ def experiment_config(kind: str, raw: dict[str, str],
         burn_in_fraction=v["experiment.burn_in_fraction"],
         p=v["experiment.p"],
         out=overrides.get("out"),
-        quiet=bool(overrides.get("quiet", False)),
     )
 
 
@@ -248,7 +167,7 @@ def _lipschitz_path(v: dict, n: int) -> models_mod.ParameterPath:
     if not 0.0 < v["path.beta"] <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     amp = v["path.amplitude"]
-    func = _pick(_PATH_FUNCTIONS, "path.function", v)(amp)
+    func = _PATH_FUNCTIONS[v["path.function"]](amp)
     table = np.empty((n + 1, v["model.d"]))
     for k in range(n + 1):
         table[k] = func(k / n)
@@ -281,7 +200,7 @@ def _poisson_model(v: dict, n: int, _path, _noise):
     """Poisson counts read from a grid of the intensity's cell means for
     horizon n, not from a path.* path; c_theta is their largest
     square."""
-    intensity = _pick(_INTENSITIES, "model.intensity", v)(
+    intensity = _INTENSITIES[v["model.intensity"]](
         v["model.intensity.a"], v["model.intensity.b"])
     return models_mod.PoissonCountModel(path=models_mod.make_parameter_path(
         "grid", table=models_mod.poisson_targets(intensity, n)))
@@ -323,6 +242,89 @@ _GAINS = {
         v["model.d"], sigma=v["model.sigma"]),
 }
 
+
+# Every key the harness reads: key -> (parser, default).  Integer keys
+# go through int(), never float, so 64-bit seeds stay exact.  A default
+# of None means the component that reads the key derives the value.  A
+# choice key is checked against the table or kind list that reads it.
+CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
+    "experiment.horizons": (_at_least(_INTS, 1), (1000,)),
+    "experiment.replications": (int, 1),
+    "experiment.seed": (int, 1),
+    "experiment.burn_in_fraction": (float, 0.5),
+    "experiment.p": (_POSITIVE, 2.0),
+    "experiment.statistic": (_one_of(("window", "final")), "window"),
+    "experiment.tolerance": (float, 0.1),
+    "experiment.theoretical_slope": (float, None),  # from schedule.kind
+    "path.kind": (_one_of(_PATHS), "static"),
+    "path.value": (_FLOATS, None),     # d zeros
+    "path.c_theta": (float, None),     # per path kind
+    "path.c_rho": (_POSITIVE, 1.0),
+    "path.beta": (_NONNEGATIVE, 1.0),
+    "path.start": (_FLOATS, None),     # the origin
+    "path.function": (_one_of(_PATH_FUNCTIONS), "sine"),
+    "path.amplitude": (float, 0.5),
+    "model.kind": (_one_of(_MODELS), "signal_noise"),
+    "model.d": (_at_least(int, 1), 1),
+    "model.noise.kind": (_one_of(models_mod.NoiseSpec.KINDS), "normal"),
+    "model.noise.scale": (_NONNEGATIVE, 1.0),
+    "model.x0": (float, 0.0),
+    "model.sigma": (float, 1.0),
+    "model.rho": (float, 0.9),
+    "model.intensity": (_one_of(_INTENSITIES), "constant"),
+    "model.intensity.a": (float, 1.0),
+    "model.intensity.b": (float, 0.0),
+    "gain.kind": (_one_of(_GAINS), "signal_noise"),
+    "gain.alpha": (float, 0.5),
+    "gain.density_floor": (float, None),
+    "gain.density_cap": (float, None),
+    "gain.intensity_bound": (float, None),
+    "gain.sigma_diag": (_FLOATS, None),  # d ones
+    "gain.trunc": (float, None),         # per gain kind
+    "gain.lambda1": (float, None),
+    "gain.c_g": (float, None),
+    "gain.mu": (float, 1.0),
+    "schedule.kind": (_one_of(StepSchedule.KINDS), "static"),
+    "schedule.c_gamma": (_POSITIVE, None),    # 4 / lambda1 of the gain
+    "schedule.lambda2_guard": (float, None),  # lambda2 of the gain
+    "schedule.cap": (_POSITIVE, math.inf),
+    "schedule.beta": (_POSITIVE, 1.0),
+    "schedule.gamma": (_POSITIVE, 0.1),
+    "tracking.initial": (_FLOATS, None),  # d zeros
+    "bounds.checkpoints": (_at_least(int, 1), 20),
+    "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
+    "bounds.lambda2": (_POSITIVE, None),
+    "bounds.c_g": (float, None),
+    "bounds.c_theta": (float, None),  # the model's path's
+    "verify.fixtures": (_NAMES, None),  # all built-in fixtures
+    "verify.samples": (_at_least(int, bounds_mod.MIN_SAMPLES), 20_000),
+    "kalman.n": (_at_least(int, 1), None),  # the last horizon
+    "kalman.m0": (float, 0.0),
+    "kalman.var0": (_POSITIVE, 1.0),
+    "kalman.var_noise": (_POSITIVE, 1.0),
+    "kalman.deltas": (_FLOATS, ()),
+    "kalman.theta": (float, 0.0),
+    "kalman.tolerance": (float, 1e-12),
+}
+
+
+def _values(raw: dict[str, str]) -> dict[str, object]:
+    """Every declared key, parsed from raw or set to its default.
+
+    A key that CONFIG_KEYS does not declare is an error for every
+    subcommand, so a misspelled key cannot fall back on a default.
+    """
+    values = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+    for key, text in raw.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_KEYS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad value {text!r} ({exc})") from exc
+    return values
+
+
 def _schedule(v: dict, c_gamma: float = 1.0,
               lambda2_guard: Optional[float] = None) -> StepSchedule:
     """The schedule.* step schedule; each kind reads the keys it needs."""
@@ -353,7 +355,6 @@ def build_components(raw: dict, n: int):
     d = v["model.d"]
     noise = _build("model.noise", raw, models_mod.NoiseSpec,
                    v["model.noise.kind"], v["model.noise.scale"])
-    build_model = _pick(_MODELS, "model.kind", v)
     if v["model.kind"] in _OWN_TARGETS:
         stray = [key for key in raw if key.startswith("path.")]
         if stray:
@@ -361,10 +362,10 @@ def build_components(raw: dict, n: int):
                               f"{v['model.kind']} reads no path.* key")
         path = None
     else:
-        path = _build("path", raw, _pick(_PATHS, "path.kind", v), v, n,
-                      dim=d)
-    model = _build("model", raw, build_model, v, n, path, noise, dim=d)
-    gain = _build("gain", raw, _pick(_GAINS, "gain.kind", v), v, noise, dim=d)
+        path = _build("path", raw, _PATHS[v["path.kind"]], v, n, dim=d)
+    model = _build("model", raw, _MODELS[v["model.kind"]], v, n, path, noise,
+                   dim=d)
+    gain = _build("gain", raw, _GAINS[v["gain.kind"]], v, noise, dim=d)
     consts = gain.constants
     c_gamma = _or(v["schedule.c_gamma"], default_c_gamma(consts.lambda1))
     schedule = _build("schedule", raw, _schedule, v, c_gamma,
@@ -497,8 +498,6 @@ def run_rate_sweep(config: ExperimentConfig) -> RateReport:
     v = _values(raw)
     reps = config.replications
     statistic = v["experiment.statistic"]
-    if statistic not in ("window", "final"):
-        raise ConfigError(f"unknown experiment.statistic: {statistic}")
     if config.horizons[0] < 2:  # the fit's log log n needs n >= 2
         raise ConfigError("experiment.horizons: rates needs horizons of at "
                           f"least 2, got {config.horizons[0]}")
@@ -582,12 +581,23 @@ def run_bound_check(config: ExperimentConfig,
         raise ConfigError("experiment.replications: bound-check needs at "
                           f"least 2, got {reps}")
     tracking, model, gain, path = build_components(raw, n)
+    gammas = tracking.schedule.values_upto(n)
+    consts = gain.constants
+    lam1 = _or(v["bounds.lambda1"], consts.lambda1)
+    lam2 = _or(v["bounds.lambda2"], consts.lambda2)
+    c_g = _or(v["bounds.c_g"], consts.c_g)
+    if lam1 is None or lam2 is None or c_g is None:
+        raise ConfigError("bound check needs lambda1, lambda2 and c_g "
+                          "(declared by the gain or set under bounds.*)")
+    # checked before the runs; c_theta_bar is theirs to measure
+    inputs = _build("bounds", raw, bounds_mod.BoundInputs, lam1, lam2, c_g,
+                    max(_or(v["bounds.c_theta"], path.c_theta), 1e-12), 1.0,
+                    gammas[k0:])
     n_checks = min(v["bounds.checkpoints"], n - k0)
     slots = np.unique(np.linspace(k0 + 1, n, n_checks).astype(int))
     err_norms = np.empty((reps, slots.size))
     osc_sum = np.zeros(n - k0)          # sum over reps of ||theta_{i+1} - theta_{k0}||
     est_sq_sum = np.zeros(n + 1)        # sum over reps of ||theta_hat_k||^2
-    gammas = tracking.schedule.values_upto(n)
     seeds = [config.seed ^ rep for rep in range(reps)]
     runs = run_replications(tracking, model, gain, seeds, gammas)
     for start, first, estimates, targets in runs:
@@ -606,23 +616,13 @@ def run_bound_check(config: ExperimentConfig,
                     np.linalg.norm(targets[i, past:] - origins[i], axis=1)
         del estimates, targets  # before the next window's draw
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
-    consts = gain.constants
-    lam1 = _or(v["bounds.lambda1"], consts.lambda1)
-    lam2 = _or(v["bounds.lambda2"], consts.lambda2)
-    c_g = _or(v["bounds.c_g"], consts.c_g)
-    if lam1 is None or lam2 is None or c_g is None:
-        raise ConfigError("bound check needs lambda1, lambda2 and c_g "
-                          "(declared by the gain or set under bounds.*)")
-    c_theta = max(_or(v["bounds.c_theta"], path.c_theta), 1e-12)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
     checks = []
     for j, slot in enumerate(slots):
         k = slot - 1  # the step that produced this slot
-        inputs = bounds_mod.BoundInputs(
-            lambda1=lam1, lambda2=lam2, c_g=c_g, c_theta=c_theta,
-            c_theta_bar=c_theta_bar, gammas=gammas[k0:k + 1])
         osc = float(osc_mean_cummax[k - k0])
-        bound = bounds_mod.theorem1_bound(inputs, osc)
+        bound = bounds_mod.theorem1_bound(replace(
+            inputs, c_theta_bar=c_theta_bar, gammas=gammas[k0:k + 1]), osc)
         mean = math.fsum(err_norms[:, j]) / reps
         se = float(err_norms[:, j].std(ddof=1)) / math.sqrt(reps)
         checks.append((mean, se, bound,
@@ -966,62 +966,49 @@ def run_single(config: ExperimentConfig):
 # CLI
 # =====================================================================
 
-def _print(config: ExperimentConfig, message: str) -> None:
-    if not config.quiet:
-        print(message)
+def _verdict(passed) -> str:
+    return "PASS" if passed else "FAIL"
 
 
-def _cmd_rates(config: ExperimentConfig) -> int:
-    report = run_rate_sweep(config)
-    emit_csv(RATE_HEADER, report.rows, config.out, echo=config.quiet)
-    theo = "n/a" if report.theoretical_slope is None \
-        else f"{report.theoretical_slope:+.4f}"
-    _print(config, f"slope {report.slope:+.4f} (+-{report.half_width:.4f}), "
-                   f"theoretical {theo}, "
-                   f"{'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+def _rates(config: ExperimentConfig):
+    r = run_rate_sweep(config)
+    theo = "n/a" if r.theoretical_slope is None \
+        else f"{r.theoretical_slope:+.4f}"
+    return RATE_HEADER, r.rows, r.passed, [
+        f"slope {r.slope:+.4f} (+-{r.half_width:.4f}), theoretical {theo}, "
+        f"{_verdict(r.passed)}"]
 
 
-def _cmd_bound_check(config: ExperimentConfig) -> int:
-    table = run_bound_check(config)
-    emit_csv(BOUND_HEADER, table.rows, config.out, echo=config.quiet)
-    _print(config, f"bound dominance at {len(table.ks)} checkpoints: "
-                   f"{'PASS' if table.passed else 'FAIL'}")
-    return 0 if table.passed else 1
+def _bound_check(config: ExperimentConfig):
+    t = run_bound_check(config)
+    return BOUND_HEADER, t.rows, t.passed, [
+        f"bound dominance at {len(t.ks)} checkpoints: {_verdict(t.passed)}"]
 
 
-def _cmd_verify(config: ExperimentConfig) -> int:
-    report = run_condition_verify(config)
-    emit_csv(VERIFY_HEADER, report.rows, config.out, echo=config.quiet)
-    for name, expected, observed, _rows in report.fixture_results:
-        verdict = "PASS" if observed == expected else "FAIL"
-        _print(config, f"{name}: observed "
-                       f"{'pass' if observed else 'fail'}, expected "
-                       f"{'pass' if expected else 'fail'} -> {verdict}")
-    return 0 if report.passed else 1
+def _verify(config: ExperimentConfig):
+    r = run_condition_verify(config)
+    return VERIFY_HEADER, r.rows, r.passed, [
+        f"{name}: observed {'pass' if observed else 'fail'}, expected "
+        f"{'pass' if expected else 'fail'} -> {_verdict(observed == expected)}"
+        for name, expected, observed, _rows in r.fixture_results]
 
 
-def _cmd_kalman(config: ExperimentConfig) -> int:
-    result = run_kalman_compare(config)
-    emit_csv(KALMAN_HEADER, result.rows, config.out, echo=config.quiet)
-    _print(config, f"max |kalman - tracker| = {result.max_abs_diff:.3e}, "
-                   f"max |kalman - running mean| = {result.max_mean_diff:.3e}"
-                   f" -> {'PASS' if result.passed else 'FAIL'}")
-    return 0 if result.passed else 1
+def _kalman(config: ExperimentConfig):
+    r = run_kalman_compare(config)
+    return KALMAN_HEADER, r.rows, r.passed, [
+        f"max |kalman - tracker| = {r.max_abs_diff:.3e}, "
+        f"max |kalman - running mean| = {r.max_mean_diff:.3e}"
+        f" -> {_verdict(r.passed)}"]
 
 
-def _cmd_run(config: ExperimentConfig) -> int:
-    header, rows = run_single(config)
-    emit_csv(header, rows, config.out, echo=True)  # no summary line to print
-    return 0
-
-
+# subcommand -> config -> (CSV header, rows, passed, summary lines); run
+# has no summary, so its CSV goes to stdout when there is no --out
 _COMMANDS = {
-    "run": _cmd_run,
-    "rates": _cmd_rates,
-    "bound-check": _cmd_bound_check,
-    "verify": _cmd_verify,
-    "kalman-compare": _cmd_kalman,
+    "run": lambda config: (*run_single(config), True, []),
+    "rates": _rates,
+    "bound-check": _bound_check,
+    "verify": _verify,
+    "kalman-compare": _kalman,
 }
 
 
@@ -1040,10 +1027,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        overrides = {"seed": args.seed, "out": args.out,
-                     "replications": args.replications, "quiet": args.quiet}
-        config = experiment_config(args.command, raw, overrides)
-        return _COMMANDS[args.command](config)
+        config = experiment_config(args.command, raw, vars(args))
+        header, rows, passed, lines = _COMMANDS[args.command](config)
+        # with --quiet and no --out, the CSV is the whole of stdout
+        emit_csv(header, rows, config.out, echo=args.quiet or not lines)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -1051,6 +1038,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"diverged at step {exc.step}: horizon {exc.horizon}, "
               f"replication {exc.replication}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        sys.stdout.writelines(line + "\n" for line in lines)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -57,13 +57,15 @@ def make_rng(seed: int) -> np.random.Generator:
 class NoiseSpec:
     """Centered innovation distribution: normal, uniform, or zero."""
 
+    KINDS = ("normal", "uniform", "zero")
+
     kind: str = "normal"
     scale: float = 1.0  # std dev for normal, half-width for uniform
 
     def __post_init__(self):
-        if self.kind not in ("normal", "uniform", "zero"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unsupported noise kind {self.kind!r}")
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValueError("scale must be nonnegative")
 
     @property
@@ -110,9 +112,11 @@ class ParameterPath:
     def __post_init__(self):
         if self.kind not in ("static", "stabilizing", "grid"):
             raise ValueError(f"unknown path kind {self.kind!r}")
-        if self.kind == "stabilizing" and self.c_rho <= 0:
+        if not self.c_theta >= 0:  # 0 for a zero-intensity Poisson grid
+            raise ValueError("c_theta must be nonnegative")
+        if self.kind == "stabilizing" and not self.c_rho > 0:
             raise ValueError("c_rho must be positive")
-        if self.kind == "stabilizing" and self.beta < 0:
+        if self.kind == "stabilizing" and not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
         if self.kind == "static":
             self.value = self._check(
@@ -435,7 +439,7 @@ class ArdBatchModel(_Streamed):
             raise ValueError("rho must lie in (0, 1)")
         if self.d < 1:
             raise ValueError("d must be positive")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.path.kind == "static":
             self._check_stable(self.path.value, "of the static path")

@@ -32,6 +32,8 @@ class StepSchedule:
     constant     gamma
     """
 
+    KINDS = ("static", "stabilizing", "lipschitz", "constant")
+
     kind: str
     c_gamma: float = 1.0
     beta: float | None = None
@@ -41,7 +43,7 @@ class StepSchedule:
 
     def __post_init__(self):
         kind, beta, gamma = self.kind, self.beta, self.gamma
-        if kind not in ("static", "stabilizing", "lipschitz", "constant"):
+        if kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {kind!r}")
         if not self.cap > 0:  # each check fails on NaN, beta and gamma on None
             raise ValueError("cap must be positive")
@@ -53,6 +55,8 @@ class StepSchedule:
             raise ValueError("beta must be positive")
         if kind == "lipschitz" and not (beta is not None and 0 < beta <= 1):
             raise ValueError("beta must lie in (0, 1]")
+        if self.lambda2_guard is not None and not self.lambda2_guard > 0:
+            raise ValueError("lambda2_guard must be positive")
 
     @property
     def _drifting(self) -> bool:

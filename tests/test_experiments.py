@@ -514,6 +514,22 @@ class TestKalmanCompare:
         assert result.passed
 
 
+_SUBCOMMANDS = ("run", "rates", "bound-check", "verify", "kalman-compare")
+# each choice key: a mistyped value, and the subcommands that rejected it
+# already when choice keys were checked only where a component was built
+# (TestBuildComponents and TestRateSweep cover those)
+_TYPOS = {
+    "path.kind": ("statik", ("run", "rates")),
+    "path.function": ("sin", ()),
+    "model.kind": ("signal_nois", ("run", "rates")),
+    "model.intensity": ("constnt", ()),
+    "gain.kind": ("quantil", ("run", "rates")),
+    "experiment.statistic": ("windw", ("rates",)),
+    "schedule.kind": ("statc", ("run", "rates")),
+    "model.noise.kind": ("gauss", ("run", "rates")),
+}
+
+
 class TestCli:
     def _write(self, tmp_path, text):
         path = tmp_path / "exp.cfg"
@@ -593,6 +609,54 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == format_csv(header, rows)
 
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_summary_is_built_from_the_report(self, tmp_path, capsys,
+                                              command):
+        # with --out, stdout is the summary alone, one line per verdict
+        raw = {**_SWEEP_RAW, "verify.samples": "10000",
+               "verify.fixtures": "quantile,moulines_d2", "kalman.n": "300"}
+        cfg = self._write(tmp_path, "\n".join(
+            f"{k} = {v}" for k, v in raw.items()))
+        config = experiment_config(command, raw)
+
+        def verdict(passed):
+            return "PASS" if passed else "FAIL"
+
+        def rates():
+            r = run_rate_sweep(config)
+            return r.passed, [f"slope {r.slope:+.4f} (+-{r.half_width:.4f}),"
+                              f" theoretical {r.theoretical_slope:+.4f}, "
+                              f"{verdict(r.passed)}"]
+
+        def bound_check():
+            t = ex.run_bound_check(config)
+            return t.passed, [f"bound dominance at {len(t.ks)} checkpoints: "
+                              f"{verdict(t.passed)}"]
+
+        def verify():
+            r = ex.run_condition_verify(config)
+            word = {True: "pass", False: "fail"}
+            return r.passed, [f"{name}: observed {word[seen]}, expected "
+                              f"{word[want]} -> {verdict(seen == want)}"
+                              for name, want, seen, _ in r.fixture_results]
+
+        def kalman():
+            r = run_kalman_compare(config)
+            return r.passed, [f"max |kalman - tracker| = {r.max_abs_diff:.3e}"
+                              ", max |kalman - running mean| = "
+                              f"{r.max_mean_diff:.3e} -> {verdict(r.passed)}"]
+
+        passed, lines = {"run": lambda: (True, []), "rates": rates,
+                         "bound-check": bound_check, "verify": verify,
+                         "kalman-compare": kalman}[command]()
+        code = main([command, "--config", cfg, "--out",
+                     str(tmp_path / "out.csv")])
+        assert capsys.readouterr().out == "".join(f"{x}\n" for x in lines)
+        assert code == (0 if passed else 1)
+        if command == "verify":  # one fixture passes, one fails, as expected
+            assert lines[0].endswith("observed pass, expected pass -> PASS")
+            assert lines[1].endswith("observed fail, expected fail -> PASS")
+
     def test_out_files_byte_identical(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "\n".join(
             f"{k} = {v}" for k, v in _SWEEP_RAW.items()))
@@ -668,6 +732,12 @@ class TestRanges:
         ("tracking.initial", "0,0", "rates"),
         ("kalman.deltas", "-1", "kalman-compare"),
         ("experiment.horizons", "1,10,100", "rates"),
+        ("schedule.lambda2_guard", "-1", "rates"),
+        # a mistyped choice value is rejected when the file is parsed,
+        # under every subcommand, whether it reads the key or not
+        *[(key, value, command)
+          for key, (value, before) in _TYPOS.items()
+          for command in _SUBCOMMANDS if command not in before],
     ])
     def test_exit_two_names_key(self, tmp_path, capsys, key, value, command):
         raw = {"experiment.horizons": "50", key: value}
@@ -720,6 +790,15 @@ class TestRanges:
                                  "gain.kind": "poisson",
                                  "path.kind": "lipschitz",
                                  "path.c_theta": "1"}),
+        # each check fails on NaN too
+        ("path.c_theta", "-1", {"path.kind": "stabilizing"}),
+        ("path.c_theta", "nan", {"path.kind": "stabilizing"}),
+        ("model.sigma", "nan", {"model.kind": "ar1",
+                                "gain.kind": "ar1_normalized"}),
+        # bound-check reads bounds.*, and checks them before its runs
+        ("bounds.c_g", "-1", {"experiment.replications": "2"}),
+        ("bounds.lambda1", "2", {"experiment.replications": "2",
+                                 "bounds.lambda2": "1"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):
@@ -727,7 +806,8 @@ class TestRanges:
         path = tmp_path / "range.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()),
                         encoding="utf-8")
-        assert main(["rates", "--config", str(path), "--quiet"]) == 2
+        command = "bound-check" if key.startswith("bounds.") else "rates"
+        assert main([command, "--config", str(path), "--quiet"]) == 2
         assert key in capsys.readouterr().err
 
 
