@@ -12,11 +12,14 @@ replication's last estimate, generator and model state into the next
 window.  It holds one time-major (m+1, B, max(w, d)) stack for a window
 of m steps: it carries observation row k of every replication in slot
 k+1, and track writes estimate k+1 over that slot once step k has
-consumed the row.  Each seed's rows come from its model's RowSource.
-When the targets draw nothing (a static or grid path), they are one
-read-only (n+1, d) table the seeds share, seen as a broadcast; a
-stabilizing walk writes each seed's window of targets to a rep-major
-(B, m+1, d) buffer.  The sweeps reduce each window in place, so no
+consumed the row.  The rows come from the model's RowSource for the
+block's generators, which writes each window straight into the stack:
+the signal+noise model fills each seed's window with one generator call
+and scales, shifts and adds its noise a group of seeds at a time, the
+other models loop over their seeds.  When the targets draw nothing (a
+static or grid path), they are one read-only (n+1, d) table the seeds
+share, seen as a broadcast; a stabilizing walk writes each seed's window
+of targets to a rep-major (B, m+1, d) buffer.  The sweeps reduce each window in place, so no
 further stack-sized array is allocated; WindowMeans is the reduction
 that makes rates' window means of a streamed run equal those of the
 whole run, bit for bit.
@@ -223,8 +226,8 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     """Yield (start, first, estimates, targets) per window of each block
     of seeds, in seed order and then in time order.
 
-    A block is as many replications as BLOCK_BYTES holds, stepped
-    together; start is its first index into seeds.  estimates and targets
+    A block is as many replications as BLOCK_BYTES holds at the model's
+    row width, stepped together; start is its first index into seeds.  estimates and targets
     are (B, m, d) and hold slots first..first+m-1, each row equal to a
     block of one with its seed bit for bit; a block's windows cover slots
     0..n once each, WINDOW steps at a time, its first window starting at
@@ -246,26 +249,25 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     if gammas is None:
         gammas = config.schedule.values_upto(n)
     seeds = list(seeds)
-    sources = (model.rows(n, make_rng(seed)) for seed in seeds)
     m = min(WINDOW, n)
-    start = 0
-    for head in sources:  # one pass a block; the first run sets its shape
-        w, table = head.width, head.table  # the seeds share the table
-        size = min(max(1, BLOCK_BYTES // ((m + 1) * max(w, d) * 8)),
-                   len(seeds) - start)
+    w = model.width
+    most = max(1, BLOCK_BYTES // ((m + 1) * max(w, d) * 8))
+    for start in range(0, len(seeds), most):  # one pass a block
+        size = min(most, len(seeds) - start)
+        source = model.rows(n, [make_rng(seed)
+                                for seed in seeds[start:start + size]])
+        table = source.table  # the seeds share it
         # observation row k of replication i goes to [k+1-lo, i, :w] in
         # the window from step lo, and track writes its estimate k+1 over
         # that slot
         stack = np.empty((m + 1, size, max(w, d)))
         walked = np.empty((size, m + 1, d)) if table is None else None
-        block = [head, *islice(sources, size - 1)]
         est = np.tile(config.initial_estimate, (size, 1))
         guard_sq = _guard_sq(est)
         for lo in range(0, n, m):  # steps lo..hi-1 give slots lo+1..hi
             hi = min(lo + m, n)
-            for i, src in enumerate(block):
-                out = None if walked is None else walked[i, :hi - lo + 1]
-                stack[1:hi - lo + 1, i, :w] = src.take(hi - lo, out)[0]
+            source.take(hi - lo, stack[1:hi - lo + 1, :, :w],
+                        None if walked is None else walked[:, :hi - lo + 1])
             try:
                 estimates = track(est, stack[1:hi - lo + 1, :, :w],
                                   gammas[lo:hi], gain.evaluator,
@@ -276,7 +278,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                     raise TrackingDiverged(lo + exc.step, n, start) from None
                 # the block trips at its earliest step, over rows it has
                 # overwritten: rerun each seed alone, lowest index first
-                del stack, walked, block
+                del stack, walked, source
                 for i, seed in enumerate(seeds[start:start + size]):
                     try:
                         for _ in run_replications(config, model, gain,
@@ -293,8 +295,7 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
                                      (size, hi + 1 - first, d))
             yield start, first, estimates[:, first - lo:], targets
             del estimates, targets
-        del stack, walked, block
-        start += size
+        del stack, walked, source
 
 
 def run_tracking(config: TrackingConfig, model, gain: GainSpec,

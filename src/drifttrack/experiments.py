@@ -295,7 +295,7 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "bounds.lambda1": (_POSITIVE, None),  # bounds.* fall back on the gain's
     "bounds.lambda2": (_POSITIVE, None),
     "bounds.c_g": (float, None),
-    "bounds.c_theta": (float, None),  # the model's path's
+    "bounds.c_theta": (_POSITIVE, None),  # the model's path's
     "verify.fixtures": (_NAMES, None),  # all built-in fixtures
     "verify.samples": (_at_least(int, bounds_mod.MIN_SAMPLES), 20_000),
     "kalman.n": (_at_least(int, 1), None),  # the last horizon

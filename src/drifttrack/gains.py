@@ -114,9 +114,14 @@ def signal_noise_spec(d: int = 1, noise_var: float | None = None) -> GainSpec:
 def quantile_spec(alpha: float, density_floor: float | None = None,
                   density_cap: float | None = None) -> GainSpec:
     """Quantile gain alpha - 1{x <= estimate}, ties counting as below;
-    declared constants come from density bounds."""
+    declared constants come from density bounds, each positive when
+    given."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    for name, bound in (("density_floor", density_floor),
+                        ("density_cap", density_cap)):
+        if bound is not None and not bound > 0:
+            raise ValueError(f"{name} must be positive")
     consts = GainConstants(lambda1=density_floor, lambda2=density_cap,
                            c_g=1.0)
 

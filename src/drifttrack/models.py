@@ -5,10 +5,13 @@ an (n, width) observation-row array and an (n+1, d) target array; row k
 is the observation consumed at tracking step k and targets[k] the
 parameter it carries.  Observations never depend on the running
 estimate, so a whole trajectory can be drawn up front.  Each also
-exposes rows(n, rng), a RowSource that hands the same rows and targets
-out a window at a time, drawing each window as it is taken and
-carrying the model's state and the walk's theta across windows;
-simulate is its rows taken in one go.
+exposes rows(n, rngs), a RowSource that hands the rows and targets of a
+block of runs, one generator each, out a window at a time, drawing each
+window as it is taken and carrying each run's model state and walk
+across windows; simulate is a block of one taken in one go.  The
+signal+noise model draws a window's noise as a block: one generator call
+per run into a reused buffer, then one scale, shift and add per group of
+runs.  The other models loop over their runs.
 
 Observation-row layouts match the GainSpec factories in gains.py.
 """
@@ -41,6 +44,7 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 _SKIP_ROWS = 4096  # rows drawn and dropped at once to move a generator on
+_GROUP = 32  # runs whose signal+noise rows are scaled and shifted together
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -67,6 +71,8 @@ class NoiseSpec:
             raise ValueError(f"unsupported noise kind {self.kind!r}")
         if not self.scale >= 0:
             raise ValueError("scale must be nonnegative")
+        if not self.scale * self.scale < math.inf:
+            raise ValueError("scale must have a finite square")
 
     @property
     def variance(self) -> float:
@@ -76,13 +82,33 @@ class NoiseSpec:
             return self.scale ** 2 / 3.0
         return 0.0
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "normal":
-            return rng.normal(0.0, self.scale, size=size) if self.scale \
-                else np.zeros(size)
+    def fill(self, rngs, out: np.ndarray) -> np.ndarray:
+        """out, a 2-D array of C-contiguous rows, with row i the noise
+        rngs[i] draws: one generator call a row, then one scale and shift
+        of the block, with the operations numpy's uniform(-scale, scale)
+        (low + (high - low) u) and normal(0, scale) (0 + scale z) apply,
+        so each row has their bits.  Zero noise, and normal noise at
+        scale 0, draw nothing."""
         if self.kind == "uniform":
-            return rng.uniform(-self.scale, self.scale, size=size)
-        return np.zeros(size)
+            low, high = -self.scale, self.scale
+            for rng, row in zip(rngs, out):
+                rng.random(out=row)
+            out *= high - low
+            out += low
+        elif self.kind == "normal" and self.scale:
+            for rng, row in zip(rngs, out):
+                rng.standard_normal(out=row)
+            out *= self.scale
+            out += 0.0  # a -0.0 product comes out +0.0, as numpy's does
+        else:
+            out[...] = 0.0
+        return out
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """A new array of the given size: fill with one generator."""
+        out = np.empty(size)
+        self.fill([rng], out.reshape(1, -1))
+        return out
 
 
 # =====================================================================
@@ -158,25 +184,29 @@ class ParameterPath:
         table = self.table_for(n)
         return table.copy() if table is not None else self.walk(rng)(n)
 
-    def windows(self, n: int, rng: np.random.Generator,
-                before: Optional[Callable] = None):
-        """(table_for(n), None, rng) for a run of horizon n when the path
-        draws nothing; else (None, walk, rng), the walk drawing first and
-        rng, for the run's other draws, a copy moved past its n steps.
-        With before, the run draws n rows of before(rng, (m, d)) first and
-        the walk from a copy moved past them.  The copy draws the rows
-        _SKIP_ROWS at a time and drops them: a normal draw takes a varying
-        number of raw words, so Philox's advance cannot do this."""
+    def windows(self, n: int, rngs, before: Optional[Callable] = None):
+        """(table_for(n), None, rngs) for runs of horizon n, one generator
+        each, when the path draws nothing; else (None, walks, rngs), run
+        i's walk drawing first and rngs[i], for the run's other draws, a
+        copy moved past its n steps.  With before, each run draws n rows of
+        before(rng, (m, d)) first and its walk from a copy moved past them.
+        The copy draws the rows _SKIP_ROWS at a time and drops them: a
+        normal draw takes a varying number of raw words, so Philox's
+        advance cannot do this."""
         table = self.table_for(n)
         if table is not None:
-            return table, None, rng
-        moved = copy.deepcopy(rng)
+            return table, None, list(rngs)
         draw = before or np.random.Generator.standard_normal  # the walk's
-        for lo in range(0, n, _SKIP_ROWS):
-            draw(moved, (min(_SKIP_ROWS, n - lo), self.dim))
-        if before is not None:
-            return None, self.walk(moved), rng
-        return None, self.walk(rng), moved
+        walks, others = [], []
+        for rng in rngs:
+            moved = copy.deepcopy(rng)
+            for lo in range(0, n, _SKIP_ROWS):
+                draw(moved, (min(_SKIP_ROWS, n - lo), self.dim))
+            walker, other = (moved, rng) if before is not None \
+                else (rng, moved)
+            walks.append(self.walk(walker))
+            others.append(other)
+        return None, walks, others
 
     def walk(self, rng: np.random.Generator) -> Callable[..., np.ndarray]:
         """The stabilizing walk a window at a time: step(m, out) writes
@@ -266,43 +296,79 @@ class SimulatedPath:
 
 @dataclass
 class RowSource:
-    """One run's observation rows, handed out in order m at a time.
+    """The observation rows of a block of size runs, handed out in order
+    m steps at a time.
 
-    take(m, out) gives the next m steps' rows, k..k+m-1 for k the steps
-    taken so far, which rows(k, m, thetas) draws from the run's generator
-    with the model's state carried across calls, and the targets they
-    carry, theta_k..theta_{k+m}.  Those are a view of table, the path's
-    read-only (n+1, d) table shared by every seed, when the path draws
-    nothing, else walk(m, out).  Chunked draws give the bits of one whole
-    draw, so neither depends on how the horizon is cut.
+    take(m, out, walked) writes each run's next m rows, k..k+m-1 for k
+    the steps taken so far, to out, a time-major (m, size, width) array,
+    run i's in out[:, i].  fill(k, m, thetas, out) draws them from the
+    runs' generators with the model's state carried across calls, thetas
+    being the targets they carry, theta_k..theta_{k+m}, as a read-only
+    time-major (m+1, size, dim) view.  The targets are table, the path's
+    read-only (n+1, d) table shared by every run, when the path draws
+    nothing, else each run's walk[i](m, walked[i]) in the rep-major
+    (size, m+1, dim) walked.  Chunked draws give the bits of one whole
+    draw, so neither rows nor targets depend on how the horizon is cut.
     """
 
     table: Optional[np.ndarray]
-    walk: Optional[Callable[..., np.ndarray]]
-    rows: Callable[[int, int, np.ndarray], np.ndarray]
+    walks: Optional[list]
+    fill: Callable[[int, int, np.ndarray, np.ndarray], None]
+    size: int
     width: int
+    dim: int
     taken: int = field(default=0, init=False)
 
-    def take(self, m: int, out: Optional[np.ndarray] = None):
-        """(rows, targets) of the next m steps."""
+    @staticmethod
+    def each(rows):
+        """A fill that loops over the runs, rows[i](k, m, thetas) giving
+        run i's (m, width) rows from its (m+1, dim) targets."""
+        def fill(k, m, thetas, out):
+            for i, run in enumerate(rows):
+                out[:, i] = run(k, m, thetas[:, i])
+        return fill
+
+    def take(self, m: int, out: Optional[np.ndarray] = None,
+             walked: Optional[np.ndarray] = None):
+        """(rows, thetas) of the next m steps; out and walked, new arrays
+        when None, are (m, size, width) and (size, m+1, dim)."""
         k = self.taken
         self.taken += m
-        thetas = self.walk(m, out) if self.table is None \
-            else self.table[k:k + m + 1]
-        return self.rows(k, m, thetas), thetas
+        if self.table is None:
+            if walked is None:
+                walked = np.empty((self.size, m + 1, self.dim))
+            for walk, theta in zip(self.walks, walked):
+                walk(m, theta)
+            thetas = walked.transpose(1, 0, 2)
+        else:
+            thetas = self.table[k:k + m + 1, None]
+        if out is None:
+            out = np.empty((m, self.size, self.width))
+        thetas = np.broadcast_to(thetas, (m + 1, self.size, self.dim))
+        self.fill(k, m, thetas, out)
+        return out, thetas
 
     def simulate(self, n: int) -> SimulatedPath:
-        """All n rows in one take, with targets the run's own array."""
-        observations, targets = self.take(n)
-        return SimulatedPath(observations=observations,
-                             targets=targets.copy())
+        """A block of one's n rows in one take, with targets the run's own
+        array."""
+        observations, thetas = self.take(n)
+        return SimulatedPath(observations=observations[:, 0],
+                             targets=thetas[:, 0].copy())
 
 
 class _Streamed:
-    """A simulator whose simulate is its row source's rows in one take."""
+    """A simulator whose simulate is a block of one of its row source,
+    which loops over the runs, _run(rng) giving one run's rows(k, m,
+    thetas)."""
+
+    def rows(self, n: int, rngs) -> RowSource:
+        table, walks, rngs = self.path.windows(n, rngs)
+        return RowSource(table, walks, RowSource.each(
+            [self._run(rng) for rng in rngs]), len(rngs), self.width,
+            self.dim)
 
     def simulate(self, n: int, rng: np.random.Generator) -> SimulatedPath:
-        return self.rows(n, rng).simulate(n)
+        return self.rows(n, [rng]).simulate(n)
 
 
 @dataclass(frozen=True)
@@ -316,11 +382,27 @@ class SignalNoiseModel(_Streamed):
     def dim(self) -> int:
         return self.path.dim
 
-    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        # all n noise rows come first, then the walk
-        table, walk, rng = self.path.windows(n, rng, self.noise.draw)
-        return RowSource(table, walk, lambda k, m, thetas: thetas[:m]
-                         + self.noise.draw(rng, (m, self.dim)), self.dim)
+    width = dim
+
+    def rows(self, n: int, rngs) -> RowSource:
+        # each run's n noise rows come first, then its walk
+        table, walks, rngs = self.path.windows(n, rngs, self.noise.draw)
+        d = self.dim
+        buffer = np.empty((min(_GROUP, len(rngs)), 0))  # a group's noise
+
+        def fill(k, m, thetas, out):
+            nonlocal buffer
+            if buffer.shape[1] < m * d:
+                buffer = np.empty((len(buffer), m * d))
+            for g0 in range(0, len(rngs), _GROUP):
+                group = rngs[g0:g0 + _GROUP]
+                noise = self.noise.fill(group, buffer[:len(group), :m * d])
+                g1 = g0 + len(group)
+                np.add(thetas[:m, g0:g1],
+                       noise.reshape(len(group), m, d).transpose(1, 0, 2),
+                       out=out[:, g0:g1])
+
+        return RowSource(table, walks, fill, len(rngs), d, d)
 
 
 def adaptive_simpson(func, a: float, b: float, tol: float = 1e-10,
@@ -371,9 +453,10 @@ class PoissonCountModel(_Streamed):
     path: ParameterPath
 
     dim = 1
+    width = 2
 
-    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table, walk, rng = self.path.windows(n, rng)
+    def _run(self, rng: np.random.Generator):
+        """One run's rows(k, m, thetas)."""
         count = 0  # N_{k-1} of the next row
 
         def rows(k: int, m: int, thetas: np.ndarray) -> np.ndarray:
@@ -383,7 +466,7 @@ class PoissonCountModel(_Streamed):
             count = counts[-1]
             return np.column_stack([counts[1:], counts[:-1]]).astype(float)
 
-        return RowSource(table, walk, rows, 2)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -398,13 +481,14 @@ class Arch1Model(_Streamed):
     x0: float = 0.0
 
     dim = 1
+    width = 2
 
     def __post_init__(self):
         if abs(self.x0) > 1.0:
             raise ValueError("|x0| must be at most 1")
 
-    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table, walk, rng = self.path.windows(n, rng)
+    def _run(self, rng: np.random.Generator):
+        """One run's rows(k, m, thetas)."""
         x_prev = self.x0  # X_{k-1} of the next row
 
         def rows(k: int, m: int, thetas: np.ndarray) -> np.ndarray:
@@ -420,7 +504,7 @@ class Arch1Model(_Streamed):
             x_prev = xs[-1]
             return np.column_stack([xs[1:], xs[:-1]])
 
-        return RowSource(table, walk, rows, 2)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -448,6 +532,10 @@ class ArdBatchModel(_Streamed):
     def dim(self) -> int:
         return self.d
 
+    @property
+    def width(self) -> int:
+        return 2 * self.d
+
     def _check_stable(self, theta, where: str) -> None:
         member, radius = linalg.ar_stability_check(theta, self.rho)
         if not member:
@@ -455,8 +543,8 @@ class ArdBatchModel(_Streamed):
                 f"coefficients outside the stability region {where} "
                 f"(spectral radius {radius:.4f} > {self.rho})")
 
-    def rows(self, n: int, rng: np.random.Generator) -> RowSource:
-        table, walk, rng = self.path.windows(n, rng)
+    def _run(self, rng: np.random.Generator):
+        """One run's rows(k, m, thetas)."""
         d = self.d
         y = rng.normal(0.0, self.sigma, size=d)  # the batch before the next
         a = b = last = None  # A and B, and the theta they were made for
@@ -480,4 +568,4 @@ class ArdBatchModel(_Streamed):
                 y = x
             return obs
 
-        return RowSource(table, walk, rows, 2 * d)
+        return rows

@@ -2,11 +2,14 @@
 
 reference_rates and reference_bound_check compute what run_rate_sweep
 and run_bound_check compute, from the public pieces only:
-build_components per horizon, model.simulate per seed, and a loop of
-est + gamma_k * G(est, row) on a block of one.  Norms and window means
-are 1-D numpy reductions; means over replications are math.fsum.  A
-d = 1 stabilizing path is re-walked here from its own copy of the walk,
-so the sweep's targets are checked too.
+build_components per horizon, one seed's rows, and a loop of
+est + gamma_k * G(est, row) on a block of one.  A signal+noise model's
+rows are drawn here with numpy's own uniform and normal calls, so the
+block draw of models.py is checked; other models' rows come from
+model.simulate.  Norms and window means are 1-D numpy reductions; means
+over replications are math.fsum.  A d = 1 stabilizing path is re-walked
+here from its own copy of the walk, so the sweep's targets are checked
+too.
 
 Each returns ("ok", csv_text, passed) or, when a replication leaves the
 guard region, ("diverged", horizon, replication, step) for the first
@@ -56,33 +59,47 @@ def _walk(path, n: int, rng) -> np.ndarray:
     return np.array(out).reshape(-1, 1)
 
 
-def _targets(model, n: int, seed: int, sim) -> np.ndarray:
-    """The run's targets; a d = 1 stabilizing walk is redrawn here from
-    the seed's stream, after the noise when the model draws it first."""
-    path = model.path
-    if path.kind != "stabilizing" or path.dim != 1:
-        return sim.targets
-    rng = models.make_rng(seed)
+def _noise(noise, rng, n: int, d: int) -> np.ndarray:
+    """A signal+noise run's n noise rows, drawn with numpy's own calls."""
+    if noise.kind == "normal" and noise.scale:
+        return rng.normal(0.0, noise.scale, (n, d))
+    if noise.kind == "uniform":
+        return rng.uniform(-noise.scale, noise.scale, (n, d))
+    return np.zeros((n, d))
+
+
+def _rows(model, n: int, seed: int):
+    """(observations, targets) of one seed.  A signal+noise model's rows
+    are its targets plus numpy's own noise draws, the n noise rows first
+    and a walk continuing from the same generator; other models' come
+    from model.simulate.  A d = 1 stabilizing walk is redrawn here."""
+    path, rng = model.path, models.make_rng(seed)
+    walked = path.kind == "stabilizing" and path.dim == 1
     if isinstance(model, models.SignalNoiseModel):
-        model.noise.draw(rng, (n, 1))
-    return _walk(path, n, rng)
+        xi = _noise(model.noise, rng, n, model.dim)
+        targets = _walk(path, n, rng) if walked else path.sample(n, rng)
+        return targets[:n] + xi, targets
+    sim = model.simulate(n, rng)
+    if walked:  # the walk draws before the model's rows
+        return sim.observations, _walk(path, n, models.make_rng(seed))
+    return sim.observations, sim.targets
 
 
 def _replication(tracking, model, gain, gammas, seed):
     """(estimates, targets), both (n+1, d), of one seed."""
     assert tracking.projection is None  # no config key sets one
     n = tracking.horizon
-    sim = model.simulate(n, models.make_rng(seed))
+    observations, targets = _rows(model, n, seed)
     est = tracking.initial_estimate.copy()
     guard_sq = (core.GUARD_FACTOR * (1.0 + math.sqrt(float(np.sum(est * est))))) ** 2
     estimates = [est]
     for k in range(n):
-        step = gain.evaluator(est[None], sim.observations[k][None])[0]
+        step = gain.evaluator(est[None], observations[k][None])[0]
         est = est + float(gammas[k]) * step
         if not float(np.sum(est * est)) <= guard_sq:  # NaN too
             raise Diverged(k)
         estimates.append(est)
-    return np.array(estimates), _targets(model, n, seed, sim)
+    return np.array(estimates), targets
 
 
 def _burn_in(fraction: float, n: int) -> int:

@@ -355,7 +355,7 @@ class _SpikeModel:
     zero table, except one row of height heights.get(seed, 1e9) at the
     global step spikes[seed]."""
 
-    dim = 1
+    dim = width = 1
 
     def __init__(self, spikes, heights=None, base=0.0, scale=0.0):
         self.spikes = spikes
@@ -363,10 +363,14 @@ class _SpikeModel:
         self.base = base
         self.scale = scale
 
-    def rows(self, n, rng):
-        seed = int(rng.bit_generator.state["state"]["key"][0])
+    def rows(self, n, rngs):
         table = np.zeros((n + 1, 1))
         table.flags.writeable = False
+        return RowSource(table, None, RowSource.each(
+            [self._run(rng) for rng in rngs]), len(rngs), 1, 1)
+
+    def _run(self, rng):
+        seed = int(rng.bit_generator.state["state"]["key"][0])
 
         def rows(k, m, thetas):
             out = self.base + self.scale * rng.standard_normal((m, 1))
@@ -374,10 +378,10 @@ class _SpikeModel:
                 out[self.spikes[seed] - k] = self.heights.get(seed, 1e9)
             return out
 
-        return RowSource(table, None, rows, 1)
+        return rows
 
     def simulate(self, n, rng):
-        return self.rows(n, rng).simulate(n)
+        return self.rows(n, [rng]).simulate(n)
 
 
 def _plain_divergence(config, model, gain, seeds):
@@ -402,23 +406,30 @@ class _Whole:
     simulate, handed out a window at a time."""
 
     def __init__(self, model):
-        self.dim = model.dim
+        self.dim, self.width = model.dim, model.width
         self.simulate = model.simulate
 
-    def rows(self, n, rng):
-        sim = self.simulate(n, rng)
+    def rows(self, n, rngs):
+        sims = [self.simulate(n, rng) for rng in rngs]
+        return RowSource(None, [self._walk(sim) for sim in sims],
+                         RowSource.each([self._rows(sim) for sim in sims]),
+                         len(sims), self.width, self.dim)
+
+    @staticmethod
+    def _walk(sim):
         taken = 0
 
-        def walk(m, out=None):
+        def walk(m, out):
             nonlocal taken
-            out = np.empty((m + 1, self.dim)) if out is None else out
             out[...] = sim.targets[taken:taken + m + 1]
             taken += m
             return out
 
-        return RowSource(None, walk,
-                         lambda k, m, thetas: sim.observations[k:k + m],
-                         sim.observations.shape[1])
+        return walk
+
+    @staticmethod
+    def _rows(sim):
+        return lambda k, m, thetas: sim.observations[k:k + m]
 
 
 class TestReplications:

@@ -733,6 +733,7 @@ class TestRanges:
         ("kalman.deltas", "-1", "kalman-compare"),
         ("experiment.horizons", "1,10,100", "rates"),
         ("schedule.lambda2_guard", "-1", "rates"),
+        ("bounds.c_theta", "-5", "bound-check"),
         # a mistyped choice value is rejected when the file is parsed,
         # under every subcommand, whether it reads the key or not
         *[(key, value, command)
@@ -795,6 +796,13 @@ class TestRanges:
         ("path.c_theta", "nan", {"path.kind": "stabilizing"}),
         ("model.sigma", "nan", {"model.kind": "ar1",
                                 "gain.kind": "ar1_normalized"}),
+        # a noise scale whose square overflows
+        ("model.noise.scale", "1e200", {}),
+        ("model.noise.scale", "inf", {"model.noise.kind": "uniform"}),
+        # the quantile gain's density bounds, 0 no longer read as unset
+        ("gain.density_cap", "-1", {"gain.kind": "quantile"}),
+        ("gain.density_floor", "-1", {"gain.kind": "quantile"}),
+        ("gain.density_floor", "0", {"gain.kind": "quantile"}),
         # bound-check reads bounds.*, and checks them before its runs
         ("bounds.c_g", "-1", {"experiment.replications": "2"}),
         ("bounds.lambda1", "2", {"experiment.replications": "2",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drifttrack import linalg, models
 from drifttrack.core import WINDOW
@@ -19,6 +19,7 @@ from drifttrack.models import (
     make_rng,
     poisson_targets,
 )
+from float_words import same_bits
 from predictable_models import CondGaussianModel, PredictableSignalNoise
 
 
@@ -423,7 +424,7 @@ class TestArdModel:
             # taken WINDOW steps at a time, the error still names the step
             # counted from the run's start, past the first window at 3000
             assert n < WINDOW or first > WINDOW
-            source = model.rows(n, make_rng(0))
+            source = model.rows(n, [make_rng(0)])
             with pytest.raises(ValueError, match=f"at step {first} "):
                 for k in range(0, n, WINDOW):
                     source.take(min(WINDOW, n - k))
@@ -531,12 +532,13 @@ def _row_model(kind, path_kind, n):
 
 
 def _take_all(source, n, m):
-    """The rows and targets of n steps taken m at a time, concatenated;
-    each window's targets start at the slot the last one ended on."""
+    """The rows and targets of a block of one's n steps taken m at a time,
+    concatenated; each window's targets start at the slot the last one
+    ended on."""
     taken = [source.take(min(m, n - k)) for k in range(0, n, m)]
-    return (np.concatenate([rows for rows, _ in taken]),
-            np.concatenate([taken[0][1][:1]]
-                           + [targets[1:] for _, targets in taken]))
+    return (np.concatenate([rows[:, 0] for rows, _ in taken]),
+            np.concatenate([taken[0][1][:1, 0]]
+                           + [targets[1:, 0] for _, targets in taken]))
 
 
 @given(kind=st.sampled_from(sorted(_ROW_MODELS) + ["poisson"]),
@@ -555,7 +557,7 @@ def test_row_source_windows_concatenate_to_simulate(kind, path_kind, n, seed,
          "non-divisor": lambda: data.draw(st.integers(2, n - 1).filter(
              lambda m: n % m)),
          "whole": lambda: data.draw(st.integers(n, 2 * n))}[cut]()
-    source = model.rows(n, make_rng(seed))
+    source = model.rows(n, [make_rng(seed)])
     if path_kind == "stabilizing" and kind != "poisson":
         assert source.table is None
     else:
@@ -565,6 +567,52 @@ def test_row_source_windows_concatenate_to_simulate(kind, path_kind, n, seed,
     assert rows.shape == (n, source.width)
     assert rows.tobytes() == whole.observations.tobytes()
     assert targets.tobytes() == whole.targets.tobytes()
+
+
+def _numpy_noise(noise, rng, n, d):
+    """n rows of noise drawn with numpy's own calls, as a run drew them
+    one seed at a time."""
+    if noise.kind == "normal" and noise.scale:
+        return rng.normal(0.0, noise.scale, (n, d))
+    if noise.kind == "uniform":
+        return rng.uniform(-noise.scale, noise.scale, (n, d))
+    return np.zeros((n, d))
+
+
+@given(kind=st.sampled_from(NoiseSpec.KINDS),
+       scale=st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1e150]),
+       d=st.integers(1, 2), size=st.sampled_from([1, 31, 32, 33, 200]),
+       walked=st.booleans(), n=st.integers(1, 40),
+       value=st.lists(st.sampled_from([-0.0, 0.0, 0.3, -0.7]), min_size=2,
+                      max_size=2),
+       cuts=st.sets(st.integers(1, 39)), seed=st.integers(0, 2**64 - 1))
+# a product under half the smallest subnormal rounds to a signed zero,
+# which only a -0.0 target shows; 33 seeds of 40 rows meet one
+@example(kind="normal", scale=5e-324, d=1, size=33, walked=False, n=40,
+         value=[-0.0, -0.0], cuts={7, 32}, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_block_rows_are_numpys_per_seed_draws(kind, scale, d, size, walked,
+                                              n, value, cuts, seed):
+    # a block of size runs, groups of 32 scaled and shifted together,
+    # its horizon cut into windows anywhere: each run's rows and targets
+    # have the bits of numpy's own draws for its seed, the noise first
+    # and then the walk from the same generator
+    path = _walk(d, start=value[:d], c_rho=0.5, beta=0.5) if walked \
+        else make_parameter_path("static", value=value[:d], c_theta=1.0)
+    model = SignalNoiseModel(path, NoiseSpec(kind, scale))
+    seeds = [seed ^ i for i in range(size)]
+    source = model.rows(n, [make_rng(s) for s in seeds])
+    cuts = sorted(c for c in cuts if c < n)
+    taken = [source.take(hi - lo) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    rows = np.concatenate([r for r, _ in taken])
+    targets = np.concatenate([taken[0][1][:1]]
+                             + [t[1:] for _, t in taken])
+    for i, s in enumerate(seeds):
+        rng = make_rng(s)
+        noise = _numpy_noise(model.noise, rng, n, d)
+        want = path.sample(n, rng)
+        assert same_bits(targets[:, i], want)
+        assert same_bits(rows[:, i], want[:n] + noise)
 
 
 def test_shared_table_is_read_only():
@@ -649,8 +697,8 @@ def test_arch1_rule_must_stay_nonnegative():
     n = 3000
     model = Arch1Model(path=_grid_path(lambda t: 2047.5 / n - t, n,
                                        c_theta=1.0))
-    source = model.rows(n, make_rng(0))
-    assert source.take(1024)[0].shape == (1024, 2)
+    source = model.rows(n, [make_rng(0)])
+    assert source.take(1024)[0].shape == (1024, 1, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         source.take(1024)
 
@@ -750,7 +798,7 @@ def test_streamed_walk_keeps_the_whole_draw_order(kind, cut):
     # equal the run drawn whole, in the order it drew
     n, model = 2500, _WALKED[kind]()
     want_rows, want_targets = _whole_run(model, n, 31)
-    rows, targets = _take_all(model.rows(n, make_rng(31)), n, cut)
+    rows, targets = _take_all(model.rows(n, [make_rng(31)]), n, cut)
     assert rows.tobytes() == want_rows.tobytes()
     assert targets.tobytes() == want_targets.tobytes()
     assert model.path.sample(n, make_rng(5)).tobytes() \
