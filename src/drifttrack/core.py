@@ -19,17 +19,16 @@ and scales, shifts and adds its noise a group of seeds at a time, the
 other models loop over their seeds.  When the targets draw nothing (a
 static or grid path), they are one read-only (n+1, d) table the seeds
 share, seen as a broadcast; a stabilizing walk writes each seed's window
-of targets to a rep-major (B, m+1, d) buffer.  The sweeps reduce each window in place, so no
-further stack-sized array is allocated; WindowMeans is the reduction
-that makes rates' window means of a streamed run equal those of the
-whole run, bit for bit.
+of targets to a rep-major (B, m+1, d) buffer.  The sweeps reduce each
+window in place, so no further stack-sized array is allocated;
+WindowMeans is the reduction that makes rates' window means of a
+streamed run equal those of the whole run, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Union
 
 import numpy as np
@@ -227,15 +226,16 @@ def run_replications(config: TrackingConfig, model, gain: GainSpec, seeds,
     of seeds, in seed order and then in time order.
 
     A block is as many replications as BLOCK_BYTES holds at the model's
-    row width, stepped together; start is its first index into seeds.  estimates and targets
-    are (B, m, d) and hold slots first..first+m-1, each row equal to a
-    block of one with its seed bit for bit; a block's windows cover slots
-    0..n once each, WINDOW steps at a time, its first window starting at
-    slot 0.  targets is a read-only view of the path's table when it
-    draws nothing (RowSource.table), else a view of the block's walk
-    buffer.  estimates and a walk's targets are views the next window
-    reuses, and the caller may overwrite estimates; the caller should
-    drop both before asking for the next window, as the generator does.
+    row width, stepped together; start is its first index into seeds.
+    estimates and targets are (B, m, d) and hold slots first..first+m-1,
+    each row equal to a block of one with its seed bit for bit; a
+    block's windows cover slots 0..n once each, WINDOW steps at a time,
+    its first window starting at slot 0.  targets is a read-only view of
+    the path's table when it draws nothing (RowSource.table), else a
+    view of the block's walk buffer.  estimates and a walk's targets are
+    views the next window reuses, and the caller may overwrite
+    estimates; the caller should drop both before asking for the next
+    window, as the generator does.
     gammas defaults to the config's schedule.  A divergence raises
     TrackingDiverged for the lowest-index replication that diverges, at
     its own step, as a one-at-a-time loop would; .replication is its
