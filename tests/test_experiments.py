@@ -796,6 +796,10 @@ class TestRanges:
         ("path.c_theta", "nan", {"path.kind": "stabilizing"}),
         ("model.sigma", "nan", {"model.kind": "ar1",
                                 "gain.kind": "ar1_normalized"}),
+        # bound-check reads bounds.*, and checks them before its runs
+        ("bounds.c_g", "-1", {"experiment.replications": "2"}),
+        ("bounds.lambda1", "2", {"experiment.replications": "2",
+                                 "bounds.lambda2": "1"}),
         # a noise scale whose square overflows
         ("model.noise.scale", "1e200", {}),
         ("model.noise.scale", "inf", {"model.noise.kind": "uniform"}),
@@ -803,10 +807,6 @@ class TestRanges:
         ("gain.density_cap", "-1", {"gain.kind": "quantile"}),
         ("gain.density_floor", "-1", {"gain.kind": "quantile"}),
         ("gain.density_floor", "0", {"gain.kind": "quantile"}),
-        # bound-check reads bounds.*, and checks them before its runs
-        ("bounds.c_g", "-1", {"experiment.replications": "2"}),
-        ("bounds.lambda1", "2", {"experiment.replications": "2",
-                                 "bounds.lambda2": "1"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):
