@@ -228,14 +228,12 @@ _GAINS = {
         v["model.d"], noise_var=noise.variance or None),
     "quantile": lambda v, noise: gains_mod.quantile_spec(
         v["gain.alpha"], v["gain.density_floor"], v["gain.density_cap"]),
-    "poisson": lambda v, noise: gains_mod.poisson_spec(
-        intensity_bound=v["gain.intensity_bound"]),
+    "poisson": lambda v, noise: gains_mod.poisson_spec(),
     "gaussian": lambda v, noise: gains_mod.gaussian_known_cov_spec(
-        np.diag(_or(v["gain.sigma_diag"], (1.0,) * v["model.d"]))),
-    "arch1": lambda v, noise: gains_mod.arch1_spec(
-        _or(v["gain.trunc"], 1.0), v["gain.lambda1"], v["gain.c_g"]),
+        _or(v["gain.sigma_diag"], (1.0,) * v["model.d"])),
+    "arch1": lambda v, noise: gains_mod.arch1_spec(_or(v["gain.trunc"], 1.0)),
     "ar1_truncated": lambda v, noise: gains_mod.ar1_truncated_spec(
-        _or(v["gain.trunc"], 1.5), v["gain.lambda1"], v["gain.c_g"]),
+        _or(v["gain.trunc"], 1.5)),
     "ar1_normalized": lambda v, noise: gains_mod.ar1_normalized_spec(
         mu=v["gain.mu"]),
     "ard_score": lambda v, noise: gains_mod.ard_score_spec(
@@ -278,11 +276,8 @@ CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "gain.alpha": (float, 0.5),
     "gain.density_floor": (float, None),
     "gain.density_cap": (float, None),
-    "gain.intensity_bound": (float, None),
     "gain.sigma_diag": (_FLOATS, None),  # d ones
     "gain.trunc": (float, None),         # per gain kind
-    "gain.lambda1": (float, None),
-    "gain.c_g": (float, None),
     "gain.mu": (float, 1.0),
     "schedule.kind": (_one_of(StepSchedule.KINDS), "static"),
     "schedule.c_gamma": (_POSITIVE, None),    # 4 / lambda1 of the gain
@@ -437,11 +432,13 @@ def fit_rate(pairs) -> tuple[float, float]:
     """OLS of log error on (1, log n, log log n); the log n coefficient
     and its 95% half-width (0 when three points fit exactly, inf when
     the fit is inexact with no dof or fewer than three points leave the
-    coefficient undetermined)."""
+    coefficient undetermined).  An error <= 0 is a config error."""
+    for n, e in pairs:
+        if e <= 0:
+            raise ConfigError(f"experiment.horizons: mean error {float(e)!r} "
+                              f"at horizon {n}; the log fit needs it above 0")
     ns = np.array([float(n) for n, _ in pairs])
     errs = np.array([float(e) for _, e in pairs])
-    if np.any(errs <= 0):
-        raise ValueError("errors must be positive for a log fit")
     design = np.column_stack([np.ones_like(ns), np.log(ns),
                               np.log(np.log(ns))])
     coef, *_ = np.linalg.lstsq(design, np.log(errs), rcond=None)
@@ -589,7 +586,7 @@ def run_bound_check(config: ExperimentConfig,
     if lam1 is None or lam2 is None or c_g is None:
         raise ConfigError("bound check needs lambda1, lambda2 and c_g "
                           "(declared by the gain or set under bounds.*)")
-    # checked before the runs; c_theta_bar is theirs to measure
+    # constants checked before the runs; c_theta_bar is theirs to measure
     inputs = _build("bounds", raw, bounds_mod.BoundInputs, lam1, lam2, c_g,
                     max(_or(v["bounds.c_theta"], path.c_theta), 1e-12), 1.0,
                     gammas[k0:])
@@ -615,6 +612,10 @@ def run_bound_check(config: ExperimentConfig,
                 osc_sum[first + past - k0 - 1:first + m - k0 - 1] += \
                     np.linalg.norm(targets[i, past:] - origins[i], axis=1)
         del estimates, targets  # before the next window's draw
+    try:  # after the runs, so a diverging config still exits 1
+        inputs.check_contraction()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     c_theta_bar = max(float(np.max(est_sq_sum)) / reps, 1e-12)
     osc_mean_cummax = np.maximum.accumulate(osc_sum / reps)
     checks = []
@@ -719,7 +720,7 @@ def builtin_fixtures() -> dict[str, VerifyFixture]:
             col += t
 
     fx["gaussian"] = VerifyFixture(
-        gain_eval=gains_mod.gaussian_known_cov_spec(np.diag(sigma_diag)).evaluator,
+        gain_eval=gains_mod.gaussian_known_cov_spec(sigma_diag).evaluator,
         sampler=StackSampler(2, gaussian_fill), theta=theta_g,
         probes=[[1.0, -0.3], [0.5, 0.4], [0.0, 0.0], [1.2, -1.1]],
         lambda1=0.25, lipschitz=0.5, c_g=0.75)  # c_g = tr(Sigma^{-1})

@@ -2,11 +2,11 @@
 
 Each catalog entry implements an update direction G(current estimate,
 new observation).  A gain the tracking engine runs is defined once, by
-its *_spec factory: the factory checks the gain's parameters when it is
-built, and its evaluator is the formula.  Where the conditional mean of
-the gain has the contraction form -M (estimate - target), the known
-eigenvalue and second-moment constants are attached so the bound
-evaluators and the condition verifiers can use them.
+its *_spec factory: the factory takes the formula's parameters alone and
+checks them, and its evaluator is the formula.  Where the conditional
+mean of the gain has the contraction form -M (estimate - target), the
+constants those parameters give are attached for the bound evaluators
+and the condition verifiers; bounds.* and schedule.* set the others.
 
 Evaluators attached to a GainSpec map a (B, d) estimate stack and a
 (B, w) row stack to (B, d) directions, row by row: the tracking kernel
@@ -134,9 +134,9 @@ def quantile_spec(alpha: float, density_floor: float | None = None,
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
-def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
+def poisson_spec() -> GainSpec:
     """Count increment minus the current intensity estimate."""
-    consts = GainConstants(lambda1=1.0, lambda2=1.0, c_g=intensity_bound)
+    consts = GainConstants(lambda1=1.0, lambda2=1.0)
 
     def evaluator(est, row):
         inc = row[..., :1] - row[..., 1:]
@@ -147,51 +147,34 @@ def poisson_spec(intensity_bound: float | None = None) -> GainSpec:
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
-def gaussian_known_cov_spec(sigma) -> GainSpec:
-    """Sigma^{-1}(x - estimate), Sigma SPD, by Cholesky substitution.
-
-    Sigma = U^T U is factored once, here.  The evaluator solves U^T y = b
-    forward and U z = y backward, one coordinate at a time: each step
-    subtracts the nonzero off-diagonal terms as elementwise products and
-    multiplies by the reciprocal diagonal r = 1/diag(U), as OpenBLAS's
-    triangular solve does.  A diagonal Sigma, the only kind a config or
-    fixture builds, gives (b r) r, the bits of SciPy's cho_solve (tests
-    pin it).  No row mixes with another, so a row's bits do not depend
-    on how many rows come with it.  A non-finite row gives a non-finite
-    direction, which the tracking guard stops.  Against one estimate, a
-    stack of rows (the verifiers' leaves) is centred column by column
-    (linalg.by_column); the recursion's (B, d) rows against (B, d)
-    estimates take one subtraction.
-    """
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    d = sigma.shape[0]
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs[0] <= 1e-12:
-        raise ValueError("covariance not positive definite")
-    upper = np.linalg.cholesky(sigma).T
-    recip = 1.0 / np.diag(upper)
-    # U^T y = b forward, then U z = y backward: coordinate i with its
-    # nonzero off-diagonal terms (j, U[j, i]), j < i, then (j, U[i, j]), j > i
-    sweep = [(i, [(j, upper[j, i]) for j in range(i) if upper[j, i] != 0.0])
-             for i in range(d)]
-    sweep += [(i, [(j, upper[i, j]) for j in range(i + 1, d)
-                   if upper[i, j] != 0.0]) for i in reversed(range(d))]
-    consts = GainConstants(lambda1=1.0 / float(eigs[-1]),
-                           lambda2=1.0 / float(eigs[0]))
+def gaussian_known_cov_spec(sigma_diag) -> GainSpec:
+    """Sigma^{-1}(x - estimate), Sigma = diag(sigma_diag): column i of
+    x - estimate times 1/sqrt(Sigma_ii) twice, in place, the bits of
+    SciPy's cho_solve (tests pin it); no row mixes with another.  A
+    non-finite row gives a non-finite direction, which the tracking guard
+    stops.  Against one estimate, a stack of rows (the verifiers' leaves)
+    is centred column by column (linalg.by_column); (B, d) rows against
+    (B, d) estimates take one subtraction."""
+    diag = np.asarray(sigma_diag, dtype=float)
+    if diag.ndim != 1 or not diag.size or not np.all(
+            np.isfinite(diag) & (diag > 1e-12)):
+        raise ValueError("sigma_diag must be a 1-D array of finite "
+                         "variances above 1e-12")
+    recip = 1.0 / np.sqrt(diag)
+    consts = GainConstants(1.0 / float(diag.max()), 1.0 / float(diag.min()))
 
     def evaluator(est, row):
         if np.ndim(row) > np.ndim(est) == 1:  # a stack against one estimate
             b = linalg.by_column(np.subtract, row, est)
         else:
             b = np.atleast_1d(np.asarray(row - est, dtype=float))
-        for i, terms in sweep:
+        for i, r in enumerate(recip):
             col = b[..., i]
-            for j, u in terms:
-                col -= u * b[..., j]
-            col *= recip[i]
+            col *= r
+            col *= r
         return b
 
-    return GainSpec(evaluator=evaluator, dim=d, constants=consts)
+    return GainSpec(evaluator=evaluator, dim=len(diag), constants=consts)
 
 
 def _truncation_factor(s: np.ndarray, cap: float) -> np.ndarray:
@@ -200,14 +183,13 @@ def _truncation_factor(s: np.ndarray, cap: float) -> np.ndarray:
                      where=s > 0)
 
 
-def arch1_spec(trunc: float, lambda1: float | None = None,
-               c_g: float | None = None) -> GainSpec:
+def arch1_spec(trunc: float) -> GainSpec:
     """Truncated ARCH(1) volatility gain
     (min(x_{k-1}^2, T)/x_{k-1}^2) (x_k^2 - 1 - estimate x_{k-1}^2),
     zero at x_{k-1} = 0."""
     if trunc <= 0:
         raise ValueError("truncation level must be positive")
-    consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
+    consts = GainConstants(lambda2=trunc)
 
     def evaluator(est, row):
         x_k, s = row[..., :1], row[..., 1:] ** 2
@@ -229,12 +211,11 @@ def ar1_normalized_spec(mu: float) -> GainSpec:
     return GainSpec(evaluator=evaluator, dim=1, constants=consts)
 
 
-def ar1_truncated_spec(trunc: float, lambda1: float | None = None,
-                       c_g: float | None = None) -> GainSpec:
+def ar1_truncated_spec(trunc: float) -> GainSpec:
     """Truncated AR(1) gain: factor min(x^2,T)/x^2 times the score term."""
     if trunc <= 0:
         raise ValueError("truncation level must be positive")
-    consts = GainConstants(lambda1=lambda1, lambda2=trunc, c_g=c_g)
+    consts = GainConstants(lambda2=trunc)
 
     def evaluator(est, row):
         x_k, x_km1 = row[..., :1], row[..., 1:]

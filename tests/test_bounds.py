@@ -201,10 +201,10 @@ class TestVerifyA1:
             assert abs(probe.r_hat - 1.0) <= 4.0 * probe.r_se + 1e-9
 
     def test_gaussian_cov_eig_range(self):
-        cov = np.diag([2.0, 4.0])
-        spec = gains.gaussian_known_cov_spec(cov)
+        var = np.array([2.0, 4.0])
+        spec = gains.gaussian_known_cov_spec(var)
         theta = np.array([0.1, -0.2])
-        root = np.diag(np.sqrt(np.diag(cov)))
+        root = np.diag(np.sqrt(var))
 
         def sampler(rng, n):
             return theta + rng.standard_normal((n, 2)) @ root

@@ -141,9 +141,9 @@ class TestRunTracking:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_gaussian_row_diverges(self, bad):
-        # the substitution solve passes a non-finite row through, and the
+        # the diagonal solve passes a non-finite row through, and the
         # guard stops at that row's step
-        spec = gains.gaussian_known_cov_spec(np.diag([2.0, 4.0]))
+        spec = gains.gaussian_known_cov_spec([2.0, 4.0])
         obs = np.zeros((6, 3, 2))
         obs[4, 1, 0] = bad
         with pytest.raises(TrackingDiverged) as info:
@@ -265,7 +265,7 @@ def _reference(init, obs, gammas, evaluator, projection):
 _SPECS = {
     "signal_noise": lambda d: (gains.signal_noise_spec(d), d),
     "gaussian": lambda d: (gains.gaussian_known_cov_spec(
-        np.diag(np.arange(1.0, d + 1.0)) + 0.25), d),
+        np.arange(1.0, d + 1.0) + 0.25), d),
     "ard_score": lambda d: (gains.ard_score_spec(d, sigma=1.5), 2 * d),
     "quantile": lambda d: (gains.quantile_spec(0.3), 1),
     "poisson": lambda d: (gains.poisson_spec(), 2),

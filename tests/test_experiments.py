@@ -159,7 +159,7 @@ class TestFitRate:
         assert abs(slope + 0.5) < 3.0 * half + 0.05
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at horizon 100;"):
             fit_rate([(10, 1.0), (100, 0.0), (1000, 1.0)])
 
     def test_two_points_leave_slope_undetermined(self):
@@ -430,7 +430,7 @@ def test_poisson_bound_check_measures_c_theta():
     # lambda(t)^2 = 16), and bound-check takes that c_theta
     raw = {"model.kind": "poisson", "gain.kind": "poisson",
            "model.intensity": "sine", "model.intensity.a": "3",
-           "model.intensity.b": "1", "gain.intensity_bound": "4",
+           "model.intensity.b": "1", "bounds.c_g": "4",
            "experiment.horizons": "400"}
     _, model, _, path = build_components(raw, 400)
     assert path is model.path and path.kind == "grid"
@@ -566,6 +566,27 @@ class TestCli:
         code = main(["rates", "--config", "/nonexistent/x.cfg"])
         capsys.readouterr()
         assert code == 2
+
+    # runs that finish with nothing to report are config errors, found
+    # after the runs so that a diverging config still exits 1: a mean
+    # error of exactly 0 has no log to fit, and a step past 1/lambda2
+    # has no bound
+    @pytest.mark.parametrize("command, text, message", [
+        ("rates", "model.noise.kind = zero\npath.value = 0.3\n"
+         "experiment.horizons = 300,1500,2500\n",
+         "experiment.horizons: mean error 0.0 at horizon 300; "),
+        ("bound-check", "bounds.lambda2 = 100\nexperiment.horizons = 50\n",
+         "step precondition gamma*lambda2 <= 1 violated at window index 0"),
+    ], ids=["rates-zero-error", "bound-check-step-too-large"])
+    def test_run_with_nothing_to_report_exits_two(self, tmp_path, capsys,
+                                                  command, text, message):
+        cfg = self._write(tmp_path, text)
+        code = main([command, "--config", cfg, "--replications", "2",
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: " + message)
+        assert err.count("\n") == 1
 
     def test_kalman_compare_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "kalman.n = 300\n")
@@ -704,6 +725,21 @@ class TestStrictKeys:
         assert main(["kalman-compare", "--config", str(path)]) == 2
         assert "schedule.betta" in capsys.readouterr().err
 
+    # keys that only copied a number into a gain's declared constants;
+    # bounds.lambda1, bounds.c_g and schedule.c_gamma set those values
+    @pytest.mark.parametrize("key, kinds", [
+        ("gain.intensity_bound", "model.kind = poisson\ngain.kind = poisson"),
+        ("gain.lambda1", "model.kind = arch1\ngain.kind = arch1"),
+        ("gain.c_g", "model.kind = ar1\ngain.kind = ar1_truncated"),
+    ], ids=["gain.intensity_bound", "gain.lambda1", "gain.c_g"])
+    def test_removed_gain_constant_key_exits_two(self, tmp_path, capsys,
+                                                 key, kinds):
+        path = tmp_path / "removed.cfg"
+        path.write_text(f"{kinds}\n{key} = 2\nexperiment.horizons = 50\n",
+                        encoding="utf-8")
+        assert main(["run", "--config", str(path), "--quiet"]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
 
 class TestRanges:
     # an out-of-range value is a config error naming the key, not a
@@ -807,6 +843,8 @@ class TestRanges:
         ("gain.density_cap", "-1", {"gain.kind": "quantile"}),
         ("gain.density_floor", "-1", {"gain.kind": "quantile"}),
         ("gain.density_floor", "0", {"gain.kind": "quantile"}),
+        # a variance that is not finite
+        ("gain.sigma_diag", "inf,1", {"model.d": "2", "gain.kind": "gaussian"}),
     ])
     def test_component_rejection_exits_two(self, tmp_path, capsys, key,
                                            value, others):

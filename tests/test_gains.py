@@ -81,26 +81,30 @@ class TestGaussianKnownCov:
         x = np.array([1.0, -2.0])
         est = np.array([0.5, 0.5])
         assert np.allclose(
-            gains.gaussian_known_cov_spec(np.eye(2)).evaluator(est, x),
+            gains.gaussian_known_cov_spec(np.ones(2)).evaluator(est, x),
             gains.signal_noise_spec(2).evaluator(est, x))
 
     def test_diagonal_solve(self):
-        got = gains.gaussian_known_cov_spec(np.diag([2.0, 4.0])).evaluator(
+        got = gains.gaussian_known_cov_spec([2.0, 4.0]).evaluator(
             np.array([0.0, 0.0]), np.array([2.0, 4.0]))
         assert np.allclose(got, [1.0, 1.0])
 
-    def test_solve_residual_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 3))
-        sigma = a @ a.T + 0.1 * np.eye(3)
-        x = rng.normal(size=3)
-        est = rng.normal(size=3)
-        out = gains.gaussian_known_cov_spec(sigma).evaluator(est, x)
-        assert np.allclose(sigma @ out, x - est, atol=1e-12)
-
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
-            gains.gaussian_known_cov_spec([[0.0]])
+            gains.gaussian_known_cov_spec([0.0])
+
+    @pytest.mark.parametrize("diag", [[math.inf, 1.0], [1.0, math.nan],
+                                      [-math.inf], [1e-12], [-1.0]],
+                             ids=str)
+    def test_rejects_a_variance_not_finite_and_above_1e_12(self, diag):
+        with pytest.raises(ValueError, match="sigma_diag"):
+            gains.gaussian_known_cov_spec(diag)
+
+    @pytest.mark.parametrize("sigma", [np.diag([2.0, 4.0]), 2.0, []],
+                             ids=["matrix", "scalar", "empty"])
+    def test_rejects_an_argument_not_a_1d_diagonal(self, sigma):
+        with pytest.raises(ValueError, match="1-D"):
+            gains.gaussian_known_cov_spec(sigma)
 
 
 def _cho_solve_gain(sigma, est, row):
@@ -117,37 +121,23 @@ _DIAGONALS = ([2.0], [0.7], [2.0, 4.0], [5.0, 0.3], [1.0, 2.0, 3.0],
 @pytest.mark.parametrize("diag", _DIAGONALS, ids=str)
 @pytest.mark.parametrize("size", [None, 1, 2, 64, 100_000])
 def test_gaussian_diagonal_matches_cho_solve_bitwise(diag, size):
-    sigma = np.diag(diag)
     rng = np.random.default_rng(len(diag) * 1000 + (size or 0))
     shape = (len(diag),) if size is None else (size, len(diag))
     rows = rng.normal(size=shape) * 3.0
     est = rng.normal(size=len(diag))
-    got = gains.gaussian_known_cov_spec(sigma).evaluator(est, rows)
-    want = _cho_solve_gain(sigma, est, rows)
+    got = gains.gaussian_known_cov_spec(diag).evaluator(est, rows)
+    want = _cho_solve_gain(np.diag(diag), est, rows)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 @given(diag=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6))
 def test_gaussian_constants_are_reciprocal_diagonal_extremes_bitwise(diag):
-    consts = gains.gaussian_known_cov_spec(np.diag(diag)).constants
+    consts = gains.gaussian_known_cov_spec(diag).constants
     assert consts.lambda1 == 1.0 / max(diag)
     assert consts.lambda2 == 1.0 / min(diag)
 
 
-def test_gaussian_full_covariance_matches_cho_solve():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(3, 3))
-    sigma = a @ a.T + 0.1 * np.eye(3)
-    rows = rng.normal(size=(1000, 3))
-    est = rng.normal(size=3)
-    evaluator = gains.gaussian_known_cov_spec(sigma).evaluator
-    got = evaluator(est, rows)
-    assert np.allclose(got, _cho_solve_gain(sigma, est, rows),
-                       rtol=1e-12, atol=1e-12)
-    # each row is solved on its own: a block gives every row's own bits
-    singles = np.array([evaluator(est, row) for row in rows[:7]])
-    assert got[:7].tobytes() == singles.tobytes()
 
 
 def _masked_truncation_factor(s, cap):
@@ -415,7 +405,7 @@ class TestSpecs:
         assert spec.constants.c_g == 2.0
 
     def test_gaussian_constants_diag(self):
-        spec = gains.gaussian_known_cov_spec(np.diag([2.0, 4.0]))
+        spec = gains.gaussian_known_cov_spec([2.0, 4.0])
         assert math.isclose(spec.constants.lambda1, 0.25)
         assert math.isclose(spec.constants.lambda2, 0.5)
 
@@ -467,8 +457,9 @@ def test_vector_normalized_gain_matches_reference_bitwise(width, n):
 
 
 def _broadcast_gaussian(sigma):
-    """gaussian_known_cov_spec's evaluator with row - est as one
-    broadcast subtraction, for every shape."""
+    """gaussian_known_cov_spec's evaluator as the Cholesky substitution
+    sweep on the matrix sigma, with row - est as one broadcast
+    subtraction, for every shape."""
     upper = np.linalg.cholesky(sigma).T
     recip = 1.0 / np.diag(upper)
     d = len(sigma)
@@ -489,25 +480,19 @@ def _broadcast_gaussian(sigma):
     return evaluator
 
 
-def _full_sigma():
-    a = np.random.default_rng(11).normal(size=(3, 3))
-    return a @ a.T + 0.1 * np.eye(3)
+_GAUSSIAN_DIAGONALS = [[2.0], [2.0, 4.0], [7.0, 11.0, 0.1]]
 
 
-_GAUSSIAN_SIGMAS = [np.diag([2.0]), np.diag([2.0, 4.0]),
-                    np.diag([7.0, 11.0, 0.1]), _full_sigma()]
-
-
-@given(data=st.data(), sigma=st.sampled_from(_GAUSSIAN_SIGMAS),
+@given(data=st.data(), diag=st.sampled_from(_GAUSSIAN_DIAGONALS),
        shape=st.sampled_from(["single", "batch", "stack", "strided"]),
        m=st.integers(1, 40))
 @settings(max_examples=200, deadline=None)
 def test_gaussian_columnwise_difference_is_the_broadcast_bitwise(
-        data, sigma, shape, m):
+        data, diag, shape, m):
     # estimate and rows as each caller hands them: (d,) with one (d,) row,
     # (B, d) with (B, d) rows in the tracking kernel, and (d,) with an
     # (m, d) stack in the verifiers, contiguous or a column view
-    d = len(sigma)
+    d = len(diag)
     est = from_words(data, (m, d) if shape == "batch" else (d,), NOT_NAN)
     if shape == "single":
         rows = from_words(data, (d,))
@@ -516,8 +501,8 @@ def test_gaussian_columnwise_difference_is_the_broadcast_bitwise(
     else:
         rows = from_words(data, (m, d))
     with np.errstate(all="ignore"):
-        want = _broadcast_gaussian(sigma)(est, rows)
-        got = gains.gaussian_known_cov_spec(sigma).evaluator(est, rows)
+        want = _broadcast_gaussian(np.diag(diag))(est, rows)
+        got = gains.gaussian_known_cov_spec(diag).evaluator(est, rows)
     assert same_bits(got, want)
 
 

@@ -300,15 +300,15 @@ class TestArdQuadraticForm:
 
 
 class TestSymEigenvalues:
-    """The ascending symmetric eigenvalues that the lemma report and the
-    Gaussian gain's constants read."""
+    """The ascending symmetric eigenvalues that the lemma report reads,
+    and the Gaussian gain's constants on the identity."""
 
     def test_diagonal(self):
         report = lemma_eig_check(np.diag([3.0, 1.0]), 0.25)
         assert np.array_equal(report.eigenvalues, [1.0, 3.0])
 
     def test_identity(self):
-        consts = gains.gaussian_known_cov_spec(np.eye(4)).constants
+        consts = gains.gaussian_known_cov_spec(np.ones(4)).constants
         assert consts.lambda1 == consts.lambda2 == 1.0
 
     def test_trace_identity_random(self):
