@@ -888,7 +888,7 @@ _NO_SCIPY_LINALG = {
     "ard": ("rates", None, "model.kind = ard\nmodel.d = 2\n"
                            "gain.kind = ard_score\npath.value = 0.3,0.2\n"
                            "experiment.replications = 5\n", "0", 2 * 5),
-    # the Gaussian gain solves by Cholesky substitution in numpy
+    # the Gaussian gain scales by its diagonal in numpy
     "gaussian": ("run", None, "model.d = 2\ngain.kind = gaussian\n"
                               "gain.sigma_diag = 2,4\n", "0", 10_001),
     "verify": ("verify", None, "", "0", 22),

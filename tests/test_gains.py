@@ -138,8 +138,6 @@ def test_gaussian_constants_are_reciprocal_diagonal_extremes_bitwise(diag):
     assert consts.lambda2 == 1.0 / min(diag)
 
 
-
-
 def _masked_truncation_factor(s, cap):
     """The truncation factor as a masked assignment."""
     out = np.zeros_like(s)
