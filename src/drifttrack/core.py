@@ -12,17 +12,20 @@ replication's last estimate, generator and model state into the next
 window.  It holds one time-major (m+1, B, max(w, d)) stack for a window
 of m steps: it carries observation row k of every replication in slot
 k+1, and track writes estimate k+1 over that slot once step k has
-consumed the row.  The rows come from the model's RowSource for the
-block's generators, which writes each window straight into the stack:
-the signal+noise model fills each seed's window with one generator call
-and scales, shifts and adds its noise a group of seeds at a time, the
-other models loop over their seeds.  When the targets draw nothing (a
-static or grid path), they are one read-only (n+1, d) table the seeds
-share, seen as a broadcast; a stabilizing walk writes each seed's window
-of targets to a rep-major (B, m+1, d) buffer.  The sweeps reduce each
-window in place, so no further stack-sized array is allocated;
-WindowMeans is the reduction that makes rates' window means of a
-streamed run equal those of the whole run, bit for bit.
+consumed the row.  track checks the divergence guard once per window,
+after the window's last step, and names the first step that left it;
+the window's steps after that one are discarded, with no warning.  The
+rows come from the model's RowSource for the block's generators, which
+writes each window straight into the stack: the signal+noise model
+fills each seed's window with one generator call and scales, shifts and
+adds its noise a group of seeds at a time, the other models loop over
+their seeds.  When the targets draw nothing (a static or grid path),
+they are one read-only (n+1, d) table the seeds share, seen as a
+broadcast; a stabilizing walk writes each seed's window of targets to a
+rep-major (B, m+1, d) buffer.  The sweeps reduce each window in place,
+so no further stack-sized array is allocated; WindowMeans is the
+reduction that makes rates' window means of a streamed run equal those
+of the whole run, bit for bit.
 """
 
 from __future__ import annotations
@@ -179,6 +182,21 @@ def _guard_sq(initial: np.ndarray) -> np.ndarray:
                                                  axis=1)))) ** 2
 
 
+def _check_guard(slab: np.ndarray, guard_sq: np.ndarray) -> None:
+    """Raise TrackingDiverged at the first slot k of the (m, B, d) slab
+    whose estimate of some replication is non-finite or has a squared
+    norm above that replication's guard_sq."""
+    # the slab's squared norm under half the smallest guard clears every
+    # slot at once, rounding included; einsum reads a strided slab in
+    # place, where vdot would copy it
+    if np.einsum("kbi,kbi->", slab, slab) \
+            <= 0.5 * float(np.min(guard_sq, initial=math.inf)):
+        return
+    for k, est in enumerate(slab):
+        if not np.all(np.sum(est * est, axis=-1) <= guard_sq):  # NaN too
+            raise TrackingDiverged(k)
+
+
 def track(initial, observations, gammas, evaluator,
           projection: Optional[ProjectionRegion] = None,
           out: Optional[np.ndarray] = None,
@@ -195,28 +213,42 @@ def track(initial, observations, gammas, evaluator,
     for bit.  guard_sq, the (B,) squared guard radii, defaults to the
     ones of initial; a caller that steps a run window by window passes
     those of the run's first estimate, so the guard does not move.
+
+    The guard is checked once, over out[1:] after the last step, and
+    TrackingDiverged names the first step whose estimate left it, the
+    step a check after every step would name.  The steps after it are
+    discarded, and they run with overflow and invalid-value warnings
+    off, so a divergence prints none.  An evaluator that raises is
+    re-raised only when no earlier step left the guard.
     """
     est = np.array(initial, dtype=float)
-    shape = est.shape
     n = observations.shape[0]
+    gammas = np.asarray(gammas, dtype=float).tolist()
+    if len(gammas) != n:
+        raise ValueError("one step size per observation row")
     if out is None:
-        out = np.empty((n + 1,) + shape)
+        out = np.empty((n + 1,) + est.shape)
     out[0] = est
-    step = np.empty(shape)
+    slots = out[1:]
+    step = np.empty(est.shape)
     if guard_sq is None:
         guard_sq = _guard_sq(est)
-    # the block's squared norm under half the smallest row guard clears
-    # every row at once, rounding included; otherwise check row by row
-    block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
-    for k, gamma in enumerate(np.asarray(gammas, dtype=float)):
-        # a direction that would broadcast the block raises ValueError
-        np.multiply(gamma, evaluator(est, observations[k]), out=step)
-        est = np.add(est, step, out=out[k + 1])
-        if projection is not None:
-            est[...] = projection.project(est)
-        if not np.vdot(est, est) <= block_sq_limit and \
-                not np.all(np.sum(est * est, axis=1) <= guard_sq):  # NaN too
-            raise TrackingDiverged(k)
+    add, multiply = np.add, np.multiply
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k, (gamma, row, slot) in enumerate(zip(gammas, observations,
+                                                       slots)):
+                # a direction that would broadcast the block raises
+                # ValueError
+                est = add(est, multiply(gamma, evaluator(est, row), step),
+                          slot)
+                if projection is not None:
+                    est[...] = projection.project(est)
+        except Exception:
+            _check_guard(slots[:k], guard_sq)
+            raise
+        _check_guard(slots, guard_sq)
     return out.transpose(1, 0, 2)
 
 

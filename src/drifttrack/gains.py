@@ -126,6 +126,11 @@ def quantile_spec(alpha: float, density_floor: float | None = None,
                            c_g=1.0)
 
     def evaluator(est, row):
+        if getattr(row, "ndim", 0) == 2:  # a stack of rows
+            below = np.less_equal(row[:, :1], est).astype(float)
+            return np.subtract(alpha, below, below)
+        # one row or a float: only perfbench/child.py::_time_row_calls
+        # feeds these
         x = row[..., :1] if getattr(row, "ndim", 0) else row
         below = np.asarray(x, dtype=float) <= est
         return alpha - below.astype(float) if isinstance(below, np.ndarray) \

@@ -1,10 +1,11 @@
 """Tracking engine: updates, projections, guard, determinism, replay."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from drifttrack import core, experiments, gains
@@ -135,7 +136,9 @@ class TestRunTracking:
         spec = gains.GainSpec(evaluator=lambda est, row: 10.0 * est + 1.0,
                               dim=1)
         config, model, _ = _static_setup(n=100)
-        with pytest.raises(TrackingDiverged) as info:
+        with warnings.catch_warnings(), \
+                pytest.raises(TrackingDiverged) as info:
+            warnings.simplefilter("error", RuntimeWarning)
             run_tracking(config, model, spec, rng_seed=0)
         assert 0 <= info.value.step < 100
 
@@ -146,7 +149,10 @@ class TestRunTracking:
         spec = gains.gaussian_known_cov_spec([2.0, 4.0])
         obs = np.zeros((6, 3, 2))
         obs[4, 1, 0] = bad
-        with pytest.raises(TrackingDiverged) as info:
+        # the steps after it run on in the window, and warn nothing
+        with warnings.catch_warnings(), \
+                pytest.raises(TrackingDiverged) as info:
+            warnings.simplefilter("error", RuntimeWarning)
             core.track(np.zeros((3, 2)), obs, np.full(6, 0.1),
                        spec.evaluator)
         assert info.value.step == 4
@@ -338,6 +344,139 @@ def test_track_matches_plain_loop(data, name, blocks, d, n, region):
 def test_every_gain_and_region_written_over_its_rows(data, name, region,
                                                      blocks, d, n):
     _check_track(data, name, blocks, d, n, region)
+
+
+# =====================================================================
+# The guard checked once per window against a check after every step
+# =====================================================================
+
+def _per_step_guard_track(initial, observations, gammas, evaluator,
+                          out=None, guard_sq=None):
+    """track as it was when it checked the guard after every step, with
+    no projection."""
+    est = np.array(initial, dtype=float)
+    shape = est.shape
+    n = observations.shape[0]
+    if out is None:
+        out = np.empty((n + 1,) + shape)
+    out[0] = est
+    step = np.empty(shape)
+    if guard_sq is None:
+        guard_sq = (core.GUARD_FACTOR * (1.0 + np.sqrt(np.sum(
+            est * est, axis=1)))) ** 2
+    block_sq_limit = 0.5 * float(np.min(guard_sq, initial=math.inf))
+    for k, gamma in enumerate(np.asarray(gammas, dtype=float)):
+        np.multiply(gamma, evaluator(est, observations[k]), out=step)
+        est = np.add(est, step, out=out[k + 1])
+        if not np.vdot(est, est) <= block_sq_limit and \
+                not np.all(np.sum(est * est, axis=1) <= guard_sq):
+            raise TrackingDiverged(k)
+    return out.transpose(1, 0, 2)
+
+
+def _windowed(track, init, obs, gammas, evaluator, d, window, aliased):
+    """A run stepped window by window as run_replications steps it: the
+    guard of the run's first estimate, each window's last estimate
+    carried, its rows under the estimates (aliased) or apart.  Returns
+    the (B, n+1, d) estimates' bytes, ("diverged", step) or the error
+    the evaluator raised."""
+    guard_sq = (core.GUARD_FACTOR * (1.0 + np.sqrt(np.sum(
+        init * init, axis=1)))) ** 2
+    est, paths = init, [init[:, None]]
+    try:
+        for lo in range(0, obs.shape[0], window):
+            part = obs[lo:lo + window]
+            if aliased:
+                _, rows, slots = _aliased_layout(part, d)
+            else:
+                rows, slots = part.copy(), None
+            got = track(est, rows, gammas[lo:lo + window], evaluator,
+                        out=slots, guard_sq=guard_sq)
+            paths.append(got[:, 1:].copy())
+            est = got[:, -1].copy()
+    except TrackingDiverged as exc:
+        return "diverged", lo + exc.step
+    except ValueError as exc:
+        return "error", str(exc)
+    return np.concatenate(paths, axis=1).tobytes()
+
+
+def _explosive_spec(d, growth):
+    """growth * estimate plus the row's first d values: an estimate that
+    leaves the guard region within a few dozen steps at growth ~ 1."""
+    return gains.GainSpec(
+        evaluator=lambda est, row: growth * est + row[:, :d], dim=d)
+
+
+# gain name -> ((d, data) -> (spec, observation row width))
+_GUARDED = {
+    "signal_noise": lambda d, data: (gains.signal_noise_spec(d), d),
+    "quantile": lambda d, data: (gains.quantile_spec(0.3), 1),
+    "gaussian": lambda d, data: (gains.gaussian_known_cov_spec(
+        np.arange(1.0, d + 1.0) + 0.25), d),
+    "poisson": lambda d, data: (gains.poisson_spec(), 2),
+    "explosive": lambda d, data: (_explosive_spec(
+        d, data.draw(st.floats(0.0, 40.0), label="growth")), d + 1),
+}
+_GUARDED_VECTOR = ("signal_noise", "gaussian", "explosive")
+# heights about the guard radius 1e6 (1 + |initial|) too
+_SPIKES = st.sampled_from([math.nan, math.inf, -math.inf, 2e6, -2e6]) \
+    | st.floats(5e5, 3e6)
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(_GUARDED)),
+       blocks=st.integers(1, 5), d=st.integers(1, 3),
+       window=st.integers(1, 8), n=st.integers(1, 24),
+       aliased=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_window_guard_matches_a_check_after_every_step(
+        data, name, blocks, d, window, n, aliased):
+    # n falls on both sides of the window length; rows carry NaN, +-inf
+    # and spikes of 5e5 to 3e6 at random steps
+    d = d if name in _GUARDED_VECTOR else 1
+    spec, width = _GUARDED[name](d, data)
+    obs = data.draw(_values((n, blocks, width), -2.0, 2.0), label="rows")
+    if name == "poisson":  # counts: row = (N_k, N_{k-1}), nondecreasing
+        obs[..., 0] = obs[..., 1] + np.abs(obs[..., 0])
+    for _ in range(data.draw(st.integers(0, 3), label="spikes")):
+        obs[data.draw(st.integers(0, n - 1)),
+            data.draw(st.integers(0, blocks - 1)),
+            data.draw(st.integers(0, width - 1))] = data.draw(_SPIKES)
+    init = data.draw(_values((blocks, d), -0.5, 0.5), label="initial")
+    gammas = data.draw(_values((n,), 0.0, 1.0), label="gammas")
+    with warnings.catch_warnings():
+        # the plain loop may warn as it overflows; track must not
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _windowed(_per_step_guard_track, init, obs, gammas,
+                         spec.evaluator, d, window, aliased)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _windowed(core.track, init, obs, gammas, spec.evaluator, d,
+                        window, aliased)
+    event(f"{name}: {want[0] if isinstance(want, tuple) else 'tracked'}")
+    assert got == want
+
+
+_TIES = st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0])
+
+
+@given(data=st.data(), blocks=st.integers(1, 6), width=st.integers(1, 3),
+       alpha=st.floats(0.01, 0.99))
+@settings(max_examples=200, deadline=None)
+def test_quantile_stack_gives_the_bits_of_its_row_path(data, blocks, width,
+                                                       alpha):
+    # ties x == estimate count as below, -0.0 against 0.0 included
+    values = _TIES | st.floats(allow_subnormal=False)
+    rows = data.draw(hnp.arrays(float, (blocks, width), elements=values))
+    est = data.draw(hnp.arrays(float, (blocks, 1), elements=values))
+    tied = data.draw(hnp.arrays(bool, (blocks,)))
+    rows[tied, 0] = est[tied, 0]
+    evaluator = gains.quantile_spec(alpha).evaluator
+    got = evaluator(est, rows)
+    want = np.array([[evaluator(float(e), float(x))]
+                     for e, x in zip(est[:, 0], rows[:, 0])])
+    assert got.shape == (blocks, 1) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def _first_divergence(config, model, gain, seeds):

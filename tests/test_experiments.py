@@ -959,6 +959,22 @@ class TestDivergence:
         assert err.startswith("diverged")
         assert f"step 20: horizon {horizon}, replication 0" in err
 
+    @pytest.mark.parametrize("command, horizon",
+                             [("rates", 100), ("bound-check", 5000),
+                              ("run", 5000)])
+    def test_stderr_is_the_one_line(self, tmp_path, command, horizon):
+        # the CI divergence gate's config; the steps the window runs past
+        # the divergence warn nothing, even with every warning shown
+        config = os.path.join(os.path.dirname(__file__), os.pardir,
+                              ".github", "divergence-configs",
+                              "constant_gamma3.cfg")
+        proc = _python("-W", "default", "-m", "drifttrack.experiments",
+                       command, "--config", config, "--out",
+                       str(tmp_path / "out.csv"), "--quiet")
+        assert proc.returncode == 1
+        assert proc.stderr == \
+            f"diverged at step 20: horizon {horizon}, replication 0\n"
+
 
 def test_readme_lists_every_config_key():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
