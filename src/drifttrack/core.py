@@ -234,7 +234,6 @@ def track(initial, observations, gammas, evaluator,
     if guard_sq is None:
         guard_sq = _guard_sq(est)
     add, multiply = np.add, np.multiply
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k, (gamma, row, slot) in enumerate(zip(gammas, observations,
@@ -246,6 +245,8 @@ def track(initial, observations, gammas, evaluator,
                 if projection is not None:
                     est[...] = projection.project(est)
         except Exception:
+            # a check after every step would have stopped at a step
+            # before this one that left the guard
             _check_guard(slots[:k], guard_sq)
             raise
         _check_guard(slots, guard_sq)

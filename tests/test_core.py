@@ -157,6 +157,13 @@ class TestRunTracking:
                        spec.evaluator)
         assert info.value.step == 4
 
+    @pytest.mark.parametrize("steps", [5, 7])
+    def test_one_step_size_per_row(self, steps):
+        with pytest.raises(ValueError, match="one step size"):
+            core.track(np.zeros((2, 1)), np.zeros((6, 2, 1)),
+                       np.full(steps, 0.1),
+                       gains.signal_noise_spec(1).evaluator)
+
     def test_nan_gain_aborts(self):
         spec = gains.GainSpec(evaluator=lambda est, row: math.nan, dim=1)
         config, model, _ = _static_setup(n=10)
