@@ -93,6 +93,14 @@ def _at_least(parse: Callable, low: float, strict: bool = False) -> Callable:
     return parse_in_range
 
 
+def _seed(text) -> int:
+    """A seed in [0, 2**64): make_rng keys Philox with it as it is."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("must lie in [0, 2**64)")
+    return seed
+
+
 def _one_of(names) -> Callable:
     """The text, if names (a table's kinds or a kind list) holds it."""
     def parse_choice(text):
@@ -144,7 +152,8 @@ def experiment_config(kind: str, raw: dict[str, str],
         horizons=v["experiment.horizons"],
         replications=_or(overrides.get("replications"),
                          v["experiment.replications"]),
-        seed=_or(overrides.get("seed"), v["experiment.seed"]),
+        seed=v["experiment.seed"] if overrides.get("seed") is None
+        else _parse("experiment.seed", overrides["seed"], "--seed"),
         burn_in_fraction=v["experiment.burn_in_fraction"],
         p=v["experiment.p"],
         out=overrides.get("out"),
@@ -242,13 +251,14 @@ _GAINS = {
 
 
 # Every key the harness reads: key -> (parser, default).  Integer keys
-# go through int(), never float, so 64-bit seeds stay exact.  A default
+# go through int(), never float, so 64-bit seeds stay exact; a seed
+# outside 64 bits is an error, not another seed.  A default
 # of None means the component that reads the key derives the value.  A
 # choice key is checked against the table or kind list that reads it.
 CONFIG_KEYS: dict[str, tuple[Callable, object]] = {
     "experiment.horizons": (_at_least(_INTS, 1), (1000,)),
     "experiment.replications": (int, 1),
-    "experiment.seed": (int, 1),
+    "experiment.seed": (_seed, 1),
     "experiment.burn_in_fraction": (float, 0.5),
     "experiment.p": (_POSITIVE, 2.0),
     "experiment.statistic": (_one_of(("window", "final")), "window"),
@@ -313,11 +323,18 @@ def _values(raw: dict[str, str]) -> dict[str, object]:
     for key, text in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = CONFIG_KEYS[key][0](text)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad value {text!r} ({exc})") from exc
+        values[key] = _parse(key, text)
     return values
+
+
+def _parse(key: str, text, name: Optional[str] = None):
+    """text through key's parser; a value it rejects is a config error
+    naming key, or name (a CLI flag) when given."""
+    try:
+        return CONFIG_KEYS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{name or key}: bad value {text!r} ({exc})") \
+            from exc
 
 
 def _schedule(v: dict, c_gamma: float = 1.0,
@@ -853,6 +870,8 @@ def run_condition_verify(config: ExperimentConfig) -> VerifyReport:
     registry = builtin_fixtures()
     n_samples = v["verify.samples"]
     names = _or(v["verify.fixtures"], tuple(registry))
+    if not names:
+        raise ConfigError("verify.fixtures: names no fixture")
     for name in names:
         if name not in registry:
             raise ConfigError(f"unknown verify fixture {name!r}")
@@ -975,8 +994,11 @@ def _rates(config: ExperimentConfig):
     r = run_rate_sweep(config)
     theo = "n/a" if r.theoretical_slope is None \
         else f"{r.theoretical_slope:+.4f}"
+    # fewer than three horizons leave the three-term fit underdetermined
+    interval = f"+-{r.half_width:.4f}" if math.isfinite(r.half_width) \
+        else f"no interval from {len(r.horizons)} horizons"
     return RATE_HEADER, r.rows, r.passed, [
-        f"slope {r.slope:+.4f} (+-{r.half_width:.4f}), theoretical {theo}, "
+        f"slope {r.slope:+.4f} ({interval}), theoretical {theo}, "
         f"{_verdict(r.passed)}"]
 
 
@@ -1021,7 +1043,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=str, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--seed", type=str, default=None)  # as the key
         cmd.add_argument("--out", type=str, default=None)
         cmd.add_argument("--replications", type=int, default=None)
         cmd.add_argument("--quiet", action="store_true")

@@ -26,6 +26,7 @@ from drifttrack.experiments import (
     theoretical_slope_for,
 )
 from drifttrack.models import make_rng
+from gate_table import ROOT, gates
 
 
 class TestConfigParsing:
@@ -678,6 +679,22 @@ class TestCli:
             assert lines[0].endswith("observed pass, expected pass -> PASS")
             assert lines[1].endswith("observed fail, expected fail -> PASS")
 
+    def test_two_horizon_fit_prints_no_interval(self, tmp_path, capsys):
+        # two horizons leave the three-term fit with no interval; the
+        # verdict, the exit code and the CSV stay as they were
+        raw = dict(_SWEEP_RAW, **{"experiment.horizons": "200,800"})
+        cfg = self._write(tmp_path, "\n".join(
+            f"{k} = {v}" for k, v in raw.items()))
+        r = run_rate_sweep(experiment_config("rates", raw))
+        out = tmp_path / "rates.csv"
+        code = main(["rates", "--config", cfg, "--out", str(out)])
+        verdict = "PASS" if r.passed else "FAIL"
+        assert capsys.readouterr().out == (
+            f"slope {r.slope:+.4f} (no interval from 2 horizons), "
+            f"theoretical -0.5000, {verdict}\n")
+        assert code == (0 if r.passed else 1)
+        assert out.read_text() == format_csv(ex.RATE_HEADER, r.rows)
+
     def test_out_files_byte_identical(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "\n".join(
             f"{k} = {v}" for k, v in _SWEEP_RAW.items()))
@@ -705,6 +722,23 @@ class TestStrictKeys:
         seed = 18446744073709551557
         cfg = experiment_config("rates", {"experiment.seed": str(seed)})
         assert cfg.seed == seed
+
+    def test_seed_flag_parses_as_the_key(self, tmp_path, capsys):
+        # 2**64 + 1 gave seed 1's bytes; the flag and the key take one
+        # parser, so each rejects it and names itself
+        path = tmp_path / "seed.cfg"
+        path.write_text("experiment.horizons = 50\n", encoding="utf-8")
+        top = str(2**64 - 1)
+        assert main(["run", "--config", str(path), "--seed", top,
+                     "--out", str(tmp_path / "top.csv")]) == 0
+        for seed in (str(2**64 + 1), "-1", "1.0"):
+            assert main(["run", "--config", str(path), "--seed", seed,
+                         "--quiet"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: --seed: bad value {seed!r}")
+        with pytest.raises(ConfigError, match="experiment.seed"):
+            experiment_config("run", {"experiment.seed": str(2**64)})
+        assert experiment_config("run", {}, {"seed": top}).seed == 2**64 - 1
 
     def test_fractional_count_rejected(self):
         with pytest.raises(ConfigError, match="experiment.replications"):
@@ -770,6 +804,12 @@ class TestRanges:
         ("experiment.horizons", "1,10,100", "rates"),
         ("schedule.lambda2_guard", "-1", "rates"),
         ("bounds.c_theta", "-5", "bound-check"),
+        # an empty fixture list ran no probe and passed
+        ("verify.fixtures", "", "verify"),
+        ("verify.fixtures", ",", "verify"),
+        # a seed outside 64 bits was masked into another seed
+        ("experiment.seed", str(2**64 + 1), "run"),
+        ("experiment.seed", "-1", "run"),
         # a mistyped choice value is rejected when the file is parsed,
         # under every subcommand, whether it reads the key or not
         *[(key, value, command)
@@ -963,11 +1003,12 @@ class TestDivergence:
                              [("rates", 100), ("bound-check", 5000),
                               ("run", 5000)])
     def test_stderr_is_the_one_line(self, tmp_path, command, horizon):
-        # the CI divergence gate's config; the steps the window runs past
-        # the divergence warn nothing, even with every warning shown
-        config = os.path.join(os.path.dirname(__file__), os.pardir,
-                              ".github", "divergence-configs",
-                              "constant_gamma3.cfg")
+        # the config of the CI gate table's stderr line for command; the
+        # steps the window runs past the divergence warn nothing, even
+        # with every warning shown
+        config, = {os.path.join(ROOT, g.config)
+                   for g in gates.parse_table()
+                   if g.key == "stderr" and g.command == command}
         proc = _python("-W", "default", "-m", "drifttrack.experiments",
                        command, "--config", config, "--out",
                        str(tmp_path / "out.csv"), "--quiet")
